@@ -8,10 +8,11 @@ JSON pair file (--pair-file). Exit codes are never conflated:
     1  mathematical divergence or hypothesis violation found
     2  usage or pair-specification error
     3  resource cap exceeded (subset budget)
+    4  internal error (a bug, never a verdict)
 
 Batch use is the point: tables and exit codes are the interface. Output in
-csv/json is byte-stable across runs and across PARTITION_SIEVE_THREADS
-settings, with every numeric field a decimal string.
+csv/json is byte-stable across runs, with every numeric field a decimal
+string.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .distribution import (
     render_table_csv,
     render_table_json,
     render_table_text,
-    worker_count,
 )
 from .families import BUILTIN_PAIRS, FamilyError, FamilyPair, builtin_pair, parse_family_pair
 from .partitions import Multiset
@@ -209,13 +209,23 @@ def _witness_json(witness):
     }
 
 
-@click.group()
+class _InternalErrorsExit4(click.Group):
+    """Map any exception that escapes a command, other than click's own, to
+    exit code 4, so that a bug never reads as a divergence (1)."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:
+            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(4)
+
+
+@click.group(cls=_InternalErrorsExit4)
 def main():
     """Exact verification of identically distributed partition statistics."""
-    try:
-        worker_count()
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
 
 
 @main.command()

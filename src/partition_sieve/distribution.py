@@ -8,11 +8,8 @@ exact counts only, never from floating point.
 
 from __future__ import annotations
 
-import itertools
 import json
-import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -29,25 +26,7 @@ __all__ = [
     "render_table_csv",
     "render_table_json",
     "render_table_text",
-    "worker_count",
 ]
-
-THREADS_ENV_VAR = "PARTITION_SIEVE_THREADS"
-_CHUNK = 2048
-
-
-def worker_count() -> int:
-    """Worker count from the environment (default 1); must be >= 1."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer >= 1, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {value}")
-    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,39 +72,14 @@ class DistributionTable:
         return f"DistributionTable(n={self.n}, counts={{{body}}}, total={self.total})"
 
 
-def distribution_bruteforce(
-    stat: Statistic, n: int, *, threads: int | None = None
-) -> DistributionTable:
-    """Tally the statistic over every partition of n by full enumeration.
-
-    With threads > 1 the enumeration stream is split into chunks tallied by
-    a worker pool; counts merge by exact addition, so the result is
-    identical to the sequential one. threads=None reads the
-    PARTITION_SIEVE_THREADS environment variable.
-    """
+def distribution_bruteforce(stat: Statistic, n: int) -> DistributionTable:
+    """Tally the statistic over every partition of n by full enumeration."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if threads is None:
-        threads = worker_count()
     rule = stat.counts_evaluator(n)
-    stream = descending_part_sequences(n)
-    if threads == 1:
-        tally: Counter[int] = Counter()
-        for seq in stream:
-            tally[rule(Counter(seq))] += 1
-        return DistributionTable(n, tally)
-
-    def tally_chunk(chunk: list[tuple[int, ...]]) -> Counter[int]:
-        local: Counter[int] = Counter()
-        for seq in chunk:
-            local[rule(Counter(seq))] += 1
-        return local
-
-    tally = Counter()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        chunks = iter(lambda: list(itertools.islice(stream, _CHUNK)), [])
-        for partial in pool.map(tally_chunk, chunks):
-            tally.update(partial)
+    tally: Counter[int] = Counter()
+    for seq in descending_part_sequences(n):
+        tally[rule(Counter(seq))] += 1
     return DistributionTable(n, tally)
 
 
@@ -166,14 +120,7 @@ def first_count_difference(
     return None
 
 
-def compare(
-    stat_x: Statistic,
-    stat_y: Statistic,
-    n_from: int,
-    n_to: int,
-    *,
-    threads: int | None = None,
-) -> ComparisonReport:
+def compare(stat_x: Statistic, stat_y: Statistic, n_from: int, n_to: int) -> ComparisonReport:
     """Check Prob_n(X=j) = Prob_n(Y=j) for every n in [n_from, n_to].
 
     Both sides are full enumerations of P(n), so equal count maps mean equal
@@ -184,8 +131,8 @@ def compare(
         raise ValueError(f"need 0 <= n_from <= n_to, got [{n_from}, {n_to}]")
     verdicts = []
     for n in range(n_from, n_to + 1):
-        tx = distribution_bruteforce(stat_x, n, threads=threads)
-        ty = distribution_bruteforce(stat_y, n, threads=threads)
+        tx = distribution_bruteforce(stat_x, n)
+        ty = distribution_bruteforce(stat_y, n)
         diff = first_count_difference(tx.counts, ty.counts)
         if diff is None:
             verdicts.append(ComparisonVerdict(n, True))

@@ -495,16 +495,12 @@ def _parse_strand(raw: Any, tmin: int, where: str) -> Strand:
     raise FamilyError(f"{where}: strand must have exactly one of 'entries' or 'explicit'")
 
 
-def parse_family_pair(
-    document: str | bytes | Mapping[str, Any],
-    *,
-    horizon: int = DEFAULT_VALIDATION_HORIZON,
-) -> FamilyPair:
+def parse_family_pair(document: str | bytes | Mapping[str, Any]) -> FamilyPair:
     """Build a validated FamilyPair from a JSON document (text or parsed).
 
     Violations are reported with their strand/entry location. Template
     strands are numerically validated (sizes and multiplicities >= 1,
-    nondecreasing weight) for t up to tmin + horizon.
+    nondecreasing weight) for t up to tmin + DEFAULT_VALIDATION_HORIZON.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -536,11 +532,6 @@ def parse_family_pair(
             _parse_strand(raw, tmin, f"{side} strand {i}")
             for i, raw in enumerate(raw_strands)
         )
-        for i, strand in enumerate(strands):
-            try:
-                strand.validate_range(horizon)
-            except FamilyError as exc:
-                raise FamilyError(f"{side} strand {i}: {exc}") from None
         sides[side] = MultisetFamily(f"{name}.{side}", strands)
     return FamilyPair(name, sides["F"], sides["G"])
 

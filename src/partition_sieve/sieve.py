@@ -36,7 +36,6 @@ __all__ = [
     "DisjointnessWitness",
     "HypothesisReport",
     "SieveResult",
-    "SubsetCapExceeded",
     "UnionWeightWitness",
     "WeightWitness",
     "check_theorem_b",
@@ -47,10 +46,6 @@ __all__ = [
 # Explored-subset budget; exceeding it is a loud, flagged condition, never a
 # silent approximation.
 DEFAULT_SUBSET_CAP = 5_000_000
-
-
-class SubsetCapExceeded(Exception):
-    """Internal signal that a subset enumeration hit its cap."""
 
 
 @dataclass(frozen=True)
@@ -161,26 +156,30 @@ def sieve_distribution(
         raise ValueError(f"subset_cap must be > 0, got {subset_cap}")
     patterns = [family.member(idx).items() for idx in family.relevant_indices(n)]
     levels = [0] * (len(patterns) + 1)
-    explored = 0
-
-    def dfs(start: int, union: dict[int, int], weight: int, size: int) -> None:
-        nonlocal explored
+    union: dict[int, int] = {}
+    # One frame per subset on the current path: [next candidate, union
+    # weight, undo record of the inclusion that made it]. The root is S = {}.
+    path: list[list] = [[0, 0, None]]
+    levels[0] = count_partitions(n)
+    explored = 1
+    while path:
+        frame = path[-1]
+        weight = frame[1]
+        for i in range(frame[0], len(patterns)):
+            added = _added_weight(patterns[i], union)
+            if weight + added <= n:
+                break
+        else:
+            path.pop()
+            if path:
+                _restore(union, frame[2])
+            continue
+        frame[0] = i + 1
         explored += 1
         if explored > subset_cap:
-            raise SubsetCapExceeded
-        levels[size] += count_partitions(n - weight)
-        for i in range(start, len(patterns)):
-            added = _added_weight(patterns[i], union)
-            if weight + added > n:
-                continue
-            saved = _apply(patterns[i], union)
-            dfs(i + 1, union, weight + added, size + 1)
-            _restore(union, saved)
-
-    try:
-        dfs(0, {}, 0, 0)
-    except SubsetCapExceeded:
-        return SieveResult(DistributionTable(n, {}), explored, True)
+            return SieveResult(DistributionTable(n, {}), explored, True)
+        levels[len(path)] += count_partitions(n - weight - added)
+        path.append([i + 1, weight + added, _apply(patterns[i], union)])
 
     counts: dict[int, int] = {}
     top = len(levels) - 1
@@ -289,21 +288,38 @@ def check_theorem_c(
         (idx, pair.F.member(idx).items(), pair.G.member(idx).items())
         for idx, _, _ in annotated
     ]
-    explored = 0
-    found: UnionWeightWitness | None = None
-
-    def dfs(
-        start: int,
-        chosen: list[FamilyIndex],
-        union_f: dict[int, int],
-        union_g: dict[int, int],
-        weight_f: int,
-        weight_g: int,
-    ) -> None:
-        nonlocal explored, found
+    union_f: dict[int, int] = {}
+    union_g: dict[int, int] = {}
+    chosen: list[FamilyIndex] = []
+    # One frame per subset on the current path: [next candidate, F union
+    # weight, G union weight, undo records of the inclusion that made it].
+    path: list[list] = [[0, 0, 0, None, None]]
+    explored = 1
+    while path:
+        frame = path[-1]
+        weight_f, weight_g = frame[1], frame[2]
+        for i in range(frame[0], len(members)):
+            idx, pat_f, pat_g = members[i]
+            added_f = _added_weight(pat_f, union_f)
+            added_g = _added_weight(pat_g, union_g)
+            if min(weight_f + added_f, weight_g + added_g) <= n_max:
+                break
+        else:
+            path.pop()
+            if path:
+                chosen.pop()
+                _restore(union_f, frame[3])
+                _restore(union_g, frame[4])
+            continue
+        frame[0] = i + 1
         explored += 1
         if explored > subset_cap:
-            raise SubsetCapExceeded
+            return HypothesisReport("C", n_max, True, None, explored, inconclusive=True)
+        weight_f += added_f
+        weight_g += added_g
+        chosen.append(idx)
+        saved_f = _apply(pat_f, union_f)
+        saved_g = _apply(pat_g, union_g)
         if weight_f != weight_g:
             found = UnionWeightWitness(
                 tuple(chosen),
@@ -312,30 +328,7 @@ def check_theorem_c(
                 Multiset(dict(union_f)),
                 Multiset(dict(union_g)),
             )
-            return
-        for i in range(start, len(members)):
-            idx, pat_f, pat_g = members[i]
-            added_f = _added_weight(pat_f, union_f)
-            added_g = _added_weight(pat_g, union_g)
-            if min(weight_f + added_f, weight_g + added_g) > n_max:
-                continue
-            saved_f = _apply(pat_f, union_f)
-            saved_g = _apply(pat_g, union_g)
-            chosen.append(idx)
-            dfs(i + 1, chosen, union_f, union_g, weight_f + added_f, weight_g + added_g)
-            chosen.pop()
-            _restore(union_f, saved_f)
-            _restore(union_g, saved_g)
-            if found is not None:
-                return
-
-    try:
-        dfs(0, [], {}, {}, 0, 0)
-    except SubsetCapExceeded:
-        return HypothesisReport(
-            "C", n_max, True, None, explored, inconclusive=True
-        )
-    if found is not None:
-        _revalidate_union_weights(pair, found)
-        return HypothesisReport("C", n_max, False, found, explored)
+            _revalidate_union_weights(pair, found)
+            return HypothesisReport("C", n_max, False, found, explored)
+        path.append([i + 1, weight_f, weight_g, saved_f, saved_g])
     return HypothesisReport("C", n_max, True, None, explored)

@@ -10,14 +10,20 @@ EULER_DOC = json.dumps(render_family_pair(builtin_pair("euler")))
 
 POW2_M1 = "1\n2\n4\n8\n16\n"
 
+# Valid but adversarial: 1500 identical {1:1} strands make every index subset
+# a candidate, and each search path as deep as the family is long.
+DEEP_DOC = json.dumps(
+    {"name": "deep", "F": [{"explicit": [[1, 1]]}] * 1500, "G": [{"explicit": [[1, 1]]}] * 1500}
+)
+
 
 @pytest.fixture
 def runner():
     return CliRunner()
 
 
-def invoke(runner, args, env=None):
-    return runner.invoke(main, args, env=env, catch_exceptions=False)
+def invoke(runner, args):
+    return runner.invoke(main, args, catch_exceptions=False)
 
 
 class TestCatalog:
@@ -216,6 +222,37 @@ class TestCheck:
         assert doc["witness"]["element"] == "4"
 
 
+class TestDeepFamilies:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sieve", "--side", "X", "--n", "10", "--subset-cap", "2000"],
+            ["check", "--theorem", "c", "--n-max", "10", "--subset-cap", "2000"],
+        ],
+    )
+    def test_cap_exits_3_without_recursion_error(self, runner, tmp_path, args):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_DOC)
+        result = invoke(runner, args + ["--pair-file", str(path)])
+        assert result.exit_code == 3
+
+
+class TestInternalErrors:
+    def test_unexpected_exception_exits_4(self, runner, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("witness failed re-validation")
+
+        monkeypatch.setattr("partition_sieve.cli.check_theorem_c", broken)
+        result = runner.invoke(
+            main, ["check", "--pair", "euler", "--theorem", "c", "--n-max", "10"]
+        )
+        assert result.exit_code == 4
+        assert result.stdout == ""
+        assert result.stderr == (
+            "internal error: RuntimeError: witness failed re-validation\n"
+        )
+
+
 class TestPairFiles:
     def test_euler_file_compares_identically(self, runner, tmp_path):
         path = tmp_path / "euler.json"
@@ -286,25 +323,14 @@ class TestAndrewsInputs:
 
 
 class TestDeterminism:
-    def test_env_validation(self, runner):
-        result = runner.invoke(
-            main,
-            ["dist", "--pair", "euler", "--side", "X", "--n", "4"],
-            env={"PARTITION_SIEVE_THREADS": "zero"},
-        )
-        assert result.exit_code == 2
-
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_output_byte_stable_across_threads(self, runner, fmt):
         args = ["compare", "--pair", "mod6", "--n-max", "12", "--format", fmt]
-        runs = [
-            invoke(runner, args, env={"PARTITION_SIEVE_THREADS": threads}).output
-            for threads in ("1", "4", "1")
-        ]
+        runs = [invoke(runner, args).output for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
 
     def test_dist_byte_stable(self, runner):
         args = ["dist", "--pair", "squares", "--side", "Y", "--n", "15", "--format", "csv"]
-        first = invoke(runner, args, env={"PARTITION_SIEVE_THREADS": "1"}).output
-        second = invoke(runner, args, env={"PARTITION_SIEVE_THREADS": "3"}).output
+        first = invoke(runner, args).output
+        second = invoke(runner, args).output
         assert first == second

@@ -14,7 +14,7 @@ from partition_sieve import (
     render_table_json,
     render_table_text,
 )
-from partition_sieve.distribution import first_count_difference, worker_count
+from partition_sieve.distribution import first_count_difference
 
 from oracles import tally_distribution
 
@@ -72,31 +72,9 @@ class TestBruteForce:
         for side in pair_statistics(builtin_pair("mod6")):
             assert distribution_bruteforce(side, n).total == count_partitions(n)
 
-    def test_threads_bit_identical(self):
-        x, _ = pair_statistics(builtin_pair("euler"))
-        sequential = distribution_bruteforce(x, 18, threads=1)
-        threaded = distribution_bruteforce(x, 18, threads=4)
-        assert sequential == threaded
-
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
             distribution_bruteforce(native("even_sizes"), -1)
-
-
-class TestWorkerCount:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("PARTITION_SIEVE_THREADS", raising=False)
-        assert worker_count() == 1
-
-    def test_reads_env(self, monkeypatch):
-        monkeypatch.setenv("PARTITION_SIEVE_THREADS", "3")
-        assert worker_count() == 3
-
-    @pytest.mark.parametrize("bad", ["0", "-2", "two", "1.5"])
-    def test_rejects_invalid(self, monkeypatch, bad):
-        monkeypatch.setenv("PARTITION_SIEVE_THREADS", bad)
-        with pytest.raises(ValueError):
-            worker_count()
 
 
 class TestCompare:

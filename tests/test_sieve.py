@@ -48,6 +48,11 @@ def explicit_pair(name, f_multisets, g_multisets):
     )
 
 
+# 1500 identical {1:1} members: every subset has union weight 1, so the
+# depth-first path grows as deep as the family before the cap stops it.
+DEEP_PAIR = explicit_pair("deep", [{1: 1}] * 1500, [{1: 1}] * 1500)
+
+
 class TestSieveDistribution:
     def test_euler_f_n4_by_hand(self):
         # N0 = p(4) = 5, N1 = p(2) + p(0) = 3, N2 pruned (union weight 6 > 4):
@@ -89,6 +94,11 @@ class TestSieveDistribution:
         assert result.truncated
         assert result.subsets_explored > 2
         assert result.table.counts == {}
+
+    def test_deep_family_truncates(self):
+        result = sieve_distribution(DEEP_PAIR.F, 10, subset_cap=2000)
+        assert result.truncated
+        assert result.subsets_explored == 2001
 
     def test_validation(self):
         family = builtin_pair("euler").F
@@ -206,6 +216,21 @@ class TestCheckTheoremC:
         assert report.inconclusive
         assert report.holds  # no violation among the explored frontier
         assert report.witness is None
+
+    def test_deep_family_is_inconclusive(self):
+        report = check_theorem_c(DEEP_PAIR, 10, subset_cap=2000)
+        assert report.inconclusive
+        assert report.subsets_explored == 2001
+
+    def test_witness_found_after_backtracking(self):
+        # {0,1,2} is pruned at n_max=10, so the search backs out of {0,1}
+        # and the first failing S is {0,2}.
+        pair = explicit_pair("late", [{1: 1}, {4: 1}, {1: 1, 6: 1}], [{1: 1}, {4: 1}, {7: 1}])
+        report = check_theorem_c(pair, 10)
+        first, _, third = pair.F.relevant_indices(10)
+        assert report.witness.positions == (first, third)
+        assert (report.witness.weight_f, report.witness.weight_g) == (7, 8)
+        assert report.subsets_explored == 4
 
     def test_singleton_weight_mismatch_caught(self):
         pair = explicit_pair("tilted", [{3: 1}], [{2: 1}])
