@@ -34,9 +34,6 @@ from .distribution import (
     DistributionTable,
     compare,
     distribution_bruteforce,
-    render_table_csv,
-    render_table_json,
-    render_table_text,
 )
 from .sieve import (
     DisjointnessWitness,
@@ -83,9 +80,6 @@ __all__ = [
     "pair_statistics",
     "parse_family_pair",
     "render_family_pair",
-    "render_table_csv",
-    "render_table_json",
-    "render_table_text",
     "sieve_distribution",
 ]
 

@@ -10,9 +10,10 @@ JSON pair file (--pair-file). Exit codes are never conflated:
     3  resource cap exceeded (subset budget)
     4  internal error (a bug, never a verdict)
 
-Batch use is the point: tables and exit codes are the interface. Output in
-csv/json is byte-stable across runs, with every numeric field a decimal
-string.
+Batch use is the point: tables and exit codes are the interface. Each
+command builds one document, a JSON-ready dict with every number a decimal
+string: --format json prints it as is, and the table and csv renderers here
+read it. Output is byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -25,19 +26,15 @@ import click
 
 from .distribution import (
     ComparisonReport,
+    DistributionTable,
     compare as compare_distributions,
     distribution_bruteforce,
-    render_table_csv,
-    render_table_json,
-    render_table_text,
 )
 from .families import BUILTIN_PAIRS, FamilyError, FamilyPair, builtin_pair, parse_family_pair
 from .partitions import Multiset
 from .sieve import (
     DEFAULT_SUBSET_CAP,
     DisjointnessWitness,
-    HypothesisReport,
-    UnionWeightWitness,
     WeightWitness,
     check_theorem_b,
     check_theorem_c,
@@ -48,9 +45,16 @@ from .statistics import FamilyStatistic, native, pair_statistics
 FORMATS = click.Choice(["table", "csv", "json"])
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise click.UsageError(f"cannot read {path}: {exc}") from None
+
+
 def _read_m1_file(path: str) -> list[int]:
     values = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -65,19 +69,6 @@ def _read_m1_file(path: str) -> list[int]:
     return values
 
 
-class _spec_errors_exit_2:
-    """Map family specification errors raised mid-command to exit code 2,
-    keeping it distinct from mathematical divergence (1) and caps (3)."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is not None and issubclass(exc_type, FamilyError):
-            raise click.UsageError(str(exc)) from None
-        return False
-
-
 def _resolve_pair(
     pair: str | None,
     pair_file: str | None,
@@ -88,29 +79,21 @@ def _resolve_pair(
     """Build the requested pair; any specification problem exits 2."""
     if (pair is None) == (pair_file is None):
         raise click.UsageError("specify exactly one of --pair or --pair-file")
-    try:
-        if pair_file is not None:
-            if d is not None or m1_file is not None:
-                raise click.UsageError("--d/--m1-file do not apply to --pair-file")
-            try:
-                text = Path(pair_file).read_text()
-            except OSError as exc:
-                raise click.UsageError(f"cannot read {pair_file}: {exc}") from None
-            return parse_family_pair(text)
-        if pair == "glaisher" and d is None:
-            raise click.UsageError("glaisher requires --d")
-        if pair == "andrews" and m1_file is None:
-            raise click.UsageError("andrews requires --m1-file")
-        m1 = _read_m1_file(m1_file) if m1_file is not None else None
-        kwargs = {}
-        if d is not None:
-            kwargs["d"] = d
-        if m1 is not None:
-            kwargs["m1"] = m1
-            kwargs["bound"] = bound
-        return builtin_pair(pair, **kwargs)
-    except FamilyError as exc:
-        raise click.UsageError(str(exc)) from None
+    if pair_file is not None:
+        if d is not None or m1_file is not None:
+            raise click.UsageError("--d/--m1-file do not apply to --pair-file")
+        return parse_family_pair(_read_text(pair_file))
+    if pair == "glaisher" and d is None:
+        raise click.UsageError("glaisher requires --d")
+    if pair == "andrews" and m1_file is None:
+        raise click.UsageError("andrews requires --m1-file")
+    kwargs = {}
+    if d is not None:
+        kwargs["d"] = d
+    if m1_file is not None:
+        kwargs["m1"] = _read_m1_file(m1_file)
+        kwargs["bound"] = bound
+    return builtin_pair(pair, **kwargs)
 
 
 def _pair_options(command):
@@ -148,42 +131,19 @@ def _fmt_multiset(ms: Multiset) -> str:
     return "{" + ",".join(parts) + "}"
 
 
-def _fmt_index(idx) -> str:
-    return f"(strand {idx.strand}, t={idx.t})"
+def _index_doc(idx) -> dict:
+    return {"strand": str(idx.strand), "t": str(idx.t)}
 
 
-def _witness_text(witness) -> str:
-    if isinstance(witness, DisjointnessWitness):
-        return (
-            f"witness: {witness.side} members {_fmt_index(witness.idx_a)} "
-            f"{_fmt_multiset(witness.multiset_a)} and {_fmt_index(witness.idx_b)} "
-            f"{_fmt_multiset(witness.multiset_b)} share element {witness.element}"
-        )
-    if isinstance(witness, WeightWitness):
-        return (
-            f"witness: weights differ at {_fmt_index(witness.idx)}: "
-            f"F {_fmt_multiset(witness.multiset_f)} weighs {witness.weight_f}, "
-            f"G {_fmt_multiset(witness.multiset_g)} weighs {witness.weight_g}"
-        )
-    if isinstance(witness, UnionWeightWitness):
-        s = ", ".join(_fmt_index(i) for i in witness.positions)
-        return (
-            f"witness: union weights differ for S = [{s}]: "
-            f"F union {_fmt_multiset(witness.union_f)} weighs {witness.weight_f}, "
-            f"G union {_fmt_multiset(witness.union_g)} weighs {witness.weight_g}"
-        )
-    raise TypeError(f"unknown witness type: {witness!r}")
-
-
-def _witness_json(witness):
+def _witness_doc(witness) -> dict | None:
     if witness is None:
         return None
     if isinstance(witness, DisjointnessWitness):
         return {
             "kind": "shared_support",
             "side": witness.side,
-            "index_a": {"strand": str(witness.idx_a.strand), "t": str(witness.idx_a.t)},
-            "index_b": {"strand": str(witness.idx_b.strand), "t": str(witness.idx_b.t)},
+            "index_a": _index_doc(witness.idx_a),
+            "index_b": _index_doc(witness.idx_b),
             "element": str(witness.element),
             "multiset_a": _fmt_multiset(witness.multiset_a),
             "multiset_b": _fmt_multiset(witness.multiset_b),
@@ -191,7 +151,7 @@ def _witness_json(witness):
     if isinstance(witness, WeightWitness):
         return {
             "kind": "weight_mismatch",
-            "index": {"strand": str(witness.idx.strand), "t": str(witness.idx.t)},
+            "index": _index_doc(witness.idx),
             "weight_f": str(witness.weight_f),
             "weight_g": str(witness.weight_g),
             "multiset_f": _fmt_multiset(witness.multiset_f),
@@ -199,9 +159,7 @@ def _witness_json(witness):
         }
     return {
         "kind": "union_weight_mismatch",
-        "positions": [
-            {"strand": str(i.strand), "t": str(i.t)} for i in witness.positions
-        ],
+        "positions": [_index_doc(i) for i in witness.positions],
         "weight_f": str(witness.weight_f),
         "weight_g": str(witness.weight_g),
         "union_f": _fmt_multiset(witness.union_f),
@@ -209,45 +167,121 @@ def _witness_json(witness):
     }
 
 
-class _InternalErrorsExit4(click.Group):
-    """Map any exception that escapes a command, other than click's own, to
-    exit code 4, so that a bug never reads as a divergence (1)."""
+# One text line per witness kind, filled from the witness document.
+_WITNESS_TEXT = {
+    "shared_support": "{side} members {index_a} {multiset_a} and {index_b} {multiset_b} "
+    "share element {element}",
+    "weight_mismatch": "weights differ at {index}: "
+    "F {multiset_f} weighs {weight_f}, G {multiset_g} weighs {weight_g}",
+    "union_weight_mismatch": "union weights differ for S = [{positions}]: "
+    "F union {union_f} weighs {weight_f}, G union {union_g} weighs {weight_g}",
+}
+
+
+def _witness_field_text(value) -> str:
+    if isinstance(value, list):
+        return ", ".join(map(_witness_field_text, value))
+    if isinstance(value, dict):
+        return f"(strand {value['strand']}, t={value['t']})"
+    return value
+
+
+def _witness_text(doc: dict) -> str:
+    fields = {key: _witness_field_text(value) for key, value in doc.items()}
+    return "witness: " + _WITNESS_TEXT[doc["kind"]].format(**fields)
+
+
+def _emit(fmt: str, doc, text, csv=None) -> None:
+    """Print a command's document: as itself for json, else through the
+    renderer for the format (csv falls back to text)."""
+    if fmt == "json":
+        click.echo(json.dumps(doc, indent=2))
+    else:
+        click.echo((csv if fmt == "csv" and csv else text)(doc))
+
+
+class _ExitCodeCommand(click.Command):
+    """Map any exception that escapes a command to its exit code, so codes are
+    never conflated: a pair specification error is a usage error (2), click's
+    own exceptions keep theirs, and anything else is a bug (4), never a
+    divergence (1)."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except FamilyError as exc:
+            # With the command's ctx, stderr keeps its "Usage:" and "Try" lines.
+            raise click.UsageError(str(exc), ctx) from None
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
         except Exception as exc:
             click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
-            sys.exit(4)
+            ctx.exit(4)
 
 
-@click.group(cls=_InternalErrorsExit4)
+@click.group()
 def main():
     """Exact verification of identically distributed partition statistics."""
+
+
+main.command_class = _ExitCodeCommand
+
+
+def _catalog_text(doc: list) -> str:
+    lines = []
+    for entry in doc:
+        params = entry["params"]
+        lines.append(f"{entry['name']}  [{params}]" if params else entry["name"])
+        lines.append(f"    {entry['description']}")
+    return "\n".join(lines)
+
+
+def _catalog_csv(doc: list) -> str:
+    lines = ["name,params,description"]
+    for entry in doc:
+        lines.append(f'{entry["name"]},{entry["params"]},"{entry["description"]}"')
+    return "\n".join(lines)
 
 
 @main.command()
 @click.option("--format", "fmt", type=FORMATS, default="table", help="Output format.")
 def catalog(fmt: str):
     """List the built-in statistic pairs."""
-    if fmt == "json":
-        doc = [
-            {"name": name, "params": params, "description": desc}
-            for name, (params, desc) in sorted(BUILTIN_PAIRS.items())
-        ]
-        click.echo(json.dumps(doc, indent=2))
-        return
-    if fmt == "csv":
-        click.echo("name,params,description")
-        for name, (params, desc) in sorted(BUILTIN_PAIRS.items()):
-            click.echo(f'{name},{params},"{desc}"')
-        return
-    for name, (params, desc) in sorted(BUILTIN_PAIRS.items()):
-        header = name if not params else f"{name}  [{params}]"
-        click.echo(header)
-        click.echo(f"    {desc}")
+    doc = [
+        {"name": name, "params": params, "description": desc}
+        for name, (params, desc) in sorted(BUILTIN_PAIRS.items())
+    ]
+    _emit(fmt, doc, _catalog_text, _catalog_csv)
+
+
+def _table_doc(table: DistributionTable, label: str) -> dict:
+    """Rows in ascending j; every number a decimal string."""
+    return {
+        "statistic": label,
+        "n": str(table.n),
+        "counts": {str(j): str(c) for j, c in sorted(table.counts.items())},
+        "total": str(table.total),
+    }
+
+
+def _table_text(doc: dict) -> str:
+    counts = doc["counts"]
+    width = max([len("count"), *map(len, counts.values())])
+    jwidth = max([len("j"), *map(len, counts)])
+    lines = [
+        f"{doc['statistic']}  n={doc['n']}  total={doc['total']}",
+        f"{'j':>{jwidth}}  {'count':>{width}}",
+    ]
+    for j, c in counts.items():
+        lines.append(f"{j:>{jwidth}}  {c:>{width}}")
+    return "\n".join(lines)
+
+
+def _table_csv(doc: dict) -> str:
+    lines = ["n,j,count,total"]
+    for j, c in doc["counts"].items():
+        lines.append(f"{doc['n']},{j},{c},{doc['total']}")
+    return "\n".join(lines)
 
 
 @main.command()
@@ -262,44 +296,11 @@ def dist(pair, pair_file, d, m1_file, side, n, fmt):
     resolved = _resolve_pair(pair, pair_file, d, m1_file, bound=n)
     stat_x, stat_y = pair_statistics(resolved)
     stat = stat_x if side == "X" else stat_y
-    with _spec_errors_exit_2():
-        table = distribution_bruteforce(stat, n)
-    if fmt == "csv":
-        click.echo(render_table_csv(table))
-    elif fmt == "json":
-        click.echo(render_table_json(table, label=stat.label))
-    else:
-        click.echo(render_table_text(table, label=stat.label))
+    doc = _table_doc(distribution_bruteforce(stat, n), stat.label)
+    _emit(fmt, doc, _table_text, _table_csv)
 
 
-def _compare_text(report: ComparisonReport, pair_name: str) -> str:
-    lines = [f"pair: {pair_name}", f"X: {report.label_x}  Y: {report.label_y}"]
-    for v in report.verdicts:
-        if v.identical:
-            lines.append(f"n={v.n}  identical")
-        else:
-            lines.append(
-                f"n={v.n}  divergent at j={v.j}: X count {v.count_x}, Y count {v.count_y}"
-            )
-    if report.identical_everywhere:
-        lines.append(f"result: identical for all n in [{report.n_from}, {report.n_to}]")
-    else:
-        first = report.first_divergence()
-        lines.append(f"result: divergent, first at n={first.n}")
-    return "\n".join(lines)
-
-
-def _compare_csv(report: ComparisonReport) -> str:
-    lines = ["n,verdict,j,count_x,count_y"]
-    for v in report.verdicts:
-        if v.identical:
-            lines.append(f"{v.n},identical,,,")
-        else:
-            lines.append(f"{v.n},divergent,{v.j},{v.count_x},{v.count_y}")
-    return "\n".join(lines)
-
-
-def _compare_json(report: ComparisonReport, pair_name: str) -> str:
+def _compare_doc(report: ComparisonReport, pair_name: str) -> dict:
     results = []
     for v in report.verdicts:
         if v.identical:
@@ -314,7 +315,7 @@ def _compare_json(report: ComparisonReport, pair_name: str) -> str:
                     "count_y": str(v.count_y),
                 }
             )
-    doc = {
+    return {
         "pair": pair_name,
         "x": report.label_x,
         "y": report.label_y,
@@ -323,7 +324,34 @@ def _compare_json(report: ComparisonReport, pair_name: str) -> str:
         "identical_everywhere": report.identical_everywhere,
         "results": results,
     }
-    return json.dumps(doc, indent=2)
+
+
+def _compare_text(doc: dict) -> str:
+    lines = [f"pair: {doc['pair']}", f"X: {doc['x']}  Y: {doc['y']}"]
+    for r in doc["results"]:
+        if r["verdict"] == "identical":
+            lines.append(f"n={r['n']}  identical")
+        else:
+            lines.append(
+                f"n={r['n']}  divergent at j={r['j']}: "
+                f"X count {r['count_x']}, Y count {r['count_y']}"
+            )
+    if doc["identical_everywhere"]:
+        lines.append(f"result: identical for all n in [{doc['n_from']}, {doc['n_to']}]")
+    else:
+        first = next(r for r in doc["results"] if r["verdict"] == "divergent")
+        lines.append(f"result: divergent, first at n={first['n']}")
+    return "\n".join(lines)
+
+
+def _compare_csv(doc: dict) -> str:
+    lines = ["n,verdict,j,count_x,count_y"]
+    for r in doc["results"]:
+        lines.append(
+            f"{r['n']},{r['verdict']},{r.get('j', '')},"
+            f"{r.get('count_x', '')},{r.get('count_y', '')}"
+        )
+    return "\n".join(lines)
 
 
 @main.command()
@@ -351,15 +379,23 @@ def compare(pair, pair_file, d, m1_file, n_from, n_max, prose_y, fmt):
         if pair != "mod6":
             raise click.UsageError("--prose-y applies only to --pair mod6")
         stat_y = native("mod6_Y_prose")
-    with _spec_errors_exit_2():
-        report = compare_distributions(stat_x, stat_y, n_from, n_max)
-    if fmt == "csv":
-        click.echo(_compare_csv(report))
-    elif fmt == "json":
-        click.echo(_compare_json(report, resolved.name))
-    else:
-        click.echo(_compare_text(report, resolved.name))
+    report = compare_distributions(stat_x, stat_y, n_from, n_max)
+    _emit(fmt, _compare_doc(report, resolved.name), _compare_text, _compare_csv)
     sys.exit(0 if report.identical_everywhere else 1)
+
+
+def _sieve_status(doc: dict) -> str:
+    if doc["truncated"]:
+        return f"truncated: subset cap exceeded after {doc['subsets_explored']} subsets"
+    return f"crosscheck: {doc['crosscheck']}"
+
+
+def _sieve_text(doc: dict) -> str:
+    if doc["truncated"]:
+        return _sieve_status(doc)
+    return "\n".join(
+        [_table_text(doc), f"subsets explored: {doc['subsets_explored']}", _sieve_status(doc)]
+    )
 
 
 @main.command()
@@ -388,56 +424,44 @@ def sieve(pair, pair_file, d, m1_file, side, n, subset_cap, fmt):
     resolved = _resolve_pair(pair, pair_file, d, m1_file, bound=n)
     family = resolved.F if side == "X" else resolved.G
     label = f"{resolved.name}.{side} (sieve)"
-    with _spec_errors_exit_2():
-        result = sieve_distribution(family, n, subset_cap)
+    result = sieve_distribution(family, n, subset_cap)
+    explored = str(result.subsets_explored)
     if result.truncated:
-        if fmt == "json":
-            doc = {
-                "statistic": label,
-                "n": str(n),
-                "truncated": True,
-                "subsets_explored": str(result.subsets_explored),
-            }
-            click.echo(json.dumps(doc, indent=2))
-        else:
-            click.echo(
-                f"truncated: subset cap exceeded after {result.subsets_explored} subsets",
-                err=(fmt == "csv"),
-            )
-        sys.exit(3)
-    with _spec_errors_exit_2():
-        brute = distribution_bruteforce(FamilyStatistic(family), n)
-    verdict = "PASS" if result.table == brute else "FAIL"
-    if fmt == "csv":
-        click.echo(render_table_csv(result.table))
-        click.echo(f"crosscheck: {verdict}", err=True)
-    elif fmt == "json":
-        doc = json.loads(render_table_json(result.table, label=label))
-        doc["subsets_explored"] = str(result.subsets_explored)
-        doc["truncated"] = False
-        doc["crosscheck"] = verdict
-        click.echo(json.dumps(doc, indent=2))
+        doc = {"statistic": label, "n": str(n), "truncated": True, "subsets_explored": explored}
     else:
-        click.echo(render_table_text(result.table, label=label))
-        click.echo(f"subsets explored: {result.subsets_explored}")
-        click.echo(f"crosscheck: {verdict}")
-    sys.exit(0 if verdict == "PASS" else 1)
+        brute = distribution_bruteforce(FamilyStatistic(family), n)
+        doc = {
+            **_table_doc(result.table, label),
+            "subsets_explored": explored,
+            "truncated": False,
+            "crosscheck": "PASS" if result.table == brute else "FAIL",
+        }
+    if fmt == "csv":
+        # The csv stream on stdout holds table rows only; the verdict goes to stderr.
+        if not result.truncated:
+            click.echo(_table_csv(doc))
+        click.echo(_sieve_status(doc), err=True)
+    else:
+        _emit(fmt, doc, _sieve_text)
+    if result.truncated:
+        sys.exit(3)
+    sys.exit(0 if doc["crosscheck"] == "PASS" else 1)
 
 
-def _report_text(report: HypothesisReport, pair_name: str) -> str:
+def _check_text(doc: dict) -> str:
     lines = [
-        f"pair: {pair_name}",
-        f"theorem: {report.theorem}",
-        f"verified_up_to: {report.verified_up_to}",
+        f"pair: {doc['pair']}",
+        f"theorem: {doc['theorem']}",
+        f"verified_up_to: {doc['verified_up_to']}",
     ]
-    if report.theorem == "C":
-        lines.append(f"subsets explored: {report.subsets_explored}")
-    if report.inconclusive:
+    if doc["theorem"] == "C":
+        lines.append(f"subsets explored: {doc['subsets_explored']}")
+    if doc["inconclusive"]:
         lines.append("inconclusive: subset cap exceeded before the frontier was exhausted")
     else:
-        lines.append(f"holds: {'true' if report.holds else 'false'}")
-    if report.witness is not None:
-        lines.append(_witness_text(report.witness))
+        lines.append(f"holds: {'true' if doc['holds'] else 'false'}")
+    if doc["witness"] is not None:
+        lines.append(_witness_text(doc["witness"]))
     return "\n".join(lines)
 
 
@@ -469,24 +493,20 @@ def check(pair, pair_file, d, m1_file, theorem, n_max, subset_cap, fmt):
     if subset_cap <= 0:
         raise click.UsageError("--subset-cap must be > 0")
     resolved = _resolve_pair(pair, pair_file, d, m1_file, bound=n_max)
-    with _spec_errors_exit_2():
-        if theorem == "b":
-            report = check_theorem_b(resolved, n_max)
-        else:
-            report = check_theorem_c(resolved, n_max, subset_cap)
-    if fmt == "json":
-        doc = {
-            "pair": resolved.name,
-            "theorem": report.theorem,
-            "verified_up_to": str(report.verified_up_to),
-            "holds": report.holds,
-            "inconclusive": report.inconclusive,
-            "subsets_explored": str(report.subsets_explored),
-            "witness": _witness_json(report.witness),
-        }
-        click.echo(json.dumps(doc, indent=2))
+    if theorem == "b":
+        report = check_theorem_b(resolved, n_max)
     else:
-        click.echo(_report_text(report, resolved.name))
+        report = check_theorem_c(resolved, n_max, subset_cap)
+    doc = {
+        "pair": resolved.name,
+        "theorem": report.theorem,
+        "verified_up_to": str(report.verified_up_to),
+        "holds": report.holds,
+        "inconclusive": report.inconclusive,
+        "subsets_explored": str(report.subsets_explored),
+        "witness": _witness_doc(report.witness),
+    }
+    _emit(fmt, doc, _check_text)
     if report.inconclusive:
         sys.exit(3)
     sys.exit(0 if report.holds else 1)

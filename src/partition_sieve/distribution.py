@@ -8,7 +8,6 @@ exact counts only, never from floating point.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,9 +22,6 @@ __all__ = [
     "DistributionTable",
     "compare",
     "distribution_bruteforce",
-    "render_table_csv",
-    "render_table_json",
-    "render_table_text",
 ]
 
 
@@ -141,37 +137,3 @@ def compare(stat_x: Statistic, stat_y: Statistic, n_from: int, n_to: int) -> Com
             verdicts.append(ComparisonVerdict(n, False, j, cx, cy))
     return ComparisonReport(stat_x.label, stat_y.label, n_from, n_to, tuple(verdicts))
 
-
-# --- render formats ----------------------------------------------------------
-# Outputs are byte-stable: rows in ascending j, counts in decimal. Machine
-# formats carry every numeric value as a decimal string so consumers never
-# hit integer-width limits.
-
-
-def render_table_text(table: DistributionTable, label: str | None = None) -> str:
-    head = f"n={table.n}  total={table.total}"
-    if label:
-        head = f"{label}  {head}"
-    width = max(len("count"), *(len(str(c)) for c in table.counts.values()), 1)
-    jwidth = max(len("j"), *(len(str(j)) for j in table.counts), 1)
-    lines = [head, f"{'j':>{jwidth}}  {'count':>{width}}"]
-    for j, c in sorted(table.counts.items()):
-        lines.append(f"{j:>{jwidth}}  {c:>{width}}")
-    return "\n".join(lines)
-
-
-def render_table_csv(table: DistributionTable) -> str:
-    lines = ["n,j,count,total"]
-    for j, c in sorted(table.counts.items()):
-        lines.append(f"{table.n},{j},{c},{table.total}")
-    return "\n".join(lines)
-
-
-def render_table_json(table: DistributionTable, label: str | None = None) -> str:
-    doc: dict = {}
-    if label:
-        doc["statistic"] = label
-    doc["n"] = str(table.n)
-    doc["counts"] = {str(j): str(c) for j, c in sorted(table.counts.items())}
-    doc["total"] = str(table.total)
-    return json.dumps(doc, indent=2)

@@ -505,7 +505,9 @@ def parse_family_pair(document: str | bytes | Mapping[str, Any]) -> FamilyPair:
     if isinstance(document, (str, bytes)):
         try:
             data = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers syntax errors and integers over the digit limit;
+            # RecursionError, nesting deeper than the decoder's stack.
             raise FamilyError(f"invalid JSON: {exc}") from None
     else:
         data = document

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Mapping
 
 from .families import FamilyIndex, FamilyPair, MultisetFamily
 from .partitions import Multiset, count_partitions

@@ -292,6 +292,60 @@ class TestPairFiles:
         assert result.exit_code == 2
 
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000, '{"name": "x", "tmin": ' + "1" * 5000 + ', "F": [], "G": []}'],
+        ids=["nesting_past_recursion_limit", "integer_past_digit_limit"],
+    )
+    def test_undecodable_json_exits_2(self, runner, tmp_path, text):
+        path = tmp_path / "pair.json"
+        path.write_text(text)
+        result = runner.invoke(main, ["compare", "--pair-file", str(path)])
+        assert result.exit_code == 2
+        assert "Error: invalid JSON: " in result.stderr
+
+
+class TestUnreadableInputs:
+    @pytest.mark.parametrize("option", ["--m1-file", "--pair-file"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_exits_2(self, runner, tmp_path, option, kind):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(b"\xff\xfe1\n")
+        source = ["--pair", "andrews"] if option == "--m1-file" else []
+        result = runner.invoke(main, ["compare", *source, option, str(path)])
+        assert result.exit_code == 2
+        assert f"Error: cannot read {path}: " in result.stderr
+
+
+class TestSpecErrorsMidCommand:
+    # Entry 0 has size (t - 70)^2: it passes parse-time validation, which looks
+    # only at the first indices, and is 0 at t = 70, which the relevant-index
+    # scan reaches only for n >= 13,801.
+    STRAND = {
+        "entries": [
+            {"size": [1, -140, 4900], "mult": [0, 1]},
+            {"size": [0, 200, 0], "mult": [0, 1]},
+        ]
+    }
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["check", "--theorem", "b", "--n-max", "14000"],
+            ["sieve", "--side", "X", "--n", "14000"],
+        ],
+    )
+    def test_exits_2(self, runner, tmp_path, args):
+        path = tmp_path / "late.json"
+        path.write_text(json.dumps({"name": "late", "F": [self.STRAND], "G": [self.STRAND]}))
+        result = runner.invoke(main, args + ["--pair-file", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr.endswith("Error: entry 0: size 0 < 1 at t=70\n")
+
+
 class TestAndrewsInputs:
     def test_m1_file(self, runner, tmp_path):
         path = tmp_path / "m1.txt"
@@ -324,7 +378,7 @@ class TestAndrewsInputs:
 
 class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_output_byte_stable_across_threads(self, runner, fmt):
+    def test_output_byte_stable_across_runs(self, runner, fmt):
         args = ["compare", "--pair", "mod6", "--n-max", "12", "--format", fmt]
         runs = [invoke(runner, args).output for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]

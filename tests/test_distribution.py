@@ -10,9 +10,6 @@ from partition_sieve import (
     distribution_bruteforce,
     native,
     pair_statistics,
-    render_table_csv,
-    render_table_json,
-    render_table_text,
 )
 from partition_sieve.distribution import first_count_difference
 
@@ -118,27 +115,3 @@ class TestCompare:
         assert first_count_difference({0: 1, 2: 5}, {0: 1, 1: 3, 2: 2}) == (1, 0, 3)
         assert first_count_difference({}, {}) is None
 
-
-class TestRenderFormats:
-    def setup_method(self):
-        self.table = distribution_bruteforce(native("even_sizes"), 4)
-
-    def test_text(self):
-        text = render_table_text(self.table, label="even_sizes")
-        assert text.splitlines()[0] == "even_sizes  n=4  total=5"
-        assert text.splitlines()[-1] == "1      3"
-
-    def test_csv(self):
-        assert render_table_csv(self.table) == "n,j,count,total\n4,0,2,5\n4,1,3,5"
-
-    def test_json_decimal_strings(self):
-        import json
-
-        doc = json.loads(render_table_json(self.table))
-        assert doc == {"n": "4", "counts": {"0": "2", "1": "3"}, "total": "5"}
-
-    def test_json_rows_sorted(self):
-        table = DistributionTable(3, {2: 1, 0: 1, 10: 1, 1: 1})
-        rendered = render_table_json(table)
-        keys = list(__import__("json").loads(rendered)["counts"])
-        assert keys == ["0", "1", "2", "10"]

@@ -1,0 +1,17 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import partition_sieve
+
+MODULES = ["partition_sieve"] + [
+    f"partition_sieve.{info.name}" for info in pkgutil.iter_modules(partition_sieve.__path__)
+]
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_every_exported_name_resolves(module_name):
+    module = importlib.import_module(module_name)
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []
