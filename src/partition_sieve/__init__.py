@@ -7,14 +7,7 @@ the two sufficient hypotheses (pairwise-disjoint weight-matched families;
 equal union weights for every index set) on finite truncations.
 """
 
-from .partitions import (
-    Multiset,
-    NotContainedError,
-    Partition,
-    count_containing,
-    count_partitions,
-    enumerate_partitions,
-)
+from .partitions import Multiset, count_partitions
 from .families import (
     BUILTIN_PAIRS,
     FamilyError,
@@ -36,6 +29,7 @@ from .distribution import (
     distribution_bruteforce,
 )
 from .sieve import (
+    DEFAULT_SUBSET_CAP,
     DisjointnessWitness,
     HypothesisReport,
     SieveResult,
@@ -50,6 +44,7 @@ __all__ = [
     "BUILTIN_PAIRS",
     "ComparisonReport",
     "ComparisonVerdict",
+    "DEFAULT_SUBSET_CAP",
     "DisjointnessWitness",
     "DistributionTable",
     "FamilyError",
@@ -60,8 +55,6 @@ __all__ = [
     "Multiset",
     "MultisetFamily",
     "NativeStatistic",
-    "NotContainedError",
-    "Partition",
     "SieveResult",
     "Statistic",
     "Strand",
@@ -72,10 +65,8 @@ __all__ = [
     "check_theorem_b",
     "check_theorem_c",
     "compare",
-    "count_containing",
     "count_partitions",
     "distribution_bruteforce",
-    "enumerate_partitions",
     "native",
     "pair_statistics",
     "parse_family_pair",

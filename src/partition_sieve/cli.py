@@ -92,7 +92,10 @@ def _resolve_pair(
         kwargs["d"] = d
     if m1_file is not None:
         kwargs["m1"] = _read_m1_file(m1_file)
-        kwargs["bound"] = bound
+        # Size 1 or size 2 always lies outside M2, so a bound of 2 keeps the
+        # family nonempty at n = 0 and n = 1; members heavier than n are
+        # never relevant, so the tables are unchanged.
+        kwargs["bound"] = max(bound, 2)
     return builtin_pair(pair, **kwargs)
 
 

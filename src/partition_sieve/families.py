@@ -104,18 +104,18 @@ class Strand:
                 "strand weight must tend to infinity (needs a positive leading "
                 f"size or multiplicity coefficient), weight poly {wpoly}"
             )
-        self.validate_range(DEFAULT_VALIDATION_HORIZON)
+        self.validate_range()
 
     def is_explicit(self) -> bool:
         return self.explicit is not None
 
-    def validate_range(self, horizon: int) -> None:
+    def validate_range(self) -> None:
         """Check sizes/multiplicities >= 1 and nondecreasing weight for
-        t in [tmin, tmin + horizon]."""
+        t in [tmin, tmin + DEFAULT_VALIDATION_HORIZON]."""
         if self.explicit is not None:
             return
         prev_weight = None
-        for t in range(self.tmin, self.tmin + horizon + 1):
+        for t in range(self.tmin, self.tmin + DEFAULT_VALIDATION_HORIZON + 1):
             weight = self.weight_at(t)
             if prev_weight is not None and weight < prev_weight:
                 raise FamilyError(
@@ -124,10 +124,9 @@ class Strand:
                 )
             prev_weight = weight
 
-    def weight_at(self, t: int) -> int:
-        if self.explicit is not None:
-            return self.explicit.weight
-        total = 0
+    def _entry_pairs(self, t: int) -> list[tuple[int, int]]:
+        """(size, multiplicity) of every template entry at t, each checked >= 1."""
+        pairs = []
         for k, entry in enumerate(self.entries):
             size = entry.size_at(t)
             mult = entry.mult_at(t)
@@ -135,6 +134,14 @@ class Strand:
                 raise FamilyError(f"entry {k}: size {size} < 1 at t={t}")
             if mult < 1:
                 raise FamilyError(f"entry {k}: multiplicity {mult} < 1 at t={t}")
+            pairs.append((size, mult))
+        return pairs
+
+    def weight_at(self, t: int) -> int:
+        if self.explicit is not None:
+            return self.explicit.weight
+        total = 0
+        for size, mult in self._entry_pairs(t):
             total += size * mult
         return total
 
@@ -145,16 +152,7 @@ class Strand:
             if t != self.tmin:
                 raise FamilyError(f"explicit strand has the single index t={self.tmin}")
             return self.explicit
-        pairs = []
-        for k, entry in enumerate(self.entries):
-            size = entry.size_at(t)
-            mult = entry.mult_at(t)
-            if size < 1:
-                raise FamilyError(f"entry {k}: size {size} < 1 at t={t}")
-            if mult < 1:
-                raise FamilyError(f"entry {k}: multiplicity {mult} < 1 at t={t}")
-            pairs.append((size, mult))
-        return Multiset(pairs)
+        return Multiset(self._entry_pairs(t))
 
 
 class FamilyIndex(NamedTuple):

@@ -1,28 +1,20 @@
-"""Exact partition enumeration and counting, and multiset algebra.
+"""Exact partition enumeration and counting, and the multisets that
+family members are made of.
 
 All counts are Python ints (arbitrary precision); there is no floating
-point anywhere in a counting path. Multisets and partitions are immutable
-value objects, safe for unrestricted concurrent use.
+point anywhere in a counting path. Multisets are immutable value objects,
+safe for unrestricted concurrent use.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import Counter
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "Multiset",
-    "NotContainedError",
-    "Partition",
-    "count_containing",
     "count_partitions",
-    "enumerate_partitions",
 ]
-
-
-class NotContainedError(ValueError):
-    """Raised when removing a pattern that is not contained in the host."""
 
 
 class Multiset:
@@ -59,11 +51,6 @@ class Multiset:
         ms._init_sorted(items)
         return ms
 
-    @classmethod
-    def from_parts(cls, parts: Iterable[int]) -> "Multiset":
-        """Build from individual elements, e.g. [2, 4, 4] -> {2:1, 4:2}."""
-        return cls(Counter(parts))
-
     def __setattr__(self, name, value):
         raise AttributeError("Multiset is immutable")
 
@@ -80,45 +67,13 @@ class Multiset:
         """The support: distinct sizes present, in increasing order."""
         return tuple(s for s, _ in self._items)
 
-    def multiplicity(self, size: int) -> int:
-        for s, m in self._items:
-            if s == size:
-                return m
-        return 0
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self._items)
-
-    def contains(self, pattern: "Multiset") -> bool:
-        """True iff every size occurs here at least as often as in `pattern`."""
-        own = dict(self._items)
-        return all(own.get(s, 0) >= m for s, m in pattern._items)
-
-    def remove(self, pattern: "Multiset") -> "Multiset":
-        """Subtract `pattern`'s multiplicities; requires containment."""
-        if not self.contains(pattern):
-            raise NotContainedError(f"{pattern} not contained in {self}")
-        rest = dict(self._items)
-        for s, m in pattern._items:
-            rest[s] -= m
-            if rest[s] == 0:
-                del rest[s]
-        return Multiset._from_sorted_items(tuple(sorted(rest.items())))
-
-    def add(self, other: "Multiset") -> "Multiset":
-        """Additive combination (multiplicities sum); inverse of remove."""
-        merged = dict(self._items)
-        for s, m in other._items:
-            merged[s] = merged.get(s, 0) + m
-        return Multiset._from_sorted_items(tuple(sorted(merged.items())))
-
     def union(self, other: "Multiset") -> "Multiset":
         """Multiset union with max multiplicities.
 
         A partition contains every member of a collection of multisets iff it
-        contains their max-union, which is why this (and not the additive
-        combination) is the union the sieve machinery needs. The two coincide
-        when supports are disjoint.
+        contains their max-union, which is why this (and not the sum of
+        multiplicities) is the union the sieve machinery needs. The two
+        coincide when supports are disjoint.
         """
         merged = dict(self._items)
         for s, m in other._items:
@@ -140,58 +95,6 @@ class Multiset:
     def __repr__(self) -> str:
         body = ", ".join(f"{s}: {m}" for s, m in self._items)
         return f"Multiset({{{body}}})"
-
-
-EMPTY_MULTISET = Multiset()
-
-
-class Partition:
-    """A partition of a nonnegative integer: a multiset whose weight is n.
-
-    The empty partition is the unique partition of 0. The canonical text
-    form lists parts weakly decreasing, comma-separated, e.g. "4,2,2,1".
-    """
-
-    __slots__ = ("_parts",)
-
-    def __init__(self, parts: Multiset = EMPTY_MULTISET):
-        object.__setattr__(self, "_parts", parts)
-
-    @classmethod
-    def from_parts(cls, parts: Iterable[int]) -> "Partition":
-        return cls(Multiset.from_parts(parts))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    @property
-    def parts(self) -> Multiset:
-        return self._parts
-
-    @property
-    def n(self) -> int:
-        return self._parts.weight
-
-    def part_sequence(self) -> tuple[int, ...]:
-        """Parts as a weakly decreasing tuple."""
-        seq: list[int] = []
-        for s, m in reversed(self._parts.items()):
-            seq.extend([s] * m)
-        return tuple(seq)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self._parts == other._parts
-
-    def __hash__(self) -> int:
-        return hash(("Partition", self._parts))
-
-    def __str__(self) -> str:
-        return ",".join(str(p) for p in self.part_sequence())
-
-    def __repr__(self) -> str:
-        return f"Partition([{self}])"
 
 
 def descending_part_sequences(n: int) -> Iterator[tuple[int, ...]]:
@@ -226,28 +129,6 @@ def descending_part_sequences(n: int) -> Iterator[tuple[int, ...]]:
         a.append(rem)
 
 
-def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """Yield each partition of n exactly once, in canonical order.
-
-    The stream has length count_partitions(n); each call returns an
-    independent iterator.
-    """
-    for seq in descending_part_sequences(n):
-        items: list[tuple[int, int]] = []
-        run_size = 0
-        run_mult = 0
-        for part in reversed(seq):  # ascending, so items come out sorted
-            if part == run_size:
-                run_mult += 1
-            else:
-                if run_size:
-                    items.append((run_size, run_mult))
-                run_size, run_mult = part, 1
-        if run_size:
-            items.append((run_size, run_mult))
-        yield Partition(Multiset._from_sorted_items(tuple(items)))
-
-
 # Shared memo for count_partitions: read-mostly, append-only, guarded writes.
 _p_table: list[int] = [1]
 _p_lock = threading.Lock()
@@ -256,7 +137,8 @@ _p_lock = threading.Lock()
 def count_partitions(n: int) -> int:
     """The number of partitions of n, exactly.
 
-    p(0) = 1 and p(n) = 0 for n < 0, so containment counts are total.
+    p(0) = 1 and p(n) = 0 for n < 0, so p(n - weight(M)), the number of
+    partitions of n that contain a multiset M, is defined for every M.
     Computed by the pentagonal-number recurrence
 
         p(n) = sum_k (-1)^(k+1) [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)]
@@ -286,11 +168,3 @@ def count_partitions(n: int) -> int:
             _p_table.append(total)
     return _p_table[n]
 
-
-def count_containing(n: int, pattern: Multiset) -> int:
-    """Number of partitions of n containing `pattern` as a multiset.
-
-    Removing the pattern is a bijection onto the partitions of
-    n - weight(pattern), so the count is exactly p(n - weight(pattern)).
-    """
-    return count_partitions(n - pattern.weight)

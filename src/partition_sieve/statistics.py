@@ -16,7 +16,6 @@ import math
 from typing import Callable, Iterable, Mapping
 
 from .families import FamilyPair, MultisetFamily, doubling_complement
-from .partitions import Partition
 
 __all__ = [
     "FamilyStatistic",
@@ -34,9 +33,6 @@ class Statistic:
 
     label: str
 
-    def evaluate(self, partition: Partition) -> int:
-        return self.counts_evaluator(partition.n)(partition.parts.as_dict())
-
     def counts_evaluator(self, n: int) -> CountsRule:
         """A rule over {size: multiplicity} maps, specialized to weight n.
 
@@ -50,28 +46,18 @@ class FamilyStatistic(Statistic):
     """X(pi) = number of family members contained in pi.
 
     Only members of weight <= n can occur in a partition of n, so
-    evaluation restricts to the family's relevant indices for n. The
-    resolved member list is cached per n (idempotent, so benign under
-    concurrent construction).
+    evaluation restricts to the family's relevant indices for n, resolved
+    once each time a rule is built.
     """
 
     def __init__(self, family: MultisetFamily, label: str | None = None):
         self.family = family
         self.label = label if label is not None else family.name
-        self._patterns: dict[int, tuple[tuple[tuple[int, int], ...], ...]] = {}
-
-    def patterns_for(self, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-        pats = self._patterns.get(n)
-        if pats is None:
-            pats = tuple(
-                self.family.member(idx).items()
-                for idx in self.family.relevant_indices(n)
-            )
-            self._patterns[n] = pats
-        return pats
 
     def counts_evaluator(self, n: int) -> CountsRule:
-        patterns = self.patterns_for(n)
+        patterns = tuple(
+            self.family.member(idx).items() for idx in self.family.relevant_indices(n)
+        )
 
         def rule(counts: Mapping[int, int]) -> int:
             hits = 0

@@ -65,11 +65,15 @@ def tally_distribution(rule, n):
     return dict(tally)
 
 
+def contains(host_items, pattern_items):
+    """True iff every size occurs in the host at least as often as in the
+    pattern; both are given as (size, mult) pairs."""
+    host = Counter(dict(host_items))
+    return all(host[s] >= m for s, m in pattern_items)
+
+
 def count_containing_bruteforce(n, pattern_items):
     """Partitions of n containing the given (size, mult) pattern, by scan."""
-    hits = 0
-    for parts in partitions_recursive(n):
-        counts = Counter(parts)
-        if all(counts.get(s, 0) >= m for s, m in pattern_items):
-            hits += 1
-    return hits
+    return sum(
+        1 for parts in partitions_recursive(n) if contains(Counter(parts).items(), pattern_items)
+    )

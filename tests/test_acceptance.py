@@ -21,12 +21,12 @@ from partition_sieve import (
     compare,
     count_partitions,
     distribution_bruteforce,
-    enumerate_partitions,
     native,
     pair_statistics,
     sieve_distribution,
 )
 from partition_sieve.cli import main as cli_main
+from partition_sieve.partitions import descending_part_sequences
 
 from oracles import count_distinct_parts_dp, count_odd_parts_dp
 
@@ -169,7 +169,7 @@ def test_criterion_6_mod6_family_and_prose():
 def test_criterion_7_counting_backbone():
     with criterion(7, "count_partitions matches enumeration n <= 30; p(6)=11; p(100)=190569292"):
         for n in range(31):
-            assert count_partitions(n) == sum(1 for _ in enumerate_partitions(n))
+            assert count_partitions(n) == sum(1 for _ in descending_part_sequences(n))
         assert count_partitions(6) == 11
         assert count_partitions(100) == 190569292
 

@@ -356,6 +356,30 @@ class TestAndrewsInputs:
         )
         assert result.exit_code == 0
 
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (["dist", "--side", "X", "--n", "0"], {"counts": {"0": "1"}}),
+            (["dist", "--side", "Y", "--n", "1"], {"counts": {"0": "1"}}),
+            (["compare", "--n-from", "0", "--n-max", "1"], {"identical_everywhere": True}),
+            (["sieve", "--side", "X", "--n", "1"], {"counts": {"0": "1"}, "crosscheck": "PASS"}),
+            (["check", "--theorem", "b", "--n-max", "1"], {"holds": True}),
+            (["check", "--theorem", "c", "--n-max", "1"], {"holds": True}),
+        ],
+        ids=["dist-0", "dist-1", "compare", "sieve", "check-b", "check-c"],
+    )
+    def test_small_n_exits_0(self, runner, tmp_path, args, expected):
+        # No member of the family fits below n = 2, so every table is {0: p(n)}.
+        path = tmp_path / "m1.txt"
+        path.write_text(POW2_M1)
+        result = invoke(
+            runner,
+            args + ["--pair", "andrews", "--m1-file", str(path), "--format", "json"],
+        )
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert {key: doc[key] for key in expected} == expected
+
     def test_unclosed_m1_exits_2(self, runner, tmp_path):
         path = tmp_path / "m1.txt"
         path.write_text("1\n2\n3\n")  # 6 = 2*3 missing below any n-max >= 6

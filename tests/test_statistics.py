@@ -4,16 +4,19 @@ import pytest
 
 from partition_sieve import (
     FamilyStatistic,
-    Multiset,
     MultisetFamily,
-    Partition,
     builtin_pair,
     native,
     pair_statistics,
 )
 from partition_sieve.partitions import descending_part_sequences
 
-PI_4221 = Partition.from_parts([4, 2, 2, 1])
+PI_4221 = (4, 2, 2, 1)
+
+
+def evaluate(stat, parts):
+    """The statistic's value on the partition with the given parts."""
+    return stat.counts_evaluator(sum(parts))(Counter(parts))
 
 
 def assert_statistics_agree(stat_a, stat_b, n_hi=25):
@@ -29,14 +32,14 @@ def assert_statistics_agree(stat_a, stat_b, n_hi=25):
 class TestEvaluate:
     def test_euler_sides_on_4221(self):
         x, y = pair_statistics(builtin_pair("euler"))
-        assert x.evaluate(PI_4221) == 2  # even sizes 4 and 2 occur
-        assert y.evaluate(PI_4221) == 1  # only size 2 repeats
+        assert evaluate(x, PI_4221) == 2  # even sizes 4 and 2 occur
+        assert evaluate(y, PI_4221) == 1  # only size 2 repeats
 
     def test_empty_partition_is_zero(self):
         for name in ("euler", "squares", "mod6", "remmel_consecutive"):
             x, y = pair_statistics(builtin_pair(name))
-            assert x.evaluate(Partition()) == 0
-            assert y.evaluate(Partition()) == 0
+            assert evaluate(x, ()) == 0
+            assert evaluate(y, ()) == 0
 
     def test_strand_order_irrelevant(self):
         pair = builtin_pair("mod6")
@@ -53,22 +56,22 @@ class TestEvaluate:
         stat = FamilyStatistic(pair.G)
         for n in range(20):
             cap = len(pair.G.relevant_indices(n))
-            for p in [Partition.from_parts(s) for s in descending_part_sequences(n)]:
-                assert 0 <= stat.evaluate(p) <= cap
+            for seq in descending_part_sequences(n):
+                assert 0 <= evaluate(stat, seq) <= cap
 
 
 class TestNatives:
     def test_mult_ge(self):
         stat = native("mult_ge", d=2)
-        assert stat.evaluate(Partition.from_parts([3, 3, 1])) == 1
+        assert evaluate(stat, [3, 3, 1]) == 1
 
     def test_consecutive_even(self):
         stat = native("consecutive_even")
-        assert stat.evaluate(Partition.from_parts([2, 4, 8])) == 1
+        assert evaluate(stat, [2, 4, 8]) == 1
 
     def test_mod6_y_prose(self):
         stat = native("mod6_Y_prose")
-        assert stat.evaluate(Partition.from_parts([3, 3])) == 1
+        assert evaluate(stat, [3, 3]) == 1
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown native"):
@@ -85,13 +88,13 @@ class TestNatives:
     def test_not_in_m2_all_integers(self):
         # M1 = 1..30 makes M2 the odd numbers up to 30.
         stat = native("not_in_M2", m1=range(1, 31))
-        assert stat.evaluate(Partition.from_parts([4, 2, 2, 1])) == 2
-        assert stat.evaluate(Partition.from_parts([3, 1, 1])) == 0
+        assert evaluate(stat, [4, 2, 2, 1]) == 2
+        assert evaluate(stat, [3, 1, 1]) == 0
 
     def test_andrews_y(self):
         stat = native("andrews_Y", m1=[1, 2, 4, 8, 16])
         # 3 is outside M1 (counts); 2 in M1 unrepeated (no); 1 in M1 repeated (counts).
-        assert stat.evaluate(Partition.from_parts([3, 2, 1, 1])) == 2
+        assert evaluate(stat, [3, 2, 1, 1]) == 2
 
 
 class TestFamilyNativeEquivalence:
@@ -135,6 +138,5 @@ class TestFamilyNativeEquivalence:
         # same statistic; first disagreement is on a partition of 6.
         _, y = pair_statistics(builtin_pair("mod6"))
         prose = native("mod6_Y_prose")
-        pi = Partition.from_parts([6])
-        assert y.evaluate(pi) == 0  # 6 is an even multiple of 3: no member matches
-        assert prose.evaluate(pi) == 1
+        assert evaluate(y, [6]) == 0  # 6 is an even multiple of 3: no member matches
+        assert evaluate(prose, [6]) == 1
