@@ -87,16 +87,9 @@ def _resolve_pair(
         raise click.UsageError("glaisher requires --d")
     if pair == "andrews" and m1_file is None:
         raise click.UsageError("andrews requires --m1-file")
-    kwargs = {}
-    if d is not None:
-        kwargs["d"] = d
-    if m1_file is not None:
-        kwargs["m1"] = _read_m1_file(m1_file)
-        # Size 1 or size 2 always lies outside M2, so a bound of 2 keeps the
-        # family nonempty at n = 0 and n = 1; members heavier than n are
-        # never relevant, so the tables are unchanged.
-        kwargs["bound"] = max(bound, 2)
-    return builtin_pair(pair, **kwargs)
+    if m1_file is None:
+        return builtin_pair(pair, d=d)
+    return builtin_pair(pair, d=d, m1=_read_m1_file(m1_file), bound=bound)
 
 
 def _pair_options(command):

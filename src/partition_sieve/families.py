@@ -15,8 +15,9 @@ hypothesis checker relies on.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, NamedTuple
 
 from .partitions import Multiset
 
@@ -318,8 +319,8 @@ def doubling_complement(m1: Iterable[int]) -> set[int]:
 
 
 def _andrews_pair(m1: Sequence[int], bound: int) -> FamilyPair:
-    if not isinstance(bound, int) or bound < 1:
-        raise FamilyError(f"andrews requires an integer bound >= 1, got {bound!r}")
+    if not isinstance(bound, int) or bound < 0:
+        raise FamilyError(f"andrews requires an integer bound >= 0, got {bound!r}")
     m1set = set()
     for m in m1:
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
@@ -333,10 +334,13 @@ def _andrews_pair(m1: Sequence[int], bound: int) -> FamilyPair:
                 f"M1 is not closed under doubling within the bound: {m} is in M1 "
                 f"but {2 * m} <= {bound} is not"
             )
+    # Size 1 or 2 always lies outside M2, so the family is never empty;
+    # members heavier than the bound are never relevant to its tables.
+    working = max(bound, 2)
     m2 = doubling_complement(m1set)
     f_strands: list[Strand] = []
     g_strands: list[Strand] = []
-    for s in range(1, bound + 1):
+    for s in range(1, working + 1):
         if s in m2:
             continue
         f_strands.append(Strand(explicit=Multiset({s: 1})))
@@ -345,9 +349,7 @@ def _andrews_pair(m1: Sequence[int], bound: int) -> FamilyPair:
             g_strands.append(Strand(explicit=Multiset({s // 2: 2})))
         else:
             g_strands.append(Strand(explicit=Multiset({s: 1})))
-    if not f_strands:
-        raise FamilyError(f"no sizes outside M2 up to bound {bound}; family would be empty")
-    name = f"andrews(bound={bound})"
+    name = f"andrews(bound={working})"
     return FamilyPair(
         name,
         MultisetFamily(name + ".F", tuple(f_strands)),

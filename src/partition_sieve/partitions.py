@@ -9,7 +9,7 @@ safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 __all__ = [
     "Multiset",

@@ -189,15 +189,15 @@ def sieve_distribution(
     return SieveResult(DistributionTable(n, counts), explored, False)
 
 
-def _annotated_positions(pair: FamilyPair, n_max: int) -> list[tuple[FamilyIndex, int, int]]:
-    """Positions relevant to n_max on either side, with both member weights,
-    sorted by (min weight, strand, t) for deterministic witnesses."""
+def _annotated_positions(
+    pair: FamilyPair, n_max: int
+) -> list[tuple[FamilyIndex, Multiset, Multiset]]:
+    """Positions relevant to n_max on either side, with both members built
+    once, sorted by (min weight, strand, t) for deterministic witnesses."""
     positions = set(pair.F.relevant_indices(n_max)) | set(pair.G.relevant_indices(n_max))
-    annotated = [
-        (idx, pair.F.member(idx).weight, pair.G.member(idx).weight) for idx in positions
-    ]
-    annotated.sort(key=lambda a: (min(a[1], a[2]), a[0].strand, a[0].t))
-    return annotated
+    table = [(idx, pair.F.member(idx), pair.G.member(idx)) for idx in positions]
+    table.sort(key=lambda row: (min(row[1].weight, row[2].weight), row[0].strand, row[0].t))
+    return table
 
 
 def _revalidate_disjointness(family: MultisetFamily, w: DisjointnessWitness) -> None:
@@ -238,29 +238,34 @@ def check_theorem_b(pair: FamilyPair, n_max: int) -> HypothesisReport:
     and weight(F_i) = weight(G_i) at every aligned index. The checks run
     over every index relevant to n_max in either family; they certify the
     truncation, not the infinite lists.
+
+    Witness order: F before G; on a side, the first clashing pair in
+    (min weight, strand, t) position order wins, with the smallest size the
+    two share as its element; then the first position whose weights differ.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    annotated = _annotated_positions(pair, n_max)
-    for side, family in (("F", pair.F), ("G", pair.G)):
-        members = [(idx, family.member(idx)) for idx, _, _ in annotated]
-        for a in range(len(members)):
-            idx_a, ms_a = members[a]
-            support_a = set(ms_a.sizes())
-            for b in range(a + 1, len(members)):
-                idx_b, ms_b = members[b]
-                shared = support_a.intersection(ms_b.sizes())
-                if shared:
-                    witness = DisjointnessWitness(
-                        side, idx_a, idx_b, min(shared), ms_a, ms_b
-                    )
-                    _revalidate_disjointness(family, witness)
-                    return HypothesisReport("B", n_max, False, witness)
-    for idx, weight_f, weight_g in annotated:
-        if weight_f != weight_g:
-            witness = WeightWitness(
-                idx, weight_f, weight_g, pair.F.member(idx), pair.G.member(idx)
+    table = _annotated_positions(pair, n_max)
+    for side, family, col in (("F", pair.F, 1), ("G", pair.G, 2)):
+        # a is the first owner of every size it shares with b (an earlier
+        # owner would clash with a first), so min() also gives the element.
+        first_owner: dict[int, int] = {}
+        clashes = []
+        for pos, row in enumerate(table):
+            for size in row[col].sizes():
+                owner = first_owner.setdefault(size, pos)
+                if owner != pos:
+                    clashes.append((owner, pos, size))
+        if clashes:
+            a, b, element = min(clashes)
+            witness = DisjointnessWitness(
+                side, table[a][0], table[b][0], element, table[a][col], table[b][col]
             )
+            _revalidate_disjointness(family, witness)
+            return HypothesisReport("B", n_max, False, witness)
+    for idx, member_f, member_g in table:
+        if member_f.weight != member_g.weight:
+            witness = WeightWitness(idx, member_f.weight, member_g.weight, member_f, member_g)
             _revalidate_weights(pair, witness)
             return HypothesisReport("B", n_max, False, witness)
     return HypothesisReport("B", n_max, True)
@@ -282,10 +287,9 @@ def check_theorem_c(
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if subset_cap <= 0:
         raise ValueError(f"subset_cap must be > 0, got {subset_cap}")
-    annotated = _annotated_positions(pair, n_max)
     members = [
-        (idx, pair.F.member(idx).items(), pair.G.member(idx).items())
-        for idx, _, _ in annotated
+        (idx, member_f.items(), member_g.items())
+        for idx, member_f, member_g in _annotated_positions(pair, n_max)
     ]
     union_f: dict[int, int] = {}
     union_g: dict[int, int] = {}

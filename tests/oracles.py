@@ -77,3 +77,42 @@ def count_containing_bruteforce(n, pattern_items):
     return sum(
         1 for parts in partitions_recursive(n) if contains(Counter(parts).items(), pattern_items)
     )
+
+
+def theorem_b_scan(pair, n_max):
+    """Theorem B's witness by the direct nested-loop scan, or None if it holds.
+
+    Positions relevant to n_max on either side are ordered by (min weight,
+    strand, t). Each side, F then G, is scanned over every pair a < b of
+    positions; the first pair whose supports meet gives
+    ("DisjointnessWitness", side, idx_a, idx_b, smallest shared size,
+    member_a, member_b). Failing that, the first position whose weights
+    differ gives ("WeightWitness", idx, weight_f, weight_g, member_f, member_g).
+    """
+
+    def weight(ms):
+        return sum(s * m for s, m in ms.items())
+
+    positions = set(pair.F.relevant_indices(n_max)) | set(pair.G.relevant_indices(n_max))
+    rows = sorted(
+        positions,
+        key=lambda idx: (
+            min(weight(pair.F.member(idx)), weight(pair.G.member(idx))),
+            idx.strand,
+            idx.t,
+        ),
+    )
+    for side, family in (("F", pair.F), ("G", pair.G)):
+        members = [(idx, family.member(idx)) for idx in rows]
+        for a in range(len(members)):
+            idx_a, ms_a = members[a]
+            for b in range(a + 1, len(members)):
+                idx_b, ms_b = members[b]
+                shared = set(ms_a.sizes()) & set(ms_b.sizes())
+                if shared:
+                    return ("DisjointnessWitness", side, idx_a, idx_b, min(shared), ms_a, ms_b)
+    for idx in rows:
+        f, g = pair.F.member(idx), pair.G.member(idx)
+        if weight(f) != weight(g):
+            return ("WeightWitness", idx, weight(f), weight(g), f, g)
+    return None

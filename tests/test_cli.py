@@ -357,21 +357,33 @@ class TestAndrewsInputs:
         assert result.exit_code == 0
 
     @pytest.mark.parametrize(
-        "args, expected",
+        "m1_text, args, expected",
         [
-            (["dist", "--side", "X", "--n", "0"], {"counts": {"0": "1"}}),
-            (["dist", "--side", "Y", "--n", "1"], {"counts": {"0": "1"}}),
-            (["compare", "--n-from", "0", "--n-max", "1"], {"identical_everywhere": True}),
-            (["sieve", "--side", "X", "--n", "1"], {"counts": {"0": "1"}, "crosscheck": "PASS"}),
-            (["check", "--theorem", "b", "--n-max", "1"], {"holds": True}),
-            (["check", "--theorem", "c", "--n-max", "1"], {"holds": True}),
+            pytest.param(m1_text, args, expected, id=case_id + suffix)
+            # M1 = {1} is closed under doubling up to n = 1 but not up to 2.
+            for m1_text, suffix in [(POW2_M1, ""), ("1\n", "-m1-only-1")]
+            for case_id, args, expected in [
+                ("dist-0", ["dist", "--side", "X", "--n", "0"], {"counts": {"0": "1"}}),
+                ("dist-1", ["dist", "--side", "Y", "--n", "1"], {"counts": {"0": "1"}}),
+                (
+                    "compare",
+                    ["compare", "--n-from", "0", "--n-max", "1"],
+                    {"identical_everywhere": True},
+                ),
+                (
+                    "sieve",
+                    ["sieve", "--side", "X", "--n", "1"],
+                    {"counts": {"0": "1"}, "crosscheck": "PASS"},
+                ),
+                ("check-b", ["check", "--theorem", "b", "--n-max", "1"], {"holds": True}),
+                ("check-c", ["check", "--theorem", "c", "--n-max", "1"], {"holds": True}),
+            ]
         ],
-        ids=["dist-0", "dist-1", "compare", "sieve", "check-b", "check-c"],
     )
-    def test_small_n_exits_0(self, runner, tmp_path, args, expected):
+    def test_small_n_exits_0(self, runner, tmp_path, m1_text, args, expected):
         # No member of the family fits below n = 2, so every table is {0: p(n)}.
         path = tmp_path / "m1.txt"
-        path.write_text(POW2_M1)
+        path.write_text(m1_text)
         result = invoke(
             runner,
             args + ["--pair", "andrews", "--m1-file", str(path), "--format", "json"],

@@ -137,6 +137,18 @@ class TestBuiltinCatalog:
         with pytest.raises(FamilyError, match="doubling"):
             builtin_pair("andrews", m1=[1, 2, 3], bound=10)  # 6 missing
 
+    @pytest.mark.parametrize("bound", [0, 1])
+    def test_andrews_below_2_skips_doubling_check(self, bound):
+        # No double of 1 fits below 2, so M1 = {1} is closed up to bound 0 or 1;
+        # the family is still built to size 2.
+        pair = builtin_pair("andrews", m1=[1], bound=bound)
+        assert pair.name == "andrews(bound=2)"
+        assert pair.F.relevant_indices(bound) == []
+
+    def test_andrews_at_2_checks_doubling(self):
+        with pytest.raises(FamilyError, match="doubling"):
+            builtin_pair("andrews", m1=[1], bound=2)
+
     def test_andrews_requires_params(self):
         with pytest.raises(FamilyError):
             builtin_pair("andrews")

@@ -1,5 +1,10 @@
-import pytest
+from dataclasses import fields
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import theorem_b_scan
 from partition_sieve import (
     DisjointnessWitness,
     FamilyPair,
@@ -46,6 +51,49 @@ def explicit_pair(name, f_multisets, g_multisets):
         MultisetFamily(f"{name}.F", tuple(Strand(explicit=Multiset(m)) for m in f_multisets)),
         MultisetFamily(f"{name}.G", tuple(Strand(explicit=Multiset(m)) for m in g_multisets)),
     )
+
+
+@st.composite
+def disjoint_members(draw, k, lowest):
+    """k members with pairwise disjoint supports, all sizes >= lowest."""
+    sizes = draw(st.permutations(range(lowest, lowest + 3 * k)))
+    members = []
+    for i in range(k):
+        support = sizes[3 * i : 3 * i + draw(st.integers(1, 3))]
+        members.append({s: draw(st.integers(1, 2)) for s in support})
+    return members
+
+
+@st.composite
+def clashing_members(draw, k):
+    """k members from a small size pool, with at least one shared size."""
+    members = [
+        draw(st.dictionaries(st.integers(1, 6), st.integers(1, 2), min_size=1, max_size=3))
+        for _ in range(k)
+    ]
+    a, b = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+    members[b].setdefault(min(members[a]), 1)
+    return members
+
+
+@st.composite
+def theorem_b_pairs(draw):
+    """Explicit pairs whose supports overlap on F, on G, on both or on
+    neither. Unless exactly one side overlaps, G copies F's member at a
+    random subset of positions, so weights match there."""
+    k = draw(st.integers(2, 6))
+    clash = draw(st.sampled_from(["", "F", "G", "FG"]))
+    f = draw(clashing_members(k) if "F" in clash else disjoint_members(k, 1))
+    if "G" in clash:
+        g = draw(clashing_members(k))
+    else:
+        # Sizes from 100 up never meet F's, so copied F members keep G disjoint.
+        g = draw(disjoint_members(k, 100))
+    if clash in ("", "FG"):
+        for i in range(k):
+            if draw(st.booleans()):
+                g[i] = dict(f[i])
+    return explicit_pair("drawn", f, g), draw(st.integers(1, 150))
 
 
 # 1500 identical {1:1} members: every subset has union weight 1, so the
@@ -155,6 +203,33 @@ class TestCheckTheoremB:
     def test_rejects_bad_n_max(self):
         with pytest.raises(ValueError):
             check_theorem_b(builtin_pair("euler"), 0)
+
+    def test_g_side_witness_is_first_pair_not_first_clash_met(self):
+        # Weights 6, 8, 10, 12 on both sides; F is disjoint. On G, positions
+        # 1 and 2 clash before position 3 is reached, but position 0 clashes
+        # with 3, so (0, 3) wins, with 2 the smaller of its shared sizes 2, 4.
+        pair = explicit_pair(
+            "gclash",
+            [{6: 1}, {8: 1}, {10: 1}, {12: 1}],
+            [{2: 1, 4: 1}, {1: 2, 3: 2}, {1: 1, 3: 3}, {2: 2, 4: 2}],
+        )
+        report = check_theorem_b(pair, 20)
+        assert not report.holds
+        w = report.witness
+        assert isinstance(w, DisjointnessWitness)
+        assert (w.side, w.idx_a.strand, w.idx_b.strand, w.element) == ("G", 0, 3, 2)
+        assert (w.multiset_a, w.multiset_b) == (Multiset({2: 1, 4: 1}), Multiset({2: 2, 4: 2}))
+
+    @settings(max_examples=300, deadline=None)
+    @given(theorem_b_pairs())
+    def test_witness_matches_nested_scan(self, drawn):
+        pair, n_max = drawn
+        report = check_theorem_b(pair, n_max)
+        expected = theorem_b_scan(pair, n_max)
+        assert report.holds == (expected is None)
+        w = report.witness
+        found = None if w is None else (type(w).__name__, *(getattr(w, f.name) for f in fields(w)))
+        assert found == expected
 
 
 class TestCheckTheoremC:
