@@ -2,13 +2,11 @@
 family members are made of.
 
 All counts are Python ints (arbitrary precision); there is no floating
-point anywhere in a counting path. Multisets are immutable value objects,
-safe for unrestricted concurrent use.
+point anywhere in a counting path. Multisets are immutable value objects.
 """
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -129,9 +127,8 @@ def descending_part_sequences(n: int) -> Iterator[tuple[int, ...]]:
         a.append(rem)
 
 
-# Shared memo for count_partitions: read-mostly, append-only, guarded writes.
+# Memo for count_partitions: append-only, p(0) .. p(len - 1).
 _p_table: list[int] = [1]
-_p_lock = threading.Lock()
 
 
 def count_partitions(n: int) -> int:
@@ -143,28 +140,23 @@ def count_partitions(n: int) -> int:
 
         p(n) = sum_k (-1)^(k+1) [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)]
 
-    with a shared memo table. Concurrent readers are safe; the table only
-    ever grows, and growth is serialized by a lock.
+    with a memo table that only ever grows.
     """
     if n < 0:
         return 0
-    if n < len(_p_table):
-        return _p_table[n]
-    with _p_lock:
-        while len(_p_table) <= n:
-            m = len(_p_table)
-            total = 0
-            k = 1
-            while True:
-                g1 = k * (3 * k - 1) // 2
-                if g1 > m:
-                    break
-                term = _p_table[m - g1]
-                g2 = k * (3 * k + 1) // 2
-                if g2 <= m:
-                    term += _p_table[m - g2]
-                total += term if k % 2 else -term
-                k += 1
-            _p_table.append(total)
+    while len(_p_table) <= n:
+        m = len(_p_table)
+        total = 0
+        k = 1
+        while True:
+            g1 = k * (3 * k - 1) // 2
+            if g1 > m:
+                break
+            term = _p_table[m - g1]
+            g2 = k * (3 * k + 1) // 2
+            if g2 <= m:
+                term += _p_table[m - g2]
+            total += term if k % 2 else -term
+            k += 1
+        _p_table.append(total)
     return _p_table[n]
-

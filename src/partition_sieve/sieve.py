@@ -19,6 +19,11 @@ truncation:
 "Pairwise disjoint" is read as disjoint supports: sharing a size even at
 different multiplicities breaks the additivity that makes the sieve inputs
 factor through the individual members.
+
+Because only the union weights matter, the sieve never visits the sets S
+one by one: a DP over the members, whose state is the union restricted to
+the sizes that later members still use, counts them by (|S|, union weight).
+The theorem C check, which needs a witness S, still walks them depth-first.
 """
 
 from __future__ import annotations
@@ -42,8 +47,9 @@ __all__ = [
     "sieve_distribution",
 ]
 
-# Explored-subset budget; exceeding it is a loud, flagged condition, never a
-# silent approximation.
+# Budget on the number of index subsets with union weight <= n (counted by
+# the sieve, walked one by one by the theorem C check); exceeding it is a
+# loud, flagged condition, never a silent approximation.
 DEFAULT_SUBSET_CAP = 5_000_000
 
 
@@ -142,44 +148,65 @@ def sieve_distribution(
 ) -> SieveResult:
     """Distribution of the family-induced statistic on P(n), by sieve.
 
-    Enumerates index subsets S depth-first over the relevant indices in
-    weight order, pruning any inclusion whose union weight would exceed n
-    (sound: union weight only grows when sets are added), accumulates
-    N_t = sum p(n - weight(union_S)) by level, and applies the
-    inclusion-exclusion transform. Independent of partition enumeration,
-    which is the whole point: it cross-checks the brute-force path.
+    Counts the index subsets S of the members relevant to n by (|S|, union
+    weight) with one frontier DP over the members in order -- the
+    coefficients of U(y,q) = sum_S y^|S| q^w(union_S) up to q^n -- then sums
+    N_t = sum_w [y^t q^w]U * p(n - w) and applies the inclusion-exclusion
+    transform. Before member i the state is the union restricted to the
+    frontier, the sizes that some earlier member and some member from i on
+    both use; every other size's weight is already committed. Including a
+    member adds its weight beyond the frontier union, and an inclusion that
+    takes the union weight past n is dropped (sound: union weight only grows
+    when sets are added). For support-disjoint families the frontier is
+    always empty and this is the subset-sum DP for prod_i (1 + y q^w_i).
+
+    subsets_explored is the number of index subsets with union weight <= n:
+    counted, not visited. Independent of partition enumeration, which is the
+    whole point: it cross-checks the brute-force path.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if subset_cap <= 0:
         raise ValueError(f"subset_cap must be > 0, got {subset_cap}")
     patterns = [family.member(idx).items() for idx in family.relevant_indices(n)]
-    levels = [0] * (len(patterns) + 1)
-    union: dict[int, int] = {}
-    # One frame per subset on the current path: [next candidate, union
-    # weight, undo record of the inclusion that made it]. The root is S = {}.
-    path: list[list] = [[0, 0, None]]
-    levels[0] = count_partitions(n)
+    last = {size: i for i, pattern in enumerate(patterns) for size, _ in pattern}
+    # Frontier union, as sorted (size, mult) pairs -> {(|S|, union weight):
+    # number of subsets S of the members seen so far}.
+    states: dict[tuple[tuple[int, int], ...], dict[tuple[int, int], int]] = {(): {(0, 0): 1}}
     explored = 1
-    while path:
-        frame = path[-1]
-        weight = frame[1]
-        for i in range(frame[0], len(patterns)):
-            added = _added_weight(patterns[i], union)
-            if weight + added <= n:
-                break
-        else:
-            path.pop()
-            if path:
-                _restore(union, frame[2])
-            continue
-        frame[0] = i + 1
-        explored += 1
-        if explored > subset_cap:
-            return SieveResult(DistributionTable(n, {}), explored, True)
-        levels[len(path)] += count_partitions(n - weight - added)
-        path.append([i + 1, weight + added, _apply(patterns[i], union)])
+    for i, pattern in enumerate(patterns):
+        grown_states: dict[tuple[tuple[int, int], ...], dict[tuple[int, int], int]] = {}
+        for frontier, cells in states.items():
+            snapshot = list(cells.items())
+            # Excluding member i keeps every cell; the first state to reach a
+            # frontier hands over its dict, later ones merge into it.
+            kept = tuple(entry for entry in frontier if last[entry[0]] > i)
+            target = grown_states.setdefault(kept, cells)
+            if target is not cells:
+                for cell, count in snapshot:
+                    target[cell] = target.get(cell, 0) + count
+            union = dict(frontier)
+            added = _added_weight(pattern, union)
+            if added > n:
+                continue
+            _apply(pattern, union)
+            grown = tuple(sorted(entry for entry in union.items() if last[entry[0]] > i))
+            target = grown_states.setdefault(grown, {})
+            limit = n - added
+            for (t, weight), count in snapshot:
+                if weight <= limit:
+                    cell = (t + 1, weight + added)
+                    target[cell] = target.get(cell, 0) + count
+                    explored += count
+            if explored > subset_cap:
+                return SieveResult(DistributionTable(n, {}), subset_cap + 1, True)
+        states = grown_states
 
+    # After the last member no size is still to come, so one state is left.
+    cells = states[()]
+    levels = [0] * (max(t for t, _ in cells) + 1)
+    for (t, weight), count in cells.items():
+        levels[t] += count * count_partitions(n - weight)
     counts: dict[int, int] = {}
     top = len(levels) - 1
     for j in range(top + 1):

@@ -3,12 +3,14 @@
 Everything here deliberately avoids the library's own algorithms: partition
 counts come from a coin-style dynamic program (not the pentagonal
 recurrence), partitions from a recursive max-part enumerator (not the
-descending in-place stepper), and distributions from direct tallies over
-that enumerator. A disagreement therefore localizes a bug to one of two
-unrelated code paths.
+descending in-place stepper), distributions from direct tallies over
+that enumerator, and sieve level sums from a walk over the index subsets
+one by one (not the frontier DP). A disagreement therefore localizes a bug
+to one of two unrelated code paths.
 """
 
 from collections import Counter
+from math import comb
 
 
 def partitions_recursive(n, max_part=None):
@@ -23,15 +25,20 @@ def partitions_recursive(n, max_part=None):
             yield (k,) + rest
 
 
-def count_partitions_dp(n):
-    """p(n) by the classic parts-as-coins dynamic program."""
-    if n < 0:
-        return 0
+def partition_counts_dp(n):
+    """[p(0), ..., p(n)] by the classic parts-as-coins dynamic program."""
     table = [1] + [0] * n
     for part in range(1, n + 1):
         for total in range(part, n + 1):
             table[total] += table[total - part]
-    return table[n]
+    return table
+
+
+def count_partitions_dp(n):
+    """p(n) by the classic parts-as-coins dynamic program."""
+    if n < 0:
+        return 0
+    return partition_counts_dp(n)[n]
 
 
 def count_distinct_parts_dp(n):
@@ -116,3 +123,71 @@ def theorem_b_scan(pair, n_max):
         if weight(f) != weight(g):
             return ("WeightWitness", idx, weight(f), weight(g), f, g)
     return None
+
+
+def _added_weight(pattern, union):
+    get = union.get
+    return sum((m - get(s, 0)) * s for s, m in pattern if m > get(s, 0))
+
+
+def _apply(pattern, union):
+    """Raise union multiplicities to cover pattern; return restore info."""
+    saved = []
+    for s, m in pattern:
+        cur = union.get(s, 0)
+        if m > cur:
+            saved.append((s, cur))
+            union[s] = m
+    return saved
+
+
+def _restore(union, saved):
+    for s, cur in saved:
+        if cur:
+            union[s] = cur
+        else:
+            del union[s]
+
+
+def sieve_dfs(patterns, n, cap):
+    """The sieve by a depth-first walk over index subsets, one at a time.
+
+    patterns are members as (size, mult) tuples, in family order. Every
+    subset S whose max-union weight is <= n is visited once, in preorder,
+    and p(n - weight) is added to level |S|. Returns (counts, explored,
+    truncated); past cap subsets it stops with ({}, cap + 1, True).
+    """
+    p = partition_counts_dp(n)
+    levels = [0] * (len(patterns) + 1)
+    union = {}
+    # One frame per subset on the current path: [next candidate, union
+    # weight, undo record of the inclusion that made it]. The root is S = {}.
+    path = [[0, 0, None]]
+    levels[0] = p[n]
+    explored = 1
+    while path:
+        frame = path[-1]
+        weight = frame[1]
+        for i in range(frame[0], len(patterns)):
+            added = _added_weight(patterns[i], union)
+            if weight + added <= n:
+                break
+        else:
+            path.pop()
+            if path:
+                _restore(union, frame[2])
+            continue
+        frame[0] = i + 1
+        explored += 1
+        if explored > cap:
+            return {}, explored, True
+        levels[len(path)] += p[n - weight - added]
+        path.append([i + 1, weight + added, _apply(patterns[i], union)])
+
+    counts = {}
+    top = len(levels) - 1
+    for j in range(top + 1):
+        e = sum((-1) ** (t - j) * comb(t, j) * levels[t] for t in range(j, top + 1))
+        if e:
+            counts[j] = e
+    return counts, explored, False

@@ -1,5 +1,3 @@
-import threading
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,21 +119,6 @@ class TestCountPartitions:
     def test_matches_enumeration(self):
         for n in range(21):
             assert count_partitions(n) == sum(1 for _ in descending_part_sequences(n))
-
-    def test_thread_safe_fill(self):
-        # Concurrent cold reads must all land on the same exact values.
-        results = {}
-
-        def fill(seed):
-            results[seed] = [count_partitions(n) for n in range(seed, 200, 7)]
-
-        threads = [threading.Thread(target=fill, args=(s,)) for s in range(7)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        for seed, values in results.items():
-            assert values == [count_partitions_dp(n) for n in range(seed, 200, 7)]
 
 
 class TestCountContaining:

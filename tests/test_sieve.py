@@ -4,8 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import theorem_b_scan
+from oracles import (
+    count_distinct_parts_dp,
+    count_odd_parts_dp,
+    count_partitions_dp,
+    sieve_dfs,
+    theorem_b_scan,
+)
 from partition_sieve import (
+    DEFAULT_SUBSET_CAP,
     DisjointnessWitness,
     FamilyPair,
     FamilyStatistic,
@@ -96,9 +103,34 @@ def theorem_b_pairs(draw):
     return explicit_pair("drawn", f, g), draw(st.integers(1, 150))
 
 
-# 1500 identical {1:1} members: every subset has union weight 1, so the
-# depth-first path grows as deep as the family before the cap stops it.
+# 1500 identical {1:1} members: every subset has union weight 1, so 2^1500
+# subsets fit under any n >= 1 and only the subset cap stops the search.
 DEEP_PAIR = explicit_pair("deep", [{1: 1}] * 1500, [{1: 1}] * 1500)
+
+
+@st.composite
+def overlapping_families(draw):
+    """Up to 12 explicit members over sizes 1-6: shared supports, one size
+    at several multiplicities, and repeated identical members."""
+    members = []
+    for _ in range(draw(st.integers(1, 12))):
+        if members and draw(st.integers(0, 3)) == 0:
+            members.append(dict(draw(st.sampled_from(members))))
+        else:
+            members.append(
+                draw(st.dictionaries(st.integers(1, 6), st.integers(1, 3), min_size=1, max_size=3))
+            )
+    return MultisetFamily("drawn", tuple(Strand(explicit=Multiset(m)) for m in members))
+
+
+def sieve_fields(family, n, cap):
+    result = sieve_distribution(family, n, subset_cap=cap)
+    return result.table.counts, result.subsets_explored, result.truncated
+
+
+def dfs_fields(family, n, cap):
+    patterns = [family.member(idx).items() for idx in family.relevant_indices(n)]
+    return sieve_dfs(patterns, n, cap)
 
 
 class TestSieveDistribution:
@@ -147,6 +179,44 @@ class TestSieveDistribution:
         result = sieve_distribution(DEEP_PAIR.F, 10, subset_cap=2000)
         assert result.truncated
         assert result.subsets_explored == 2001
+
+    def test_deep_family_stops_at_default_cap(self):
+        # A walk would visit 5,000,000 subsets first; the count passes the
+        # cap at the 23rd of the 1500 members (2^23 > 5,000,000).
+        result = sieve_distribution(DEEP_PAIR.F, 10)
+        assert result.truncated
+        assert result.subsets_explored == DEFAULT_SUBSET_CAP + 1 == 5_000_001
+        assert result.table.counts == {}
+
+    @settings(max_examples=300, deadline=None)
+    @given(overlapping_families(), st.integers(0, 40), st.integers(1, 4200))
+    def test_matches_depth_first_walk(self, family, n, cap):
+        assert sieve_fields(family, n, cap) == dfs_fields(family, n, cap)
+
+    @pytest.mark.parametrize("label,family", builtin_sides())
+    def test_builtins_match_depth_first_walk(self, label, family):
+        # andrews is built to bound 30; past it the family is a truncation
+        # whose walk alone takes seconds.
+        for n in range(31 if label.startswith("andrews") else 61):
+            assert sieve_fields(family, n, DEFAULT_SUBSET_CAP) == dfs_fields(
+                family, n, DEFAULT_SUBSET_CAP
+            ), (label, n)
+
+    def test_euler_at_400(self):
+        # Out of reach of a subset-by-subset walk: about 8e9 subsets per side.
+        pair = builtin_pair("euler")
+        x = sieve_distribution(pair.F, 400, subset_cap=10**12)
+        y = sieve_distribution(pair.G, 400, subset_cap=10**12)
+        assert x.table == y.table
+        assert x.table.counts[0] == count_odd_parts_dp(400)
+        assert y.table.counts[0] == count_distinct_parts_dp(400)
+        assert x.table.total == count_partitions_dp(400)
+        # F_t = {2t: 1} and G_t = {t: 2} both weigh 2t, so the subsets of
+        # weight <= 400 are the partitions of m <= 200 into distinct parts.
+        explored = sum(count_distinct_parts_dp(m) for m in range(201))
+        assert explored == 7_994_637_527
+        assert x.subsets_explored == y.subsets_explored == explored
+        assert not x.truncated and not y.truncated
 
     def test_validation(self):
         family = builtin_pair("euler").F
