@@ -140,7 +140,9 @@ def count_partitions(n: int) -> int:
 
         p(n) = sum_k (-1)^(k+1) [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)]
 
-    with a memo table that only ever grows.
+    with a memo table that only ever grows. The memo is filled without a
+    lock, so the first call for a new n must not race another call from a
+    second thread.
     """
     if n < 0:
         return 0

@@ -177,24 +177,25 @@ def sieve_distribution(
     for i, pattern in enumerate(patterns):
         grown_states: dict[tuple[tuple[int, int], ...], dict[tuple[int, int], int]] = {}
         for frontier, cells in states.items():
-            snapshot = list(cells.items())
-            # Excluding member i keeps every cell; the first state to reach a
-            # frontier hands over its dict, later ones merge into it.
             kept = tuple(entry for entry in frontier if last[entry[0]] > i)
-            target = grown_states.setdefault(kept, cells)
-            if target is not cells:
-                for cell, count in snapshot:
+            target = grown_states.get(kept)
+            if target is None:
+                grown_states[kept] = dict(cells)
+            else:
+                for cell, count in cells.items():
                     target[cell] = target.get(cell, 0) + count
             union = dict(frontier)
             added = _added_weight(pattern, union)
-            if added > n:
-                continue
-            _apply(pattern, union)
-            grown = tuple(sorted(entry for entry in union.items() if last[entry[0]] > i))
-            target = grown_states.setdefault(grown, {})
             limit = n - added
-            for (t, weight), count in snapshot:
+            # The grown state is made at its first cell: no state is ever
+            # empty, so there are never more states than counted subsets.
+            target = None
+            for (t, weight), count in cells.items():
                 if weight <= limit:
+                    if target is None:
+                        _apply(pattern, union)
+                        grown = tuple(sorted(e for e in union.items() if last[e[0]] > i))
+                        target = grown_states.setdefault(grown, {})
                     cell = (t + 1, weight + added)
                     target[cell] = target.get(cell, 0) + count
                     explored += count

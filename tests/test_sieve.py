@@ -11,6 +11,7 @@ from oracles import (
     sieve_dfs,
     theorem_b_scan,
 )
+import partition_sieve.sieve as sieve_module
 from partition_sieve import (
     DEFAULT_SUBSET_CAP,
     DisjointnessWitness,
@@ -192,6 +193,30 @@ class TestSieveDistribution:
     @given(overlapping_families(), st.integers(0, 40), st.integers(1, 4200))
     def test_matches_depth_first_walk(self, family, n, cap):
         assert sieve_fields(family, n, cap) == dfs_fields(family, n, cap)
+
+    def test_frontier_states_stay_within_subset_count(self, monkeypatch):
+        # Light {s:1}, s = 26..50, then heavier {s:1, 1:m} reusing each s: the
+        # frontier could hold any of 2^25 unions of the light sizes, but at
+        # most three fit under n = 100. Every state the DP steps from costs
+        # one _added_weight call and holds at least one counted subset, so the
+        # calls stay within members x subsets_explored.
+        members = [{s: 1} for s in range(26, 51)]
+        members += [{s: 1, 1: m} for m, s in enumerate(range(26, 51), 1)]
+        family = MultisetFamily("light", tuple(Strand(explicit=Multiset(m)) for m in members))
+        expected = dfs_fields(family, 100, DEFAULT_SUBSET_CAP)
+        bound = len(members) * expected[1]
+        calls = 0
+        added_weight = sieve_module._added_weight
+
+        def counted(pattern, union):
+            nonlocal calls
+            calls += 1
+            assert calls <= bound, "more frontier states than counted subsets"
+            return added_weight(pattern, union)
+
+        monkeypatch.setattr(sieve_module, "_added_weight", counted)
+        assert sieve_fields(family, 100, DEFAULT_SUBSET_CAP) == expected
+        assert expected[1] == 4746
 
     @pytest.mark.parametrize("label,family", builtin_sides())
     def test_builtins_match_depth_first_walk(self, label, family):
