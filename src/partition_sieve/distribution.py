@@ -1,16 +1,14 @@
 """Exact distribution tables for partition statistics, and pairwise
 identical-distribution verification over a range of n.
 
-A table holds the numerators |{pi in P(n) : X(pi) = j}|; probabilities are
-the exact rationals count / p(n). Comparison verdicts are computed from
-exact counts only, never from floating point.
+A table holds the numerators |{pi in P(n) : X(pi) = j}|. Comparison
+verdicts are computed from exact counts only, never from floating point.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 from .partitions import descending_part_sequences
@@ -53,10 +51,6 @@ class DistributionTable:
     def marginal(self, j: int) -> int:
         """The count at j (0 if absent)."""
         return self.counts.get(j, 0)
-
-    def probability(self, j: int) -> Fraction:
-        """Exact Prob(X = j) as a rational; presentation only, never compared."""
-        return Fraction(self.marginal(j), self.total)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DistributionTable):

@@ -23,7 +23,8 @@ factor through the individual members.
 Because only the union weights matter, the sieve never visits the sets S
 one by one: a DP over the members, whose state is the union restricted to
 the sizes that later members still use, counts them by (|S|, union weight).
-The theorem C check, which needs a witness S, still walks them depth-first.
+The theorem C check, which needs a witness S, walks the same states
+depth-first, each once, and counts the sets below a state it meets again.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ __all__ = [
 ]
 
 # Budget on the number of index subsets with union weight <= n (counted by
-# the sieve, walked one by one by the theorem C check); exceeding it is a
-# loud, flagged condition, never a silent approximation.
+# the sieve and by the theorem C check, which walks only their states);
+# exceeding it is a loud, flagged condition, never a silent approximation.
 DEFAULT_SUBSET_CAP = 5_000_000
 
 
@@ -125,22 +126,19 @@ def _added_weight(pattern: tuple[tuple[int, int], ...], union: dict[int, int]) -
     return sum((m - get(s, 0)) * s for s, m in pattern if m > get(s, 0))
 
 
-def _apply(pattern: tuple[tuple[int, int], ...], union: dict[int, int]) -> list[tuple[int, int]]:
-    """Raise union multiplicities to cover pattern; return restore info."""
-    saved = []
+def _grow(
+    frontier: tuple[tuple[int, int], ...],
+    pattern: tuple[tuple[int, int], ...],
+    last: dict[int, int],
+    i: int,
+) -> tuple[tuple[int, int], ...]:
+    """The frontier once member i joins the union: the union of frontier and
+    pattern, restricted to the sizes that a member after i still uses."""
+    union = dict(frontier)
     for s, m in pattern:
-        cur = union.get(s, 0)
-        if m > cur:
-            saved.append((s, cur))
+        if m > union.get(s, 0):
             union[s] = m
-    return saved
-
-def _restore(union: dict[int, int], saved: list[tuple[int, int]]) -> None:
-    for s, cur in saved:
-        if cur:
-            union[s] = cur
-        else:
-            del union[s]
+    return tuple(sorted(e for e in union.items() if last[e[0]] > i))
 
 
 def sieve_distribution(
@@ -184,8 +182,7 @@ def sieve_distribution(
             else:
                 for cell, count in cells.items():
                     target[cell] = target.get(cell, 0) + count
-            union = dict(frontier)
-            added = _added_weight(pattern, union)
+            added = _added_weight(pattern, dict(frontier))
             limit = n - added
             # The grown state is made at its first cell: no state is ever
             # empty, so there are never more states than counted subsets.
@@ -193,9 +190,7 @@ def sieve_distribution(
             for (t, weight), count in cells.items():
                 if weight <= limit:
                     if target is None:
-                        _apply(pattern, union)
-                        grown = tuple(sorted(e for e in union.items() if last[e[0]] > i))
-                        target = grown_states.setdefault(grown, {})
+                        target = grown_states.setdefault(_grow(frontier, pattern, last, i), {})
                     cell = (t + 1, weight + added)
                     target[cell] = target.get(cell, 0) + count
                     explored += count
@@ -307,59 +302,68 @@ def check_theorem_c(
 
     S ranges over the positions relevant to n_max in either family,
     restricted to min(weight_F(S), weight_G(S)) <= n_max -- exactly the
-    sets that can influence either sieve for n <= n_max. Enumeration is
-    depth-first with the same union-weight pruning as the sieve; the first
-    failing S (in deterministic order) becomes the witness.
+    sets that can influence either sieve for n <= n_max. The walk is
+    depth-first over the sieve's states: the sets below a holding S depend
+    only on (last position in S, F frontier, G frontier, union weight). A
+    state met again adds the count of sets below it, recorded when its walk
+    ended, instead of walking them again; that walk met no violation, since
+    the first one ends the walk. So the preorder, the witness (the first
+    failing S), subsets_explored and the cap outcome are those of a walk
+    over every S one by one.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if subset_cap <= 0:
         raise ValueError(f"subset_cap must be > 0, got {subset_cap}")
-    members = [
-        (idx, member_f.items(), member_g.items())
-        for idx, member_f, member_g in _annotated_positions(pair, n_max)
-    ]
-    union_f: dict[int, int] = {}
-    union_g: dict[int, int] = {}
-    chosen: list[FamilyIndex] = []
-    # One frame per subset on the current path: [next candidate, F union
-    # weight, G union weight, undo records of the inclusion that made it].
-    path: list[list] = [[0, 0, 0, None, None]]
+    table = _annotated_positions(pair, n_max)
+    pats_f = [member_f.items() for _, member_f, _ in table]
+    pats_g = [member_g.items() for _, _, member_g in table]
+    last_f = {size: i for i, pattern in enumerate(pats_f) for size, _ in pattern}
+    last_g = {size: i for i, pattern in enumerate(pats_g) for size, _ in pattern}
+    # Sets strictly below each state whose walk has ended.
+    below: dict[tuple, int] = {}
+    # One frame per state on the current path: [next candidate, state,
+    # subsets explored when it was entered].
+    path: list[list] = [[0, (-1, (), (), 0), 1]]
     explored = 1
     while path:
         frame = path[-1]
-        weight_f, weight_g = frame[1], frame[2]
-        for i in range(frame[0], len(members)):
-            idx, pat_f, pat_g = members[i]
-            added_f = _added_weight(pat_f, union_f)
-            added_g = _added_weight(pat_g, union_g)
-            if min(weight_f + added_f, weight_g + added_g) <= n_max:
+        state = frame[1]
+        front_f, front_g, weight = dict(state[1]), dict(state[2]), state[3]
+        for j in range(frame[0], len(table)):
+            weight_f = weight + _added_weight(pats_f[j], front_f)
+            weight_g = weight + _added_weight(pats_g[j], front_g)
+            if min(weight_f, weight_g) > n_max:
+                continue
+            explored += 1
+            if explored > subset_cap:
+                break
+            if weight_f != weight_g:
+                chosen = [f[1][0] for f in path[1:]] + [j]
+                union_f = union_g = Multiset()
+                for p in chosen:
+                    union_f, union_g = union_f.union(table[p][1]), union_g.union(table[p][2])
+                found = UnionWeightWitness(
+                    tuple(table[p][0] for p in chosen), weight_f, weight_g, union_f, union_g
+                )
+                _revalidate_union_weights(pair, found)
+                return HypothesisReport("C", n_max, False, found, explored)
+            child = (
+                j,
+                _grow(state[1], pats_f[j], last_f, j),
+                _grow(state[2], pats_g[j], last_g, j),
+                weight_f,
+            )
+            if child not in below:
+                frame[0] = j + 1
+                path.append([j + 1, child, explored])
+                break
+            explored += below[child]
+            if explored > subset_cap:
                 break
         else:
+            below[state] = explored - frame[2]
             path.pop()
-            if path:
-                chosen.pop()
-                _restore(union_f, frame[3])
-                _restore(union_g, frame[4])
-            continue
-        frame[0] = i + 1
-        explored += 1
         if explored > subset_cap:
-            return HypothesisReport("C", n_max, True, None, explored, inconclusive=True)
-        weight_f += added_f
-        weight_g += added_g
-        chosen.append(idx)
-        saved_f = _apply(pat_f, union_f)
-        saved_g = _apply(pat_g, union_g)
-        if weight_f != weight_g:
-            found = UnionWeightWitness(
-                tuple(chosen),
-                weight_f,
-                weight_g,
-                Multiset(dict(union_f)),
-                Multiset(dict(union_g)),
-            )
-            _revalidate_union_weights(pair, found)
-            return HypothesisReport("C", n_max, False, found, explored)
-        path.append([i + 1, weight_f, weight_g, saved_f, saved_g])
+            return HypothesisReport("C", n_max, True, None, subset_cap + 1, inconclusive=True)
     return HypothesisReport("C", n_max, True, None, explored)

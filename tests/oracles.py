@@ -4,9 +4,10 @@ Everything here deliberately avoids the library's own algorithms: partition
 counts come from a coin-style dynamic program (not the pentagonal
 recurrence), partitions from a recursive max-part enumerator (not the
 descending in-place stepper), distributions from direct tallies over
-that enumerator, and sieve level sums from a walk over the index subsets
-one by one (not the frontier DP). A disagreement therefore localizes a bug
-to one of two unrelated code paths.
+that enumerator, and sieve level sums and theorem C verdicts from walks
+over the index subsets one by one (not the frontier states that the
+library's sieve and theorem C check share). A disagreement therefore
+localizes a bug to one of two unrelated code paths.
 """
 
 from collections import Counter
@@ -191,3 +192,67 @@ def sieve_dfs(patterns, n, cap):
         if e:
             counts[j] = e
     return counts, explored, False
+
+
+def theorem_c_dfs(pair, n_max, cap):
+    """Theorem C by a depth-first walk over index sets S, one at a time.
+
+    Positions relevant to n_max on either side are ordered by (min weight,
+    strand, t), and every S with min(w(union F_S), w(union G_S)) <= n_max is
+    visited once, in preorder. Returns (holds, inconclusive, explored,
+    witness). The first S whose two union weights differ gives the witness
+    (positions, weight_f, weight_g, union_f items, union_g items); past cap
+    sets the walk stops with (True, True, cap + 1, None).
+    """
+    positions = set(pair.F.relevant_indices(n_max)) | set(pair.G.relevant_indices(n_max))
+    rows = [(idx, pair.F.member(idx).items(), pair.G.member(idx).items()) for idx in positions]
+    rows.sort(
+        key=lambda row: (
+            min(sum(s * m for s, m in row[1]), sum(s * m for s, m in row[2])),
+            row[0].strand,
+            row[0].t,
+        )
+    )
+    union_f = {}
+    union_g = {}
+    chosen = []
+    # One frame per set on the current path: [next candidate, F union weight,
+    # G union weight, undo records of the inclusion that made it].
+    path = [[0, 0, 0, None, None]]
+    explored = 1
+    while path:
+        frame = path[-1]
+        weight_f, weight_g = frame[1], frame[2]
+        for i in range(frame[0], len(rows)):
+            idx, pat_f, pat_g = rows[i]
+            added_f = _added_weight(pat_f, union_f)
+            added_g = _added_weight(pat_g, union_g)
+            if min(weight_f + added_f, weight_g + added_g) <= n_max:
+                break
+        else:
+            path.pop()
+            if path:
+                chosen.pop()
+                _restore(union_f, frame[3])
+                _restore(union_g, frame[4])
+            continue
+        frame[0] = i + 1
+        explored += 1
+        if explored > cap:
+            return True, True, explored, None
+        weight_f += added_f
+        weight_g += added_g
+        chosen.append(idx)
+        saved_f = _apply(pat_f, union_f)
+        saved_g = _apply(pat_g, union_g)
+        if weight_f != weight_g:
+            witness = (
+                tuple(chosen),
+                weight_f,
+                weight_g,
+                tuple(sorted(union_f.items())),
+                tuple(sorted(union_g.items())),
+            )
+            return False, False, explored, witness
+        path.append([i + 1, weight_f, weight_g, saved_f, saved_g])
+    return True, False, explored, None

@@ -1,4 +1,3 @@
-from fractions import Fraction
 
 import pytest
 
@@ -26,10 +25,6 @@ class TestDistributionTable:
         table = DistributionTable(4, {0: 2, 1: 3})
         assert table.marginal(0) == 2
         assert table.marginal(99) == 0
-
-    def test_probability_exact(self):
-        table = DistributionTable(4, {0: 2, 1: 3})
-        assert table.probability(1) == Fraction(3, 5)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

@@ -10,11 +10,13 @@ from oracles import (
     count_partitions_dp,
     sieve_dfs,
     theorem_b_scan,
+    theorem_c_dfs,
 )
 import partition_sieve.sieve as sieve_module
 from partition_sieve import (
     DEFAULT_SUBSET_CAP,
     DisjointnessWitness,
+    FamilyIndex,
     FamilyPair,
     FamilyStatistic,
     Multiset,
@@ -38,16 +40,20 @@ def single_entry_strand(size_poly, mult_poly):
     return Strand(entries=(StrandEntry(size_poly, mult_poly),))
 
 
-def builtin_sides():
-    sides = []
-    for name, pair in [
+def builtin_pairs():
+    return [
         ("euler", builtin_pair("euler")),
         ("squares", builtin_pair("squares")),
         ("mod6", builtin_pair("mod6")),
         ("glaisher3", builtin_pair("glaisher", d=3)),
         ("remmel", builtin_pair("remmel_consecutive")),
         ("andrews_pow2", builtin_pair("andrews", m1=[1, 2, 4, 8, 16], bound=30)),
-    ]:
+    ]
+
+
+def builtin_sides():
+    sides = []
+    for name, pair in builtin_pairs():
         sides.append((f"{name}.F", pair.F))
         sides.append((f"{name}.G", pair.G))
     return sides
@@ -109,18 +115,45 @@ def theorem_b_pairs(draw):
 DEEP_PAIR = explicit_pair("deep", [{1: 1}] * 1500, [{1: 1}] * 1500)
 
 
-@st.composite
-def overlapping_families(draw):
-    """Up to 12 explicit members over sizes 1-6: shared supports, one size
-    at several multiplicities, and repeated identical members."""
+def drawn_members(draw, k):
+    """k members over sizes 1-6, sharing sizes, some repeated identically."""
     members = []
-    for _ in range(draw(st.integers(1, 12))):
+    for _ in range(k):
         if members and draw(st.integers(0, 3)) == 0:
             members.append(dict(draw(st.sampled_from(members))))
         else:
             members.append(
                 draw(st.dictionaries(st.integers(1, 6), st.integers(1, 3), min_size=1, max_size=3))
             )
+    return members
+
+
+@st.composite
+def theorem_c_pairs(draw):
+    """Up to 10 explicit members per side. G either holds (a copy of F, or
+    {s: 2m} against F's {2s: m}, whose unions differ but weigh the same) or
+    mostly violates (F with one member redrawn, or drawn on its own)."""
+    k = draw(st.integers(1, 10))
+    f = drawn_members(draw, k)
+    g_side = draw(st.sampled_from(["copy", "halved", "redrawn", "drawn"]))
+    if g_side == "copy":
+        g = [dict(m) for m in f]
+    elif g_side == "halved":
+        g = [{s: 2 * m for s, m in member.items()} for member in f]
+        f = [{2 * s: m for s, m in member.items()} for member in f]
+    elif g_side == "redrawn":
+        g = [dict(m) for m in f]
+        g[draw(st.integers(0, k - 1))] = drawn_members(draw, 1)[0]
+    else:
+        g = drawn_members(draw, k)
+    return explicit_pair("drawn", f, g)
+
+
+@st.composite
+def overlapping_families(draw):
+    """Up to 12 explicit members over sizes 1-6: shared supports, one size
+    at several multiplicities, and repeated identical members."""
+    members = drawn_members(draw, draw(st.integers(1, 12)))
     return MultisetFamily("drawn", tuple(Strand(explicit=Multiset(m)) for m in members))
 
 
@@ -132,6 +165,14 @@ def sieve_fields(family, n, cap):
 def dfs_fields(family, n, cap):
     patterns = [family.member(idx).items() for idx in family.relevant_indices(n)]
     return sieve_dfs(patterns, n, cap)
+
+
+def c_fields(pair, n_max, cap):
+    report = check_theorem_c(pair, n_max, subset_cap=cap)
+    w = report.witness
+    if w is not None:
+        w = (w.positions, w.weight_f, w.weight_g, w.union_f.items(), w.union_g.items())
+    return report.holds, report.inconclusive, report.subsets_explored, w
 
 
 class TestSieveDistribution:
@@ -337,8 +378,6 @@ class TestCheckTheoremC:
     def test_remmel_first_two_unions_by_hand(self):
         # {2,4} u {4,6} = {2,4,6} and {1,1,2,2} u {2,2,3,3} = {1,1,2,2,3,3},
         # both of weight 12, despite the overlap at 4.
-        from partition_sieve import FamilyIndex
-
         pair = builtin_pair("remmel_consecutive")
         union_f = pair.F.member(FamilyIndex(0, 1)).union(pair.F.member(FamilyIndex(0, 2)))
         union_g = pair.G.member(FamilyIndex(0, 1)).union(pair.G.member(FamilyIndex(0, 2)))
@@ -402,11 +441,75 @@ class TestCheckTheoremC:
         assert (report.witness.weight_f, report.witness.weight_g) == (7, 8)
         assert report.subsets_explored == 4
 
+    def test_violation_never_reads_a_walked_count(self):
+        # Position order is {2:1}, {2:2}|{1:2}, {3:1}. The set of the first two
+        # holds with both unions weighing 4, and after it both frontiers are
+        # empty. The second alone has the same F weight and frontiers, but its
+        # G member {1:2} weighs 2: it is the witness, not a walked state.
+        pair = explicit_pair("twin", [{2: 1}, {3: 1}, {2: 2}], [{2: 1}, {3: 1}, {1: 2}])
+        assert c_fields(pair, 20, DEFAULT_SUBSET_CAP) == theorem_c_dfs(pair, 20, DEFAULT_SUBSET_CAP)
+        report = check_theorem_c(pair, 20)
+        assert report.witness.positions == (FamilyIndex(2, 1),)
+        assert (report.witness.weight_f, report.witness.weight_g) == (4, 2)
+        assert report.subsets_explored == 6
+
     def test_singleton_weight_mismatch_caught(self):
         pair = explicit_pair("tilted", [{3: 1}], [{2: 1}])
         report = check_theorem_c(pair, 10)
         assert not report.holds
         assert report.witness.positions == (pair.F.relevant_indices(10)[0],)
+
+    @settings(max_examples=300, deadline=None)
+    @given(theorem_c_pairs(), st.integers(1, 40), st.integers(1, 1100))
+    def test_matches_depth_first_walk(self, pair, n_max, cap):
+        # 1100 is above the 2^10 sets of 10 positions, so some runs finish.
+        assert c_fields(pair, n_max, cap) == theorem_c_dfs(pair, n_max, cap)
+
+    @pytest.mark.parametrize("label,pair", builtin_pairs())
+    def test_builtins_match_depth_first_walk(self, label, pair):
+        # andrews is built to bound 30, as in the sieve's sweep.
+        for n_max in range(1, 31 if label.startswith("andrews") else 61):
+            assert c_fields(pair, n_max, DEFAULT_SUBSET_CAP) == theorem_c_dfs(
+                pair, n_max, DEFAULT_SUBSET_CAP
+            ), (label, n_max)
+
+    def test_euler_at_150(self):
+        # Both unions weigh 2 * (sum of t in S), so the sets of weight <= 150
+        # are the partitions of m <= 75 into distinct parts.
+        report = check_theorem_c(builtin_pair("euler"), 150)
+        explored = sum(count_distinct_parts_dp(m) for m in range(76))
+        assert explored == 502_822
+        assert (report.holds, report.inconclusive, report.subsets_explored) == (
+            True,
+            False,
+            explored,
+        )
+
+    def test_reused_count_past_cap_reports_cap_plus_one(self):
+        report = check_theorem_c(builtin_pair("euler"), 100, subset_cap=20_000)
+        assert (report.holds, report.inconclusive, report.subsets_explored) == (True, True, 20_001)
+        assert report.witness is None
+
+    def test_each_state_walked_once(self, monkeypatch):
+        # euler's sides are support-disjoint, so both frontiers stay empty
+        # and a state is (last position, union weight): at most
+        # positions x (n_max + 1) of them, plus the empty set. Each state
+        # costs two _added_weight calls per later position, far fewer than
+        # the 502,822 sets a one-by-one walk would step through.
+        pair = builtin_pair("euler")
+        positions = len(pair.F.relevant_indices(150))
+        bound = 2 * positions * (positions * 151 + 1)
+        calls = 0
+        added_weight = sieve_module._added_weight
+
+        def counted(pattern, union):
+            nonlocal calls
+            calls += 1
+            assert calls <= bound, "calls grow with the sets, not the states"
+            return added_weight(pattern, union)
+
+        monkeypatch.setattr(sieve_module, "_added_weight", counted)
+        assert check_theorem_c(pair, 150).subsets_explored == 502_822
 
     def test_validation(self):
         pair = builtin_pair("euler")
