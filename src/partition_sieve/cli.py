@@ -189,11 +189,15 @@ def _witness_text(doc: dict) -> str:
 
 def _emit(fmt: str, doc, text, csv=None) -> None:
     """Print a command's document: as itself for json, else through the
-    renderer for the format (csv falls back to text)."""
+    renderer for the format (csv falls back to text).
+
+    Every echo in this module names its stream: without ``file=``, click
+    caches each new sys.stdout/sys.stderr in a table whose value is the
+    stream itself, so a stream given to an in-process run is never freed."""
     if fmt == "json":
-        click.echo(json.dumps(doc, indent=2))
+        click.echo(json.dumps(doc, indent=2), file=sys.stdout)
     else:
-        click.echo((csv if fmt == "csv" and csv else text)(doc))
+        click.echo((csv if fmt == "csv" and csv else text)(doc), file=sys.stdout)
 
 
 class _ExitCodeCommand(click.Command):
@@ -211,7 +215,7 @@ class _ExitCodeCommand(click.Command):
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
         except Exception as exc:
-            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+            click.echo(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
             ctx.exit(4)
 
 
@@ -435,8 +439,8 @@ def sieve(pair, pair_file, d, m1_file, side, n, subset_cap, fmt):
     if fmt == "csv":
         # The csv stream on stdout holds table rows only; the verdict goes to stderr.
         if not result.truncated:
-            click.echo(_table_csv(doc))
-        click.echo(_sieve_status(doc), err=True)
+            click.echo(_table_csv(doc), file=sys.stdout)
+        click.echo(_sieve_status(doc), file=sys.stderr)
     else:
         _emit(fmt, doc, _sieve_text)
     if result.truncated:

@@ -63,14 +63,16 @@ class DistributionTable:
 
 
 def distribution_bruteforce(stat: Statistic, n: int) -> DistributionTable:
-    """Tally the statistic over every partition of n by full enumeration."""
+    """Tally the statistic over every partition of n by full enumeration.
+
+    The rule sees each partition as the enumeration's one reused
+    {size: multiplicity} map: it may read it, but must neither keep it nor
+    change it.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     rule = stat.counts_evaluator(n)
-    tally: Counter[int] = Counter()
-    for seq in descending_part_sequences(n):
-        tally[rule(Counter(seq))] += 1
-    return DistributionTable(n, tally)
+    return DistributionTable(n, Counter(map(rule, descending_part_sequences(n))))
 
 
 @dataclass(frozen=True)
@@ -113,17 +115,23 @@ def first_count_difference(
 def compare(stat_x: Statistic, stat_y: Statistic, n_from: int, n_to: int) -> ComparisonReport:
     """Check Prob_n(X=j) = Prob_n(Y=j) for every n in [n_from, n_to].
 
-    Both sides are full enumerations of P(n), so equal count maps mean equal
-    distributions exactly. A divergent verdict carries the smallest j whose
-    counts differ.
+    Both sides are tallied over one full enumeration of P(n), so equal count
+    maps mean equal distributions exactly. Both rules read the same reused
+    {size: multiplicity} map, so neither may keep it or change it. A
+    divergent verdict carries the smallest j whose counts differ.
     """
     if not 0 <= n_from <= n_to:
         raise ValueError(f"need 0 <= n_from <= n_to, got [{n_from}, {n_to}]")
     verdicts = []
     for n in range(n_from, n_to + 1):
-        tx = distribution_bruteforce(stat_x, n)
-        ty = distribution_bruteforce(stat_y, n)
-        diff = first_count_difference(tx.counts, ty.counts)
+        rule_x = stat_x.counts_evaluator(n)
+        rule_y = stat_y.counts_evaluator(n)
+        tx: Counter[int] = Counter()
+        ty: Counter[int] = Counter()
+        for counts in descending_part_sequences(n):
+            tx[rule_x(counts)] += 1
+            ty[rule_y(counts)] += 1
+        diff = first_count_difference(tx, ty)
         if diff is None:
             verdicts.append(ComparisonVerdict(n, True))
         else:

@@ -95,36 +95,38 @@ class Multiset:
         return f"Multiset({{{body}}})"
 
 
-def descending_part_sequences(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield the part sequences of all partitions of n, weakly decreasing
-    within each partition, partitions in reverse lexicographic order.
+def descending_part_sequences(n: int) -> Iterator[dict[int, int]]:
+    """Yield every partition of n as a {size: multiplicity} map, partitions in
+    reverse lexicographic order of their weakly decreasing part sequences.
 
     This is the canonical enumeration order: for n=4 it yields
-    (4,), (3,1), (2,2), (2,1,1), (1,1,1,1).
+    {4: 1}, {3: 1, 1: 1}, {2: 2}, {2: 1, 1: 2}, {1: 4}. No size is stored
+    with multiplicity 0, and the keys run in decreasing order.
+
+    The map is one dict, yielded for every partition and updated in place
+    between yields, changing O(1) entries per step. A caller may read it but
+    must neither keep it nor change it; copy it (``dict(counts)``) to keep a
+    partition.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        yield ()
-        return
-    a = [n]
+    counts: dict[int, int] = {n: 1} if n else {}
     while True:
-        yield tuple(a)
-        # Decrement the rightmost part > 1, then redistribute what follows
-        # into the largest chunks the new value allows.
-        j = len(a) - 1
-        while j >= 0 and a[j] == 1:
-            j -= 1
-        if j < 0:
+        yield counts
+        # Take one part s off the smallest size above 1 and refill it and the
+        # 1s with parts of size s - 1 and one remainder part. Every size is
+        # inserted below all sizes already present (and 1 is popped first),
+        # so the dict's last key is always its smallest size.
+        ones = counts.pop(1, 0)
+        if not counts:
             return
-        a[j] -= 1
-        rem = len(a) - j  # the removed 1s, plus the 1 shaved off a[j]
-        del a[j + 1 :]
-        m = a[j]
-        while rem > m:
-            a.append(m)
-            rem -= m
-        a.append(rem)
+        s, m = counts.popitem()
+        if m > 1:
+            counts[s] = m - 1
+        q, r = divmod(s + ones, s - 1)
+        counts[s - 1] = q
+        if r:
+            counts[r] = 1
 
 
 # Memo for count_partitions: append-only, p(0) .. p(len - 1).

@@ -38,6 +38,10 @@ class Statistic:
 
         The specialization is what lets family-induced statistics resolve
         their relevant members once per n instead of once per partition.
+
+        Brute force hands the rule the enumeration's one map, reused and
+        updated in place for the next partition: a rule may read it, but
+        must neither keep it nor change it.
         """
         raise NotImplementedError
 

@@ -1,9 +1,13 @@
+import gc
+import io
 import json
+import weakref
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from click.testing import CliRunner
 
-from partition_sieve import builtin_pair, render_family_pair
+from partition_sieve import builtin_pair, cli, render_family_pair
 from partition_sieve.cli import main
 
 EULER_DOC = json.dumps(render_family_pair(builtin_pair("euler")))
@@ -424,3 +428,60 @@ class TestDeterminism:
         first = invoke(runner, args).output
         second = invoke(runner, args).output
         assert first == second
+
+
+CHECK_REMMEL = ["check", "--pair", "remmel_consecutive", "--n-max", "12", "--theorem"]
+
+
+def _boom(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+class TestInProcessStreams:
+    """An in-process run must not keep the stdout and stderr it was given:
+    click caches the default streams it writes to, for good, when no file is
+    named."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            pytest.param([*argv, "--format", fmt], id=f"{name}-{fmt}")
+            for name, argv in {
+                "catalog": ["catalog"],
+                "dist": ["dist", "--pair", "euler", "--side", "X", "--n", "6"],
+                "compare": ["compare", "--pair", "mod6", "--prose-y", "--n-max", "7"],
+                "sieve": ["sieve", "--pair", "euler", "--side", "X", "--n", "8"],
+                "check_b": [*CHECK_REMMEL, "b"],
+                "check_c": [*CHECK_REMMEL, "c"],
+            }.items()
+            for fmt in ("table", "csv", "json")
+        ],
+    )
+    def test_streams_released(self, args):
+        code, _ = self.assert_streams_released(args)
+        assert code in (0, 1)
+
+    def test_internal_error_stream_released(self, monkeypatch):
+        monkeypatch.setattr(cli, "distribution_bruteforce", _boom)
+        code, err_text = self.assert_streams_released(
+            ["dist", "--pair", "euler", "--side", "X", "--n", "4"]
+        )
+        assert code == 4
+        assert err_text.startswith("internal error: RuntimeError: boom")
+
+    @staticmethod
+    def assert_streams_released(args):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                main.main(args=args, prog_name="partition-sieve")
+                code = 0
+            except SystemExit as exc:
+                code = exc.code
+        assert out.getvalue() or err.getvalue()
+        err_text = err.getvalue()
+        refs = [weakref.ref(out), weakref.ref(err)]
+        del out, err
+        gc.collect()
+        assert [ref() is None for ref in refs] == [True, True]
+        return code, err_text

@@ -6,6 +6,7 @@ from partition_sieve import (
     builtin_pair,
     compare,
     count_partitions,
+    distribution,
     distribution_bruteforce,
     native,
     pair_statistics,
@@ -13,6 +14,42 @@ from partition_sieve import (
 from partition_sieve.distribution import first_count_difference
 
 from oracles import tally_distribution
+
+# Brute force and compare are pinned against the recursive enumerator up to here.
+N_ORACLE = 22
+
+
+def builtin_pairs():
+    # andrews is built to its bound, the largest n it is checked at.
+    return [
+        ("euler", builtin_pair("euler")),
+        ("squares", builtin_pair("squares")),
+        ("mod6", builtin_pair("mod6")),
+        ("glaisher2", builtin_pair("glaisher", d=2)),
+        ("glaisher3", builtin_pair("glaisher", d=3)),
+        ("remmel", builtin_pair("remmel_consecutive")),
+        ("andrews_pow2", builtin_pair("andrews", m1=[1, 2, 4, 8, 16], bound=N_ORACLE)),
+    ]
+
+
+def oracle_verdicts(stat_x, stat_y, n_from, n_to):
+    """(n, identical, j, count_x, count_y) per n from two separate oracle
+    tallies, the smallest differing j found by a scan of its own."""
+    verdicts = []
+    for n in range(n_from, n_to + 1):
+        tx = tally_distribution(stat_x.counts_evaluator(n), n)
+        ty = tally_distribution(stat_y.counts_evaluator(n), n)
+        differing = [j for j in sorted(set(tx) | set(ty)) if tx.get(j, 0) != ty.get(j, 0)]
+        if differing:
+            j = differing[0]
+            verdicts.append((n, False, j, tx.get(j, 0), ty.get(j, 0)))
+        else:
+            verdicts.append((n, True, None, None, None))
+    return verdicts
+
+
+def report_verdicts(report):
+    return [(v.n, v.identical, v.j, v.count_x, v.count_y) for v in report.verdicts]
 
 
 class TestDistributionTable:
@@ -68,6 +105,13 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             distribution_bruteforce(native("even_sizes"), -1)
 
+    @pytest.mark.parametrize("name,pair", builtin_pairs(), ids=[name for name, _ in builtin_pairs()])
+    def test_builtin_sides_match_independent_tally(self, name, pair):
+        for stat in pair_statistics(pair):
+            for n in range(N_ORACLE + 1):
+                expected = tally_distribution(stat.counts_evaluator(n), n)
+                assert distribution_bruteforce(stat, n).counts == expected, (stat.label, n)
+
 
 class TestCompare:
     def test_euler_identical_through_12(self):
@@ -98,6 +142,35 @@ class TestCompare:
             assert a.identical == b.identical
             assert a.j == b.j
             assert (a.count_x, a.count_y) == (b.count_y, b.count_x)
+
+    @pytest.mark.parametrize("name,pair", builtin_pairs(), ids=[name for name, _ in builtin_pairs()])
+    def test_builtin_pairs_match_two_oracle_tallies(self, name, pair):
+        x, y = pair_statistics(pair)
+        assert report_verdicts(compare(x, y, 0, N_ORACLE)) == oracle_verdicts(x, y, 0, N_ORACLE)
+
+    def test_mod6_prose_matches_two_oracle_tallies(self):
+        x, _ = pair_statistics(builtin_pair("mod6"))
+        y = native("mod6_Y_prose")
+        report = compare(x, y, 0, N_ORACLE)
+        expected = oracle_verdicts(x, y, 0, N_ORACLE)
+        assert report_verdicts(report) == expected
+        v = report.first_divergence()
+        assert (v.n, v.identical, v.j, v.count_x, v.count_y) == next(
+            verdict for verdict in expected if not verdict[1]
+        )
+
+    def test_one_enumeration_per_n(self, monkeypatch):
+        calls = []
+        enumerate_n = distribution.descending_part_sequences
+
+        def counted(n):
+            calls.append(n)
+            return enumerate_n(n)
+
+        monkeypatch.setattr(distribution, "descending_part_sequences", counted)
+        x, y = pair_statistics(builtin_pair("euler"))
+        assert compare(x, y, 3, 9).identical_everywhere
+        assert calls == list(range(3, 10))
 
     def test_rejects_bad_range(self):
         x, y = pair_statistics(builtin_pair("euler"))

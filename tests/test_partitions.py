@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,13 +66,21 @@ class TestMultiset:
         assert both == contains(pi.items(), a.union(b).items())
 
 
+def part_sequence(counts):
+    """The weakly decreasing part sequence of a {size: multiplicity} map."""
+    return tuple(s for s, m in sorted(counts.items(), reverse=True) for _ in range(m))
+
+
 class TestEnumeration:
+    """The enumeration yields one map per partition, updated in place, so
+    every test copies a map before the next step."""
+
     def test_n0_single_empty(self):
-        assert list(descending_part_sequences(0)) == [()]
+        assert [dict(c) for c in descending_part_sequences(0)] == [{}]
 
     def test_n4_canonical_order(self):
-        got = list(descending_part_sequences(4))
-        assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+        got = [dict(c) for c in descending_part_sequences(4)]
+        assert got == [{4: 1}, {3: 1, 1: 1}, {2: 2}, {2: 1, 1: 2}, {1: 4}]
 
     def test_n10_has_42(self):
         assert sum(1 for _ in descending_part_sequences(10)) == 42
@@ -79,28 +89,41 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(descending_part_sequences(-1))
 
-    @pytest.mark.parametrize("n", range(13))
+    @pytest.mark.parametrize("n", range(21))
     def test_matches_independent_enumerator(self, n):
-        ours = sorted(descending_part_sequences(n))
-        reference = sorted(partitions_recursive(n))
+        # Same partitions in the same order, each as its multiplicity map.
+        ours = [dict(c) for c in descending_part_sequences(n)]
+        reference = [dict(Counter(parts)) for parts in partitions_recursive(n)]
         assert ours == reference
+
+    def test_weights_sum_to_n_without_zero_multiplicities(self):
+        for n in range(21):
+            for counts in descending_part_sequences(n):
+                assert sum(s * m for s, m in counts.items()) == n
+                assert all(s >= 1 and m >= 1 for s, m in counts.items()), counts
 
     def test_duplicate_free_and_deterministic(self):
         for n in range(16):
-            first = list(descending_part_sequences(n))
+            first = [frozenset(c.items()) for c in descending_part_sequences(n)]
             assert len(set(first)) == len(first)
-            assert first == list(descending_part_sequences(n))
+            assert first == [frozenset(c.items()) for c in descending_part_sequences(n)]
 
     def test_reverse_lexicographic(self):
         for n in range(2, 14):
-            seqs = list(descending_part_sequences(n))
+            seqs = [part_sequence(c) for c in descending_part_sequences(n)]
             assert seqs == sorted(seqs, reverse=True)
 
     def test_streams_independent(self):
+        # Two live generators never share a dict: stepping one leaves the
+        # other's map as it was.
         a = descending_part_sequences(5)
         b = descending_part_sequences(5)
+        first_a = next(a)
+        first_b = next(b)
+        assert first_a is not first_b
         next(a)
-        assert next(b) == (5,)
+        assert first_b == {5: 1}
+        assert dict(next(b)) == {4: 1, 1: 1}
 
 
 class TestCountPartitions:
