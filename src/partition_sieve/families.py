@@ -7,6 +7,11 @@ or a single explicit multiset. Quadratic sizes and linear multiplicities
 cover every built-in pair (the squares pair needs t^2 sizes and
 multiplicity t).
 
+A template strand is valid for every t >= tmin or not at all: sizes and
+multiplicities are at least 1 and the weight never decreases, decided
+exactly from the coefficients when the strand is built. A family can
+therefore be read only up to the members of weight <= n.
+
 A FamilyPair holds two families with aligned strands; the alignment
 realizes the per-index pairing F_i <-> G_i that the disjoint-family
 hypothesis checker relies on.
@@ -34,11 +39,6 @@ __all__ = [
     "render_family_pair",
 ]
 
-# Numeric validation range for strand invariants (sizes/multiplicities >= 1,
-# weight nondecreasing). Evaluation re-checks pointwise beyond the horizon.
-DEFAULT_VALIDATION_HORIZON = 64
-
-
 class FamilyError(ValueError):
     """Schema or invariant violation in a family, strand, or pair document."""
 
@@ -48,6 +48,19 @@ def _poly_eval(coeffs: Sequence[int], t: int) -> int:
     for c in coeffs:
         value = value * t + c
     return value
+
+
+def _least_value(coeffs: tuple[int, int, int], tmin: int) -> tuple[int, int] | None:
+    """(value, t) of the least value of a*t^2 + b*t + c over integers
+    t >= tmin, at the first t that takes it; None if it falls without bound."""
+    a, b, _ = coeffs
+    if a < 0 or (a == 0 and b < 0):
+        return None
+    candidates = {tmin}
+    if a > 0:
+        vertex = -b // (2 * a)  # a convex parabola's integer minimum is next to it
+        candidates |= {max(tmin, vertex), max(tmin, vertex + 1)}
+    return min((_poly_eval(coeffs, t), t) for t in candidates)
 
 
 @dataclass(frozen=True)
@@ -105,46 +118,30 @@ class Strand:
                 "strand weight must tend to infinity (needs a positive leading "
                 f"size or multiplicity coefficient), weight poly {wpoly}"
             )
-        self.validate_range()
+        for k, entry in enumerate(self.entries):
+            for name, coeffs in (("size", entry.size), ("multiplicity", (0, *entry.mult))):
+                least = _least_value(coeffs, self.tmin)
+                if least is None:
+                    raise FamilyError(f"entry {k}: {name} falls without bound as t grows")
+                if least[0] < 1:
+                    raise FamilyError(f"entry {k}: {name} {least[0]} < 1 at t={least[1]}")
+        # w(t+1) - w(t) for w = c3*t^3 + c2*t^2 + c1*t + c0. The weight tends
+        # to infinity, so this difference has a least value.
+        c3, c2, c1, _ = wpoly
+        step, t = _least_value((3 * c3, 3 * c3 + 2 * c2, c3 + c2 + c1), self.tmin)
+        if step < 0:
+            raise FamilyError(
+                f"strand weight decreases from t={t} ({self.weight_at(t)}) "
+                f"to t={t + 1} ({self.weight_at(t + 1)})"
+            )
 
     def is_explicit(self) -> bool:
         return self.explicit is not None
 
-    def validate_range(self) -> None:
-        """Check sizes/multiplicities >= 1 and nondecreasing weight for
-        t in [tmin, tmin + DEFAULT_VALIDATION_HORIZON]."""
-        if self.explicit is not None:
-            return
-        prev_weight = None
-        for t in range(self.tmin, self.tmin + DEFAULT_VALIDATION_HORIZON + 1):
-            weight = self.weight_at(t)
-            if prev_weight is not None and weight < prev_weight:
-                raise FamilyError(
-                    f"strand weight decreases from t={t - 1} ({prev_weight}) "
-                    f"to t={t} ({weight})"
-                )
-            prev_weight = weight
-
-    def _entry_pairs(self, t: int) -> list[tuple[int, int]]:
-        """(size, multiplicity) of every template entry at t, each checked >= 1."""
-        pairs = []
-        for k, entry in enumerate(self.entries):
-            size = entry.size_at(t)
-            mult = entry.mult_at(t)
-            if size < 1:
-                raise FamilyError(f"entry {k}: size {size} < 1 at t={t}")
-            if mult < 1:
-                raise FamilyError(f"entry {k}: multiplicity {mult} < 1 at t={t}")
-            pairs.append((size, mult))
-        return pairs
-
     def weight_at(self, t: int) -> int:
         if self.explicit is not None:
             return self.explicit.weight
-        total = 0
-        for size, mult in self._entry_pairs(t):
-            total += size * mult
-        return total
+        return sum(e.size_at(t) * e.mult_at(t) for e in self.entries)
 
     def multiset_at(self, t: int) -> Multiset:
         if t < self.tmin:
@@ -153,7 +150,7 @@ class Strand:
             if t != self.tmin:
                 raise FamilyError(f"explicit strand has the single index t={self.tmin}")
             return self.explicit
-        return Multiset(self._entry_pairs(t))
+        return Multiset((e.size_at(t), e.mult_at(t)) for e in self.entries)
 
 
 class FamilyIndex(NamedTuple):
@@ -182,9 +179,10 @@ class MultisetFamily:
     def relevant_indices(self, n: int) -> list[FamilyIndex]:
         """All indices whose member weight is <= n, sorted by (weight, strand, t).
 
-        Only these members can occur inside a partition of n. Each strand is
-        scanned until its (nondecreasing) weight exceeds n; the scan asserts
-        monotonicity as it goes.
+        Only these members can occur inside a partition of n. Each template
+        strand is read until its weight first exceeds n; its weight never
+        decreases (checked when the strand is built), so no later index
+        can weigh <= n.
         """
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
@@ -196,17 +194,8 @@ class MultisetFamily:
                     found.append((weight, si, strand.tmin))
                 continue
             t = strand.tmin
-            prev_weight = None
-            while True:
-                weight = strand.weight_at(t)
-                if prev_weight is not None and weight < prev_weight:
-                    raise FamilyError(
-                        f"family {self.name!r} strand {si}: weight decreases at t={t}"
-                    )
-                if weight > n:
-                    break
+            while (weight := strand.weight_at(t)) <= n:
                 found.append((weight, si, t))
-                prev_weight = weight
                 t += 1
         found.sort()
         return [FamilyIndex(si, t) for _, si, t in found]
@@ -498,9 +487,11 @@ def _parse_strand(raw: Any, tmin: int, where: str) -> Strand:
 def parse_family_pair(document: str | bytes | Mapping[str, Any]) -> FamilyPair:
     """Build a validated FamilyPair from a JSON document (text or parsed).
 
-    Violations are reported with their strand/entry location. Template
-    strands are numerically validated (sizes and multiplicities >= 1,
-    nondecreasing weight) for t up to tmin + DEFAULT_VALIDATION_HORIZON.
+    Violations are reported with their strand/entry location. A template
+    strand is accepted only if, for every t >= tmin, its sizes and
+    multiplicities are >= 1 and its weight does not decrease; this is
+    decided exactly from the coefficients, so an invalid strand fails here
+    and never later, whatever n a command asks for.
     """
     if isinstance(document, (str, bytes)):
         try:

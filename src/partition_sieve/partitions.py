@@ -36,18 +36,9 @@ class Multiset:
                     f"multiplicity must be an integer >= 1, got {mult!r} for size {size}"
                 )
             merged[size] = merged.get(size, 0) + mult
-        self._init_sorted(tuple(sorted(merged.items())))
-
-    def _init_sorted(self, items: tuple[tuple[int, int], ...]) -> None:
+        items = tuple(sorted(merged.items()))
         object.__setattr__(self, "_items", items)
         object.__setattr__(self, "_weight", sum(s * m for s, m in items))
-
-    @classmethod
-    def _from_sorted_items(cls, items: tuple[tuple[int, int], ...]) -> "Multiset":
-        """Trusted constructor for already-validated, size-sorted items."""
-        ms = cls.__new__(cls)
-        ms._init_sorted(items)
-        return ms
 
     def __setattr__(self, name, value):
         raise AttributeError("Multiset is immutable")
@@ -77,7 +68,7 @@ class Multiset:
         for s, m in other._items:
             if merged.get(s, 0) < m:
                 merged[s] = m
-        return Multiset._from_sorted_items(tuple(sorted(merged.items())))
+        return Multiset(merged)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Multiset):

@@ -324,10 +324,10 @@ class TestUnreadableInputs:
         assert f"Error: cannot read {path}: " in result.stderr
 
 
-class TestSpecErrorsMidCommand:
-    # Entry 0 has size (t - 70)^2: it passes parse-time validation, which looks
-    # only at the first indices, and is 0 at t = 70, which the relevant-index
-    # scan reaches only for n >= 13,801.
+class TestLateSpecErrorsAtParse:
+    # Entry 0 has size (t - 70)^2, which is 0 only at t = 70. Strands are
+    # validated for every t when the pair file is parsed, so every command
+    # exits 2 before it starts, whatever its n.
     STRAND = {
         "entries": [
             {"size": [1, -140, 4900], "mult": [0, 1]},
@@ -340,6 +340,7 @@ class TestSpecErrorsMidCommand:
         [
             ["check", "--theorem", "b", "--n-max", "14000"],
             ["sieve", "--side", "X", "--n", "14000"],
+            ["dist", "--side", "X", "--n", "5"],
         ],
     )
     def test_exits_2(self, runner, tmp_path, args):
@@ -347,7 +348,35 @@ class TestSpecErrorsMidCommand:
         path.write_text(json.dumps({"name": "late", "F": [self.STRAND], "G": [self.STRAND]}))
         result = runner.invoke(main, args + ["--pair-file", str(path)])
         assert result.exit_code == 2
-        assert result.stderr.endswith("Error: entry 0: size 0 < 1 at t=70\n")
+        assert result.stderr.endswith("Error: F strand 0: entry 0: size 0 < 1 at t=70\n")
+
+
+class TestDecreasingWeightAtParse:
+    # F has size (t - 200)^2 + 1 and multiplicity t: every size and
+    # multiplicity is >= 1, but the weight falls from t = 67 to t = 200, so
+    # F = {1: 200} (weight 200) sits far past the first index above n = 300.
+    DOC = json.dumps(
+        {
+            "name": "dip",
+            "F": [{"entries": [{"size": [1, -400, 40001], "mult": [1, 0]}]}],
+            "G": [{"entries": [{"size": [1, -400, 40002], "mult": [1, 0]}]}],
+        }
+    )
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["check", "--theorem", "b", "--n-max", "300"],
+            ["sieve", "--side", "X", "--n", "200"],
+        ],
+    )
+    def test_exits_2(self, runner, tmp_path, args):
+        path = tmp_path / "dip.json"
+        path.write_text(self.DOC)
+        result = runner.invoke(main, args + ["--pair-file", str(path)])
+        assert result.exit_code == 2
+        assert "Error: F strand 0: strand weight decreases from t=" in result.stderr
+        assert result.stdout == ""
 
 
 class TestAndrewsInputs:

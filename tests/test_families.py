@@ -1,6 +1,9 @@
 import json
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from partition_sieve import (
     FamilyError,
@@ -230,8 +233,109 @@ class TestPairDocuments:
         with pytest.raises(FamilyError, match="decreases"):
             parse_family_pair(doc)
 
+    def test_weight_dip_past_the_first_indices_rejected(self):
+        # size (t - 200)^2 + 1, multiplicity t: the weight rises to t = 66 and
+        # falls from t = 67 to t = 200, where F = {1: 200} weighs only 200.
+        doc = {
+            "name": "dip",
+            "F": [{"entries": [{"size": [1, -400, 40001], "mult": [1, 0]}]}],
+            "G": [{"entries": [{"size": [1, -400, 40002], "mult": [1, 0]}]}],
+        }
+        with pytest.raises(FamilyError, match="F strand 0: strand weight decreases") as info:
+            parse_family_pair(doc)
+        t, w_t, t1, w_t1 = map(
+            int, re.search(r"from t=(\d+) \((\d+)\) to t=(\d+) \((\d+)\)", str(info.value)).groups()
+        )
+
+        def weight(t):
+            return t * ((t - 200) ** 2 + 1)
+
+        assert t1 == t + 1
+        assert (w_t, w_t1) == (weight(t), weight(t + 1))
+        assert w_t1 < w_t
+
+
+# Template strands drawn for the exact-decision property test.
+SIZE_BOUND, MULT_BOUND, MAX_ENTRIES = 6, 3, 2
+
+
+@st.composite
+def template_strands(draw):
+    size_coeff = st.integers(-SIZE_BOUND, SIZE_BOUND)
+    mult_coeff = st.integers(-MULT_BOUND, MULT_BOUND)
+    entries = draw(
+        st.lists(
+            st.tuples(
+                st.tuples(size_coeff, size_coeff, size_coeff),
+                st.tuples(mult_coeff, mult_coeff),
+            ),
+            min_size=1,
+            max_size=MAX_ENTRIES,
+        )
+    )
+    return entries, draw(st.integers(-3, 3))
+
+
+def scan_accepts(entries, tmin):
+    """Whether sizes and multiplicities are >= 1 and the weight never
+    decreases and is not constant, by direct evaluation at every t up to a
+    point past which no polynomial involved changes sign.
+
+    Cauchy's bound: every real root of an integer polynomial lies within
+    1 + max |a_i| of 0, because the leading coefficient is at least 1 in
+    absolute value. Sizes and multiplicities have coefficients within
+    SIZE_BOUND and MULT_BOUND. The weight w is a sum over <= MAX_ENTRIES
+    entries of size * mult, whose coefficients are each a sum of at most
+    two products, so |w_i| <= W = 2 * MAX_ENTRIES * SIZE_BOUND * MULT_BOUND;
+    the coefficients of w(t+1) - w(t) = 3 w3 t^2 + (3 w3 + 2 w2) t +
+    (w3 + w2 + w1) are then at most 5 W. Beyond 1 + 5 W each polynomial
+    keeps the sign it has there, so a violation anywhere shows up at or
+    before the point just past that bound.
+    """
+    bound = 1 + 5 * 2 * MAX_ENTRIES * SIZE_BOUND * MULT_BOUND
+    last = max(tmin, bound + 1)
+
+    def poly(coeffs, t):
+        return sum(c * t**i for i, c in enumerate(reversed(coeffs)))
+
+    def weight(t):
+        return sum(poly(size, t) * poly(mult, t) for size, mult in entries)
+
+    steps = []
+    for t in range(tmin, last + 1):
+        if any(poly(size, t) < 1 or poly(mult, t) < 1 for size, mult in entries):
+            return False
+        steps.append(weight(t + 1) - weight(t))
+    return min(steps) >= 0 and max(steps) > 0
+
 
 class TestStrandInvariants:
+    @settings(max_examples=500, deadline=None)
+    @given(template_strands())
+    # Size (t - 2)^2 reaches 0 at t = 2; the second entry keeps the weight rising.
+    @example(([((1, -4, 4), (0, 1)), ((0, 6, 1), (0, 3))], 1))
+    # Size 3t^2 - 5t + 2 is least at t = 1, the integer just above its vertex 5/6.
+    @example(([((3, -5, 2), (0, 1)), ((0, 6, 1), (0, 3))], 0))
+    # Size (t - 2)^2 + 1 never falls below 1, so this strand is valid.
+    @example(([((1, -4, 5), (0, 1)), ((0, 6, 1), (0, 3))], 0))
+    # The weight t^2 - 2t + 2 falls by exactly 1, from t = 0 to t = 1.
+    @example(([((1, -2, 2), (0, 1))], 0))
+    # The weight (t^2 - 4t + 5)(t + 3) rises from t = -2, then falls from t = -1 to 1.
+    @example(([((1, -4, 5), (1, 3))], -2))
+    def test_decision_matches_a_scan_to_cauchys_bound(self, drawn):
+        entries, tmin = drawn
+        try:
+            Strand(entries=tuple(StrandEntry(s, m) for s, m in entries), tmin=tmin)
+            accepted = True
+        except FamilyError:
+            accepted = False
+        assert accepted == scan_accepts(entries, tmin)
+
+    def test_size_without_lower_bound_rejected(self):
+        # The weight t^2 - t + 100 tends to infinity, but entry 1 does not stay >= 1.
+        with pytest.raises(FamilyError, match="entry 1: size falls without bound"):
+            Strand(entries=(StrandEntry((1, 0, 0), (0, 1)), StrandEntry((0, -1, 100), (0, 1))))
+
     def test_constant_weight_rejected(self):
         with pytest.raises(FamilyError, match="infinity"):
             Strand(entries=(StrandEntry((0, 0, 5), (0, 1)),))
