@@ -200,7 +200,24 @@ def _emit(fmt: str, doc, text, csv=None) -> None:
         click.echo((csv if fmt == "csv" and csv else text)(doc), file=sys.stdout)
 
 
-class _ExitCodeCommand(click.Command):
+def _show_help(ctx: click.Context, param: click.Parameter, value: bool) -> None:
+    """click's own --help callback, with its stream named (see `_emit`)."""
+    if value and not ctx.resilient_parsing:
+        click.echo(ctx.get_help(), file=sys.stdout, color=ctx.color)
+        ctx.exit()
+
+
+class _HelpStreamNamed:
+    """Print --help through `_show_help` instead of click's default callback."""
+
+    def get_help_option(self, ctx):
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _show_help
+        return option
+
+
+class _ExitCodeCommand(_HelpStreamNamed, click.Command):
     """Map any exception that escapes a command to its exit code, so codes are
     never conflated: a pair specification error is a usage error (2), click's
     own exceptions keep theirs, and anything else is a bug (4), never a
@@ -219,12 +236,20 @@ class _ExitCodeCommand(click.Command):
             ctx.exit(4)
 
 
-@click.group()
+class _Group(_HelpStreamNamed, click.Group):
+    command_class = _ExitCodeCommand
+
+    def parse_args(self, ctx, args):
+        # click's own no-arguments help (exit 2) echoes to an unnamed stream.
+        if not args and self.no_args_is_help and not ctx.resilient_parsing:
+            click.echo(ctx.get_help(), file=sys.stderr, color=ctx.color)
+            ctx.exit(2)
+        return super().parse_args(ctx, args)
+
+
+@click.group(cls=_Group)
 def main():
     """Exact verification of identically distributed partition statistics."""
-
-
-main.command_class = _ExitCodeCommand
 
 
 def _catalog_text(doc: list) -> str:

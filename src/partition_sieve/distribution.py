@@ -11,8 +11,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-from .partitions import descending_part_sequences
-from .statistics import Statistic
+from .partitions import partition_walk
+from .statistics import FamilyStatistic, Statistic
 
 __all__ = [
     "ComparisonReport",
@@ -62,17 +62,98 @@ class DistributionTable:
         return f"DistributionTable(n={self.n}, counts={{{body}}}, total={self.total})"
 
 
+def _tally_walk(stats: tuple[Statistic, ...], n: int) -> list[dict[int, int]]:
+    """Tally each statistic over one walk of the partitions of n: one
+    {j: count} per statistic, in order.
+
+    A family side is never evaluated per partition. Each relevant member is a
+    slot holding its number of unmet entries, and watch[s] lists the
+    (needed multiplicity, slot, side) entries of every member that uses size
+    s, by need. The walk reports each change of a watched multiplicity, so a
+    step touches only the members that use the few sizes it changed, and
+    hits[side] is the side's count of members contained in the current
+    partition. Any other statistic's rule reads the walk's map at each step.
+    """
+    watch: list[list[tuple[int, int, int]] | None] = [None] * (n + 1)
+    unmet: list[int] = []
+    hits = [0] * len(stats)
+    tallies: list = []
+    rules = []
+    for side, stat in enumerate(stats):
+        if isinstance(stat, FamilyStatistic):
+            family = stat.family
+            first = len(unmet)
+            for idx in family.relevant_indices(n):
+                items = family.member(idx).items()
+                slot = len(unmet)
+                unmet.append(len(items))
+                for size, need in items:
+                    bucket = watch[size]
+                    if bucket is None:
+                        bucket = watch[size] = []
+                    bucket.append((need, slot, side))
+            # At most every relevant member is contained at once.
+            tallies.append([0] * (len(unmet) - first + 1))
+        else:
+            rules.append((side, stat.counts_evaluator(n)))
+            tallies.append(Counter())
+    for bucket in watch:
+        if bucket:
+            bucket.sort()
+
+    def on_change(bucket, old, new):
+        if old < new:
+            for need, slot, side in bucket:
+                if need > new:
+                    break
+                if need > old:
+                    unmet[slot] -= 1
+                    if not unmet[slot]:
+                        hits[side] += 1
+        else:
+            for need, slot, side in bucket:
+                if need > old:
+                    break
+                if need > new:
+                    if not unmet[slot]:
+                        hits[side] -= 1
+                    unmet[slot] += 1
+
+    walk = partition_walk(n, watch, on_change)
+    if rules:
+        sides = tuple(enumerate(tallies))
+        for counts in walk:
+            for side, rule in rules:
+                hits[side] = rule(counts)
+            for side, tally in sides:
+                tally[hits[side]] += 1
+    elif len(stats) == 1:
+        (tally,) = tallies
+        for _ in walk:
+            tally[hits[0]] += 1
+    else:
+        tally_x, tally_y = tallies
+        for _ in walk:
+            tally_x[hits[0]] += 1
+            tally_y[hits[1]] += 1
+    return [
+        dict(tally) if isinstance(tally, Counter) else {j: c for j, c in enumerate(tally) if c}
+        for tally in tallies
+    ]
+
+
 def distribution_bruteforce(stat: Statistic, n: int) -> DistributionTable:
     """Tally the statistic over every partition of n by full enumeration.
 
-    The rule sees each partition as the enumeration's one reused
-    {size: multiplicity} map: it may read it, but must neither keep it nor
-    change it.
+    A family statistic is tallied from member hit counts that the walk keeps
+    up to date as multiplicities change; any other statistic's rule sees
+    each partition as the walk's one reused {size: multiplicity} map, which
+    it may read but must neither keep nor change.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    rule = stat.counts_evaluator(n)
-    return DistributionTable(n, Counter(map(rule, descending_part_sequences(n))))
+    (tally,) = _tally_walk((stat,), n)
+    return DistributionTable(n, tally)
 
 
 @dataclass(frozen=True)
@@ -115,22 +196,18 @@ def first_count_difference(
 def compare(stat_x: Statistic, stat_y: Statistic, n_from: int, n_to: int) -> ComparisonReport:
     """Check Prob_n(X=j) = Prob_n(Y=j) for every n in [n_from, n_to].
 
-    Both sides are tallied over one full enumeration of P(n), so equal count
-    maps mean equal distributions exactly. Both rules read the same reused
-    {size: multiplicity} map, so neither may keep it or change it. A
-    divergent verdict carries the smallest j whose counts differ.
+    Both sides are tallied over one walk of P(n), so equal count maps mean
+    equal distributions exactly. Family sides keep their hit counts up to
+    date from the walk's changes, as in `distribution_bruteforce`; a native
+    rule reads the walk's reused {size: multiplicity} map, which it may
+    neither keep nor change. A divergent verdict carries the smallest j
+    whose counts differ.
     """
     if not 0 <= n_from <= n_to:
         raise ValueError(f"need 0 <= n_from <= n_to, got [{n_from}, {n_to}]")
     verdicts = []
     for n in range(n_from, n_to + 1):
-        rule_x = stat_x.counts_evaluator(n)
-        rule_y = stat_y.counts_evaluator(n)
-        tx: Counter[int] = Counter()
-        ty: Counter[int] = Counter()
-        for counts in descending_part_sequences(n):
-            tx[rule_x(counts)] += 1
-            ty[rule_y(counts)] += 1
+        tx, ty = _tally_walk((stat_x, stat_y), n)
         diff = first_count_difference(tx, ty)
         if diff is None:
             verdicts.append(ComparisonVerdict(n, True))
@@ -138,4 +215,3 @@ def compare(stat_x: Statistic, stat_y: Statistic, n_from: int, n_to: int) -> Com
             j, cx, cy = diff
             verdicts.append(ComparisonVerdict(n, False, j, cx, cy))
     return ComparisonReport(stat_x.label, stat_y.label, n_from, n_to, tuple(verdicts))
-

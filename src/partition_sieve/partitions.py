@@ -7,12 +7,15 @@ point anywhere in a counting path. Multisets are immutable value objects.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TypeVar
 
 __all__ = [
     "Multiset",
     "count_partitions",
 ]
+
+Bucket = TypeVar("Bucket")
 
 
 class Multiset:
@@ -97,11 +100,32 @@ def descending_part_sequences(n: int) -> Iterator[dict[int, int]]:
     The map is one dict, yielded for every partition and updated in place
     between yields, changing O(1) entries per step. A caller may read it but
     must neither keep it nor change it; copy it (``dict(counts)``) to keep a
-    partition.
+    partition. This is `partition_walk` with no size watched.
+    """
+    return partition_walk(n, [None] * (n + 1), None)
+
+
+def partition_walk(
+    n: int,
+    watch: Sequence[Bucket | None],
+    on_change: Callable[[Bucket, int, int], object] | None,
+) -> Iterator[dict[int, int]]:
+    """The walk behind `descending_part_sequences`, reporting the sizes it
+    changes: same partitions, same order, same one in-place map.
+
+    ``watch[s]`` (0 <= s <= n) is a caller's bucket for size s, or None (or
+    anything falsy) when s is not watched. Before each map is yielded,
+    ``on_change(watch[s], old, new)`` is called once for every watched size
+    s whose multiplicity differs from the one in the previously yielded map,
+    the empty map before the first; replaying these changes on an empty
+    dict therefore rebuilds the live map. One step changes at most four
+    sizes: the s it takes a part off, s - 1, the remainder r and 1.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     counts: dict[int, int] = {n: 1} if n else {}
+    if n and watch[n]:
+        on_change(watch[n], 0, 1)
     while True:
         yield counts
         # Take one part s off the smallest size above 1 and refill it and the
@@ -114,10 +138,29 @@ def descending_part_sequences(n: int) -> Iterator[dict[int, int]]:
         s, m = counts.popitem()
         if m > 1:
             counts[s] = m - 1
+        bucket = watch[s]
+        if bucket:
+            on_change(bucket, m, m - 1)
         q, r = divmod(s + ones, s - 1)
         counts[s - 1] = q
-        if r:
-            counts[r] = 1
+        if s == 2:
+            new_ones = q
+        else:
+            bucket = watch[s - 1]
+            if bucket:
+                on_change(bucket, 0, q)
+            new_ones = 0
+            if r == 1:
+                counts[1] = new_ones = 1
+            elif r:
+                counts[r] = 1
+                bucket = watch[r]
+                if bucket:
+                    on_change(bucket, 0, 1)
+        if ones != new_ones:
+            bucket = watch[1]
+            if bucket:
+                on_change(bucket, ones, new_ones)
 
 
 # Memo for count_partitions: append-only, p(0) .. p(len - 1).

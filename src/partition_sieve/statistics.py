@@ -39,9 +39,12 @@ class Statistic:
         The specialization is what lets family-induced statistics resolve
         their relevant members once per n instead of once per partition.
 
-        Brute force hands the rule the enumeration's one map, reused and
-        updated in place for the next partition: a rule may read it, but
-        must neither keep it nor change it.
+        Brute force tallies a family statistic through its own watch list
+        (see `FamilyStatistic`), not through this rule. The rule serves the
+        other statistics, which brute force hands the walk's one map, reused
+        and updated in place for the next partition: a rule may read it, but
+        must neither keep it nor change it. It is also the per-map oracle
+        that the tests check every tally against.
         """
         raise NotImplementedError
 
@@ -52,6 +55,12 @@ class FamilyStatistic(Statistic):
     Only members of weight <= n can occur in a partition of n, so
     evaluation restricts to the family's relevant indices for n, resolved
     once each time a rule is built.
+
+    Brute force reads `family` directly: it indexes the relevant members by
+    the sizes they use and keeps each member's count of unmet entries up to
+    date as the walk changes multiplicities, so a partition costs only the
+    members at the sizes that just changed. `counts_evaluator` tests every
+    relevant member against one map; it is the independent per-map form.
     """
 
     def __init__(self, family: MultisetFamily, label: str | None = None):

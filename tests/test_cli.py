@@ -490,6 +490,20 @@ class TestInProcessStreams:
         code, _ = self.assert_streams_released(args)
         assert code in (0, 1)
 
+    @pytest.mark.parametrize(
+        "args,want",
+        [
+            pytest.param(["--help"], 0, id="main-help"),
+            pytest.param(["dist", "--help"], 0, id="dist-help"),
+            pytest.param([], 2, id="no-arguments"),
+        ],
+    )
+    def test_help_streams_released(self, args, want):
+        code, err_text = self.assert_streams_released(args)
+        assert code == want
+        # Help goes to stdout, except click's no-arguments help (stderr).
+        assert ("Usage: partition-sieve" in err_text) == (want == 2)
+
     def test_internal_error_stream_released(self, monkeypatch):
         monkeypatch.setattr(cli, "distribution_bruteforce", _boom)
         code, err_text = self.assert_streams_released(

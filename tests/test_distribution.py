@@ -1,8 +1,16 @@
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from partition_sieve import (
     DistributionTable,
+    FamilyError,
+    FamilyStatistic,
+    Multiset,
+    MultisetFamily,
+    Strand,
+    StrandEntry,
     builtin_pair,
     compare,
     count_partitions,
@@ -46,6 +54,44 @@ def oracle_verdicts(stat_x, stat_y, n_from, n_to):
         else:
             verdicts.append((n, True, None, None, None))
     return verdicts
+
+
+@st.composite
+def explicit_strands(draw):
+    """One explicit member over sizes 1-8 (1 and 2 often): up to 3 entries."""
+    sizes = st.one_of(st.sampled_from([1, 2]), st.integers(1, 8))
+    entries = draw(st.dictionaries(sizes, st.integers(1, 3), min_size=1, max_size=3))
+    return Strand(explicit=Multiset(entries))
+
+
+@st.composite
+def template_strands(draw):
+    """Up to 3 entries with linear sizes and multiplicities from tmin 1 or 2;
+    entries whose sizes meet merge. Invalid strands are rejected at build."""
+    entries = draw(
+        st.lists(
+            st.tuples(st.integers(0, 2), st.integers(-1, 3), st.integers(0, 1), st.integers(1, 2)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    try:
+        return Strand(
+            entries=tuple(StrandEntry((0, a, b), (m1, m0)) for a, b, m1, m0 in entries),
+            tmin=draw(st.integers(1, 2)),
+        )
+    except FamilyError:
+        assume(False)
+
+
+@st.composite
+def drawn_families(draw):
+    """Explicit and template strands, with drawn strands often repeated, so
+    hit counts can pass n + 1 and members share sizes."""
+    strand = st.one_of(explicit_strands(), template_strands())
+    strands = draw(st.lists(strand, min_size=1, max_size=6))
+    repeats = draw(st.lists(st.sampled_from(strands), max_size=18))
+    return MultisetFamily("drawn", tuple(strands + repeats))
 
 
 def report_verdicts(report):
@@ -113,6 +159,45 @@ class TestBruteForce:
                 assert distribution_bruteforce(stat, n).counts == expected, (stat.label, n)
 
 
+class TestIncrementalTally:
+    """Family sides are tallied from hit counts the walk keeps up to date; the
+    per-map rule over the recursive enumerator is the oracle."""
+
+    DUPLICATES = MultisetFamily("dup", (Strand(explicit=Multiset({1: 1})),) * 20)
+    TOO_HEAVY = MultisetFamily("too_heavy", (Strand(explicit=Multiset({17: 1})),))
+
+    @given(drawn_families(), st.integers(0, 16))
+    @example(DUPLICATES, 16)  # 20 hits at {1: 16}, above n + 1
+    @example(TOO_HEAVY, 16)  # no relevant member
+    @settings(max_examples=150, deadline=None)
+    def test_bruteforce_matches_oracle(self, family, n):
+        stat = FamilyStatistic(family)
+        assert distribution_bruteforce(stat, n).counts == tally_distribution(
+            stat.counts_evaluator(n), n
+        )
+
+    @given(drawn_families(), drawn_families(), st.integers(0, 16))
+    @example(DUPLICATES, TOO_HEAVY, 16)
+    @settings(max_examples=150, deadline=None)
+    def test_compare_matches_oracle(self, family_x, family_y, n):
+        x, y = FamilyStatistic(family_x), FamilyStatistic(family_y)
+        # The two sides share one walk and one watch list.
+        tallies = distribution._tally_walk((x, y), n)
+        assert tallies == [tally_distribution(s.counts_evaluator(n), n) for s in (x, y)]
+        assert report_verdicts(compare(x, y, n, n)) == oracle_verdicts(x, y, n, n)
+
+    @given(drawn_families(), st.integers(0, 16))
+    @settings(max_examples=60, deadline=None)
+    def test_compare_against_native_matches_oracle(self, family, n):
+        x, y = FamilyStatistic(family), native("repeated_sizes")
+        assert report_verdicts(compare(x, y, n, n)) == oracle_verdicts(x, y, n, n)
+        assert report_verdicts(compare(y, x, n, n)) == oracle_verdicts(y, x, n, n)
+
+    def test_hits_above_n_plus_one(self):
+        stat = FamilyStatistic(self.DUPLICATES)
+        assert distribution_bruteforce(stat, 3).counts == {0: 1, 20: 2}
+
+
 class TestCompare:
     def test_euler_identical_through_12(self):
         x, y = pair_statistics(builtin_pair("euler"))
@@ -159,17 +244,28 @@ class TestCompare:
             verdict for verdict in expected if not verdict[1]
         )
 
-    def test_one_enumeration_per_n(self, monkeypatch):
+    @staticmethod
+    def count_walks(monkeypatch):
         calls = []
-        enumerate_n = distribution.descending_part_sequences
+        walk = distribution.partition_walk
 
-        def counted(n):
+        def counted(n, watch, on_change):
             calls.append(n)
-            return enumerate_n(n)
+            return walk(n, watch, on_change)
 
-        monkeypatch.setattr(distribution, "descending_part_sequences", counted)
+        monkeypatch.setattr(distribution, "partition_walk", counted)
+        return calls
+
+    def test_one_enumeration_per_n(self, monkeypatch):
+        calls = self.count_walks(monkeypatch)
         x, y = pair_statistics(builtin_pair("euler"))
         assert compare(x, y, 3, 9).identical_everywhere
+        assert calls == list(range(3, 10))
+
+    def test_one_enumeration_per_n_family_vs_native(self, monkeypatch):
+        calls = self.count_walks(monkeypatch)
+        x, _ = pair_statistics(builtin_pair("mod6"))
+        assert not compare(x, native("mod6_Y_prose"), 3, 9).identical_everywhere
         assert calls == list(range(3, 10))
 
     def test_rejects_bad_range(self):

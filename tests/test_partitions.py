@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partition_sieve import Multiset, count_partitions
-from partition_sieve.partitions import descending_part_sequences
+from partition_sieve.partitions import descending_part_sequences, partition_walk
 
 from oracles import (
     contains,
@@ -124,6 +124,53 @@ class TestEnumeration:
         next(a)
         assert first_b == {5: 1}
         assert dict(next(b)) == {4: 1, 1: 1}
+
+
+class TestWalkChanges:
+    """partition_walk reports, before each yield, every watched size whose
+    multiplicity changed since the previous map (the empty map at first)."""
+
+    @staticmethod
+    def replay(n, watched):
+        """Walk n watching the given sizes; after every step, the shadow map
+        rebuilt from the reported changes and the live map, both restricted
+        to the watched sizes. Each bucket is its own size."""
+        shadow = {}
+        reports = []
+
+        def on_change(bucket, old, new):
+            reports.append(bucket)
+            assert bucket in watched
+            assert shadow.get(bucket, 0) == old != new
+            if new:
+                shadow[bucket] = new
+            else:
+                del shadow[bucket]
+
+        watch = [s if s in watched else None for s in range(n + 1)]
+        steps = []
+        for counts in partition_walk(n, watch, on_change):
+            live = {s: m for s, m in counts.items() if s in watched}
+            steps.append((dict(shadow), live, len(reports)))
+        return steps
+
+    @pytest.mark.parametrize("n", range(21))
+    def test_replay_rebuilds_every_map(self, n):
+        steps = self.replay(n, set(range(1, n + 1)))
+        # Watching changes no map: the same partitions as the unwatched view.
+        assert [live for _, live, _ in steps] == [dict(c) for c in descending_part_sequences(n)]
+        previous = 0
+        for shadow, live, reported in steps:
+            assert shadow == live
+            assert reported - previous <= 4  # s, s - 1, the remainder and 1
+            previous = reported
+
+    @given(st.integers(0, 20), st.sets(st.integers(1, 20)))
+    @settings(max_examples=80, deadline=None)
+    def test_unwatched_sizes_never_reported(self, n, watched):
+        # replay() asserts that every reported bucket is a watched size.
+        for shadow, live, _ in self.replay(n, watched):
+            assert shadow == live
 
 
 class TestCountPartitions:
