@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .partitions import partition_walk
-from .statistics import FamilyStatistic, Statistic
+from .statistics import Statistic
 
 __all__ = [
     "ComparisonReport",
@@ -66,13 +66,14 @@ def _tally_walk(stats: tuple[Statistic, ...], n: int) -> list[dict[int, int]]:
     """Tally each statistic over one walk of the partitions of n: one
     {j: count} per statistic, in order.
 
-    A family side is never evaluated per partition. Each relevant member is a
-    slot holding its number of unmet entries, and watch[s] lists the
-    (needed multiplicity, slot, side) entries of every member that uses size
-    s, by need. The walk reports each change of a watched multiplicity, so a
-    step touches only the members that use the few sizes it changed, and
-    hits[side] is the side's count of members contained in the current
-    partition. Any other statistic's rule reads the walk's map at each step.
+    A side that counts contained members (see `Statistic.member_patterns`)
+    is never evaluated per partition. Each member is a slot holding its
+    number of unmet entries, and watch[s] lists the (needed multiplicity,
+    slot, side) entries of every member that uses size s, by need. The walk
+    reports each change of a watched multiplicity, so a step touches only
+    the members that use the few sizes it changed, and hits[side] is the
+    side's count of members contained in the current partition. Any other
+    statistic's rule reads the walk's map at each step.
     """
     watch: list[list[tuple[int, int, int]] | None] = [None] * (n + 1)
     unmet: list[int] = []
@@ -80,23 +81,21 @@ def _tally_walk(stats: tuple[Statistic, ...], n: int) -> list[dict[int, int]]:
     tallies: list = []
     rules = []
     for side, stat in enumerate(stats):
-        if isinstance(stat, FamilyStatistic):
-            family = stat.family
-            first = len(unmet)
-            for idx in family.relevant_indices(n):
-                items = family.member(idx).items()
-                slot = len(unmet)
-                unmet.append(len(items))
-                for size, need in items:
-                    bucket = watch[size]
-                    if bucket is None:
-                        bucket = watch[size] = []
-                    bucket.append((need, slot, side))
-            # At most every relevant member is contained at once.
-            tallies.append([0] * (len(unmet) - first + 1))
-        else:
+        patterns = stat.member_patterns(n)
+        if patterns is None:
             rules.append((side, stat.counts_evaluator(n)))
             tallies.append(Counter())
+            continue
+        for items in patterns:
+            slot = len(unmet)
+            unmet.append(len(items))
+            for size, need in items:
+                bucket = watch[size]
+                if bucket is None:
+                    bucket = watch[size] = []
+                bucket.append((need, slot, side))
+        # At most every member is contained at once.
+        tallies.append([0] * (len(patterns) + 1))
     for bucket in watch:
         if bucket:
             bucket.sort()
@@ -119,23 +118,12 @@ def _tally_walk(stats: tuple[Statistic, ...], n: int) -> list[dict[int, int]]:
                         hits[side] -= 1
                     unmet[slot] += 1
 
-    walk = partition_walk(n, watch, on_change)
-    if rules:
-        sides = tuple(enumerate(tallies))
-        for counts in walk:
-            for side, rule in rules:
-                hits[side] = rule(counts)
-            for side, tally in sides:
-                tally[hits[side]] += 1
-    elif len(stats) == 1:
-        (tally,) = tallies
-        for _ in walk:
-            tally[hits[0]] += 1
-    else:
-        tally_x, tally_y = tallies
-        for _ in walk:
-            tally_x[hits[0]] += 1
-            tally_y[hits[1]] += 1
+    sides = tuple(enumerate(tallies))
+    for counts in partition_walk(n, watch, on_change):
+        for side, rule in rules:
+            hits[side] = rule(counts)
+        for side, tally in sides:
+            tally[hits[side]] += 1
     return [
         dict(tally) if isinstance(tally, Counter) else {j: c for j, c in enumerate(tally) if c}
         for tally in tallies
@@ -145,10 +133,11 @@ def _tally_walk(stats: tuple[Statistic, ...], n: int) -> list[dict[int, int]]:
 def distribution_bruteforce(stat: Statistic, n: int) -> DistributionTable:
     """Tally the statistic over every partition of n by full enumeration.
 
-    A family statistic is tallied from member hit counts that the walk keeps
-    up to date as multiplicities change; any other statistic's rule sees
-    each partition as the walk's one reused {size: multiplicity} map, which
-    it may read but must neither keep nor change.
+    A statistic that counts contained members is tallied from hit counts
+    that the walk keeps up to date as multiplicities change; any other
+    statistic's rule sees each partition as the walk's one reused
+    {size: multiplicity} map, which it may read but must neither keep nor
+    change.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")

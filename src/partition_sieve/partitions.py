@@ -8,14 +8,11 @@ point anywhere in a counting path. Multisets are immutable value objects.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from typing import TypeVar
 
 __all__ = [
     "Multiset",
     "count_partitions",
 ]
-
-Bucket = TypeVar("Bucket")
 
 
 class Multiset:
@@ -107,8 +104,8 @@ def descending_part_sequences(n: int) -> Iterator[dict[int, int]]:
 
 def partition_walk(
     n: int,
-    watch: Sequence[Bucket | None],
-    on_change: Callable[[Bucket, int, int], object] | None,
+    watch: Sequence[object],
+    on_change: Callable[[object, int, int], object] | None,
 ) -> Iterator[dict[int, int]]:
     """The walk behind `descending_part_sequences`, reporting the sizes it
     changes: same partitions, same order, same one in-place map.

@@ -39,14 +39,25 @@ class Statistic:
         The specialization is what lets family-induced statistics resolve
         their relevant members once per n instead of once per partition.
 
-        Brute force tallies a family statistic through its own watch list
-        (see `FamilyStatistic`), not through this rule. The rule serves the
-        other statistics, which brute force hands the walk's one map, reused
-        and updated in place for the next partition: a rule may read it, but
+        Brute force tallies a statistic that has `member_patterns` through
+        its own watch list, not through this rule. The rule serves the other
+        statistics, which brute force hands the walk's one map, reused and
+        updated in place for the next partition: a rule may read it, but
         must neither keep it nor change it. It is also the per-map oracle
         that the tests check every tally against.
         """
         raise NotImplementedError
+
+    def member_patterns(self, n: int) -> tuple[tuple[tuple[int, int], ...], ...] | None:
+        """The (size, multiplicity) items of every multiset counted at
+        weight n, when X(pi) is the number of them contained in pi; None
+        when the statistic is not such a count.
+
+        Brute force indexes these members by the sizes they use and keeps
+        their containment up to date as the walk changes multiplicities, so
+        a subclass must return them exactly when its rule is that count.
+        """
+        return None
 
 
 class FamilyStatistic(Statistic):
@@ -56,21 +67,25 @@ class FamilyStatistic(Statistic):
     evaluation restricts to the family's relevant indices for n, resolved
     once each time a rule is built.
 
-    Brute force reads `family` directly: it indexes the relevant members by
-    the sizes they use and keeps each member's count of unmet entries up to
-    date as the walk changes multiplicities, so a partition costs only the
-    members at the sizes that just changed. `counts_evaluator` tests every
-    relevant member against one map; it is the independent per-map form.
+    Brute force takes the relevant members from `member_patterns`, indexes
+    them by the sizes they use and keeps each member's count of unmet
+    entries up to date as the walk changes multiplicities, so a partition
+    costs only the members at the sizes that just changed.
+    `counts_evaluator` tests every relevant member against one map; it is
+    the independent per-map form.
     """
 
     def __init__(self, family: MultisetFamily, label: str | None = None):
         self.family = family
         self.label = label if label is not None else family.name
 
-    def counts_evaluator(self, n: int) -> CountsRule:
-        patterns = tuple(
+    def member_patterns(self, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return tuple(
             self.family.member(idx).items() for idx in self.family.relevant_indices(n)
         )
+
+    def counts_evaluator(self, n: int) -> CountsRule:
+        patterns = self.member_patterns(n)
 
         def rule(counts: Mapping[int, int]) -> int:
             hits = 0

@@ -9,6 +9,7 @@ from partition_sieve import (
     FamilyStatistic,
     Multiset,
     MultisetFamily,
+    Statistic,
     Strand,
     StrandEntry,
     builtin_pair,
@@ -196,6 +197,29 @@ class TestIncrementalTally:
     def test_hits_above_n_plus_one(self):
         stat = FamilyStatistic(self.DUPLICATES)
         assert distribution_bruteforce(stat, 3).counts == {0: 1, 20: 2}
+
+    def test_family_sides_skip_their_rule(self, monkeypatch):
+        def refuse(self, n):
+            raise AssertionError("family side evaluated per map")
+
+        monkeypatch.setattr(FamilyStatistic, "counts_evaluator", refuse)
+        x, y = pair_statistics(builtin_pair("euler"))
+        assert distribution_bruteforce(x, 12).total == count_partitions(12)
+        assert compare(x, y, 0, 12).identical_everywhere
+
+    def test_statistic_without_member_patterns_uses_its_rule(self):
+        class DistinctSizes(Statistic):
+            label = "distinct_sizes"
+
+            def counts_evaluator(self, n):
+                return len
+
+        stat = DistinctSizes()
+        assert stat.member_patterns(9) is None
+        for n in range(10):
+            assert distribution_bruteforce(stat, n).counts == tally_distribution(len, n)
+        x, _ = pair_statistics(builtin_pair("euler"))
+        assert report_verdicts(compare(x, stat, 0, 9)) == oracle_verdicts(x, stat, 0, 9)
 
 
 class TestCompare:
