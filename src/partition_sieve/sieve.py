@@ -23,12 +23,15 @@ factor through the individual members.
 Because only the union weights matter, the sieve never visits the sets S
 one by one: a DP over the members, whose state is the union restricted to
 the sizes that later members still use, counts them by (|S|, union weight).
-The theorem C check, which needs a witness S, walks the same states
-depth-first, each once, and counts the sets below a state it meets again.
+The theorem C check, which needs a witness S, walks the same (member
+index, frontier) states depth-first, each once, with two moves per state --
+include the member, then exclude it -- and counts the sets below a state it
+meets again. Both restrict a frontier with the same rule (`_restrict`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import comb
 
@@ -126,6 +129,17 @@ def _added_weight(pattern: tuple[tuple[int, int], ...], union: dict[int, int]) -
     return sum((m - get(s, 0)) * s for s, m in pattern if m > get(s, 0))
 
 
+def _weight(frontier: tuple[tuple[int, int], ...]) -> int:
+    return sum(s * m for s, m in frontier)
+
+
+def _restrict(
+    frontier: Iterable[tuple[int, int]], last: dict[int, int], i: int
+) -> tuple[tuple[int, int], ...]:
+    """The frontier restricted to the sizes that a member after i still uses."""
+    return tuple(entry for entry in frontier if last[entry[0]] > i)
+
+
 def _grow(
     frontier: tuple[tuple[int, int], ...],
     pattern: tuple[tuple[int, int], ...],
@@ -134,11 +148,13 @@ def _grow(
 ) -> tuple[tuple[int, int], ...]:
     """The frontier once member i joins the union: the union of frontier and
     pattern, restricted to the sizes that a member after i still uses."""
+    if not frontier:
+        return _restrict(pattern, last, i)
     union = dict(frontier)
     for s, m in pattern:
         if m > union.get(s, 0):
             union[s] = m
-    return tuple(sorted(e for e in union.items() if last[e[0]] > i))
+    return _restrict(sorted(union.items()), last, i)
 
 
 def sieve_distribution(
@@ -175,7 +191,7 @@ def sieve_distribution(
     for i, pattern in enumerate(patterns):
         grown_states: dict[tuple[tuple[int, int], ...], dict[tuple[int, int], int]] = {}
         for frontier, cells in states.items():
-            kept = tuple(entry for entry in frontier if last[entry[0]] > i)
+            kept = _restrict(frontier, last, i)
             target = grown_states.get(kept)
             if target is None:
                 grown_states[kept] = dict(cells)
@@ -303,13 +319,17 @@ def check_theorem_c(
     S ranges over the positions relevant to n_max in either family,
     restricted to min(weight_F(S), weight_G(S)) <= n_max -- exactly the
     sets that can influence either sieve for n <= n_max. The walk is
-    depth-first over the sieve's states: the sets below a holding S depend
-    only on (last position in S, F frontier, G frontier, union weight). A
-    state met again adds the count of sets below it, recorded when its walk
-    ended, instead of walking them again; that walk met no violation, since
-    the first one ends the walk. So the preorder, the witness (the first
-    failing S), subsets_explored and the cap outcome are those of a walk
-    over every S one by one.
+    depth-first over the sieve's states: the sets that extend a holding set
+    by positions from i on depend only on (i, F frontier, G frontier, union
+    weight). Each state has two moves, include position i (a new set, checked
+    at once) and then exclude it, and each leads to a state at i + 1. A state
+    met again adds the count of sets below it, recorded when its walk ended,
+    instead of walking them again; that walk met no violation, since the
+    first one ends the walk. So the preorder, the witness (the first failing
+    S), subsets_explored and the cap outcome are those of a walk over every
+    S one by one. A state has nothing below it once no position is left, or
+    once even the lightest remaining member, less all a frontier could save,
+    takes the union weight past n_max (positions are sorted by min weight).
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -320,26 +340,31 @@ def check_theorem_c(
     pats_g = [member_g.items() for _, _, member_g in table]
     last_f = {size: i for i, pattern in enumerate(pats_f) for size, _ in pattern}
     last_g = {size: i for i, pattern in enumerate(pats_g) for size, _ in pattern}
+    lightest = [min(member_f.weight, member_g.weight) for _, member_f, member_g in table]
+    k = len(table)
     # Sets strictly below each state whose walk has ended.
     below: dict[tuple, int] = {}
-    # One frame per state on the current path: [next candidate, state,
-    # subsets explored when it was entered].
-    path: list[list] = [[0, (-1, (), (), 0), 1]]
+    # One frame per state on the current path: [state, next move (0 include,
+    # 1 exclude, 2 done), subsets explored when it was entered].
+    path: list[list] = [[(0, (), (), 0), 0, 1]] if k else []
     explored = 1
     while path:
         frame = path[-1]
-        state = frame[1]
-        front_f, front_g, weight = dict(state[1]), dict(state[2]), state[3]
-        for j in range(frame[0], len(table)):
-            weight_f = weight + _added_weight(pats_f[j], front_f)
-            weight_g = weight + _added_weight(pats_g[j], front_g)
+        state = frame[0]
+        i, front_f, front_g, weight = state
+        if frame[1] == 0:
+            frame[1] = 1
+            weight_f = weight + _added_weight(pats_f[i], dict(front_f))
+            weight_g = weight + _added_weight(pats_g[i], dict(front_g))
             if min(weight_f, weight_g) > n_max:
                 continue
             explored += 1
             if explored > subset_cap:
                 break
             if weight_f != weight_g:
-                chosen = [f[1][0] for f in path[1:]] + [j]
+                # The frames between their include and exclude moves, this
+                # one last, hold the positions of the failing set.
+                chosen = [f[0][0] for f in path if f[1] == 1]
                 union_f = union_g = Multiset()
                 for p in chosen:
                     union_f, union_g = union_f.union(table[p][1]), union_g.union(table[p][2])
@@ -348,22 +373,33 @@ def check_theorem_c(
                 )
                 _revalidate_union_weights(pair, found)
                 return HypothesisReport("C", n_max, False, found, explored)
-            child = (
-                j,
-                _grow(state[1], pats_f[j], last_f, j),
-                _grow(state[2], pats_g[j], last_g, j),
-                weight_f,
-            )
-            if child not in below:
-                frame[0] = j + 1
-                path.append([j + 1, child, explored])
-                break
-            explored += below[child]
-            if explored > subset_cap:
-                break
+            front_f = _grow(front_f, pats_f[i], last_f, i)
+            front_g = _grow(front_g, pats_g[i], last_g, i)
+            weight = weight_f
+        elif frame[1] == 1:
+            frame[1] = 2
+            # An empty frontier, as on support-disjoint sides, stays empty.
+            front_f = front_f and _restrict(front_f, last_f, i)
+            front_g = front_g and _restrict(front_g, last_g, i)
         else:
             below[state] = explored - frame[2]
             path.pop()
-        if explored > subset_cap:
-            return HypothesisReport("C", n_max, True, None, subset_cap + 1, inconclusive=True)
+            continue
+        i += 1
+        if i == k:
+            continue
+        # The frontiers are weighed only when the lightest member overshoots.
+        overshoot = weight + lightest[i] - n_max
+        if overshoot > 0 and overshoot > max(_weight(front_f), _weight(front_g)):
+            continue
+        child = (i, front_f, front_g, weight)
+        count = below.get(child)
+        if count is None:
+            path.append([child, 0, explored])
+        else:
+            explored += count
+            if explored > subset_cap:
+                break
+    if explored > subset_cap:
+        return HypothesisReport("C", n_max, True, None, subset_cap + 1, inconclusive=True)
     return HypothesisReport("C", n_max, True, None, explored)

@@ -150,6 +150,48 @@ def theorem_c_pairs(draw):
 
 
 @st.composite
+def template_c_pairs(draw):
+    """One or two template strands per side whose neighbouring members share
+    sizes. A G entry of size b*t + c and multiplicity k*m becomes the F entry
+    of size k*(b*t + c) and multiplicity m: s -> k*s scales every weight by
+    the factor it divides out of the multiplicity, so all union weights
+    agree. Half the time one G entry's offset or multiplicity then gains 1,
+    which breaks that equality along its strand. n_max lies at most 60 above
+    the lightest member, so some position is always relevant."""
+    k = draw(st.sampled_from([2, 3]))
+    f_strands, g_strands = [], []
+    for _ in range(draw(st.integers(1, 2))):
+        b = draw(st.integers(1, 2))
+        base = draw(st.integers(0, 1))
+        steps = draw(st.lists(st.integers(0, 2), min_size=2, max_size=3, unique=True))
+        f_entries, g_entries = [], []
+        for j in sorted(steps):
+            c = base + b * j
+            m = draw(st.integers(1, 2))
+            f_entries.append(StrandEntry((0, k * b, k * c), (0, m)))
+            g_entries.append(StrandEntry((0, b, c), (0, k * m)))
+        f_strands.append(Strand(entries=tuple(f_entries)))
+        g_strands.append(Strand(entries=tuple(g_entries)))
+    if draw(st.booleans()):
+        s = draw(st.integers(0, len(g_strands) - 1))
+        entries = list(g_strands[s].entries)
+        e = draw(st.integers(0, len(entries) - 1))
+        (_, b, c), (_, m) = entries[e].size, entries[e].mult
+        if draw(st.booleans()):
+            entries[e] = StrandEntry((0, b, c + 1), (0, m))
+        else:
+            entries[e] = StrandEntry((0, b, c), (0, m + 1))
+        g_strands[s] = Strand(entries=tuple(entries))
+    pair = FamilyPair(
+        "template",
+        MultisetFamily("template.F", tuple(f_strands)),
+        MultisetFamily("template.G", tuple(g_strands)),
+    )
+    lightest = min(strand.weight_at(1) for strand in f_strands + g_strands)
+    return pair, lightest + draw(st.integers(0, 60))
+
+
+@st.composite
 def overlapping_families(draw):
     """Up to 12 explicit members over sizes 1-6: shared supports, one size
     at several multiplicities, and repeated identical members."""
@@ -490,15 +532,34 @@ class TestCheckTheoremC:
         assert (report.holds, report.inconclusive, report.subsets_explored) == (True, True, 20_001)
         assert report.witness is None
 
+    @settings(max_examples=200, deadline=None)
+    @given(template_c_pairs(), st.one_of(st.integers(1, 40), st.integers(2000, 20_000)))
+    def test_template_pairs_match_depth_first_walk(self, drawn, cap):
+        # Overlapping template members keep the frontiers non-empty, so a
+        # state's walk stops only once its frontiers cannot save enough.
+        pair, n_max = drawn
+        assert c_fields(pair, n_max, cap) == theorem_c_dfs(pair, n_max, cap)
+
+    @pytest.mark.parametrize("cap", [2_000, 20_000])
+    def test_no_state_repeats(self, cap):
+        # Every set of {2^i: 1} members has its own union weight, so no state
+        # is ever met twice and every set is walked.
+        members = [{2**i: 1} for i in range(24)]
+        pair = explicit_pair("powers", members, members)
+        report = check_theorem_c(pair, 2**24, subset_cap=cap)
+        expected = theorem_c_dfs(pair, 2**24, cap)
+        assert expected[:3] == (True, True, cap + 1)
+        assert (report.holds, report.inconclusive, report.subsets_explored) == expected[:3]
+
     def test_each_state_walked_once(self, monkeypatch):
         # euler's sides are support-disjoint, so both frontiers stay empty
-        # and a state is (last position, union weight): at most
-        # positions x (n_max + 1) of them, plus the empty set. Each state
-        # costs two _added_weight calls per later position, far fewer than
-        # the 502,822 sets a one-by-one walk would step through.
+        # and a state is (next position, union weight): at most
+        # (positions + 1) x (n_max + 1) of them. Each state costs two
+        # _added_weight calls, for its include move, far fewer than the
+        # 502,822 sets a one-by-one walk would step through.
         pair = builtin_pair("euler")
         positions = len(pair.F.relevant_indices(150))
-        bound = 2 * positions * (positions * 151 + 1)
+        bound = 2 * (positions + 1) * 151
         calls = 0
         added_weight = sieve_module._added_weight
 
