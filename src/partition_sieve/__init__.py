@@ -20,7 +20,7 @@ from .families import (
     parse_family_pair,
     render_family_pair,
 )
-from .statistics import FamilyStatistic, NativeStatistic, Statistic, native, pair_statistics
+from .statistics import FamilyStatistic, NativeStatistic, native, pair_statistics
 from .distribution import (
     ComparisonReport,
     ComparisonVerdict,
@@ -56,7 +56,6 @@ __all__ = [
     "MultisetFamily",
     "NativeStatistic",
     "SieveResult",
-    "Statistic",
     "Strand",
     "StrandEntry",
     "UnionWeightWitness",

@@ -30,7 +30,14 @@ from .distribution import (
     compare as compare_distributions,
     distribution_bruteforce,
 )
-from .families import BUILTIN_PAIRS, FamilyError, FamilyPair, builtin_pair, parse_family_pair
+from .families import (
+    BUILTIN_PAIRS,
+    FamilyError,
+    FamilyPair,
+    builtin_pair,
+    mod6_prose_family,
+    parse_family_pair,
+)
 from .partitions import Multiset
 from .sieve import (
     DEFAULT_SUBSET_CAP,
@@ -40,7 +47,7 @@ from .sieve import (
     check_theorem_c,
     sieve_distribution,
 )
-from .statistics import FamilyStatistic, native, pair_statistics
+from .statistics import FamilyStatistic, pair_statistics
 
 FORMATS = click.Choice(["table", "csv", "json"])
 
@@ -403,7 +410,7 @@ def compare(pair, pair_file, d, m1_file, n_from, n_max, prose_y, fmt):
     if prose_y:
         if pair != "mod6":
             raise click.UsageError("--prose-y applies only to --pair mod6")
-        stat_y = native("mod6_Y_prose")
+        stat_y = FamilyStatistic(mod6_prose_family())
     report = compare_distributions(stat_x, stat_y, n_from, n_max)
     _emit(fmt, _compare_doc(report, resolved.name), _compare_text, _compare_csv)
     sys.exit(0 if report.identical_everywhere else 1)

@@ -7,12 +7,11 @@ verdicts are computed from exact counts only, never from floating point.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
 from .partitions import partition_walk
-from .statistics import Statistic
+from .statistics import FamilyStatistic
 
 __all__ = [
     "ComparisonReport",
@@ -62,30 +61,24 @@ class DistributionTable:
         return f"DistributionTable(n={self.n}, counts={{{body}}}, total={self.total})"
 
 
-def _tally_walk(stats: tuple[Statistic, ...], n: int) -> list[dict[int, int]]:
+def _tally_walk(stats: tuple[FamilyStatistic, ...], n: int) -> list[dict[int, int]]:
     """Tally each statistic over one walk of the partitions of n: one
     {j: count} per statistic, in order.
 
-    A side that counts contained members (see `Statistic.member_patterns`)
-    is never evaluated per partition. Each member is a slot holding its
-    number of unmet entries, and watch[s] lists the (needed multiplicity,
-    slot, side) entries of every member that uses size s, by need. The walk
-    reports each change of a watched multiplicity, so a step touches only
-    the members that use the few sizes it changed, and hits[side] is the
-    side's count of members contained in the current partition. Any other
-    statistic's rule reads the walk's map at each step.
+    No statistic is evaluated per partition. Each member (see
+    `FamilyStatistic.member_patterns`) is a slot holding its number of
+    unmet entries, and watch[s] lists the (needed multiplicity, slot, side)
+    entries of every member that uses size s, by need. The walk reports each
+    change of a watched multiplicity, so a step touches only the members
+    that use the few sizes it changed, and hits[side] is the side's count of
+    members contained in the current partition.
     """
     watch: list[list[tuple[int, int, int]] | None] = [None] * (n + 1)
     unmet: list[int] = []
     hits = [0] * len(stats)
-    tallies: list = []
-    rules = []
+    tallies = []
     for side, stat in enumerate(stats):
         patterns = stat.member_patterns(n)
-        if patterns is None:
-            rules.append((side, stat.counts_evaluator(n)))
-            tallies.append(Counter())
-            continue
         for items in patterns:
             slot = len(unmet)
             unmet.append(len(items))
@@ -119,25 +112,15 @@ def _tally_walk(stats: tuple[Statistic, ...], n: int) -> list[dict[int, int]]:
                     unmet[slot] += 1
 
     sides = tuple(enumerate(tallies))
-    for counts in partition_walk(n, watch, on_change):
-        for side, rule in rules:
-            hits[side] = rule(counts)
+    for _ in partition_walk(n, watch, on_change):
         for side, tally in sides:
             tally[hits[side]] += 1
-    return [
-        dict(tally) if isinstance(tally, Counter) else {j: c for j, c in enumerate(tally) if c}
-        for tally in tallies
-    ]
+    return [{j: c for j, c in enumerate(tally) if c} for tally in tallies]
 
 
-def distribution_bruteforce(stat: Statistic, n: int) -> DistributionTable:
-    """Tally the statistic over every partition of n by full enumeration.
-
-    A statistic that counts contained members is tallied from hit counts
-    that the walk keeps up to date as multiplicities change; any other
-    statistic's rule sees each partition as the walk's one reused
-    {size: multiplicity} map, which it may read but must neither keep nor
-    change.
+def distribution_bruteforce(stat: FamilyStatistic, n: int) -> DistributionTable:
+    """Tally the statistic over every partition of n by full enumeration,
+    from hit counts that the walk keeps up to date as multiplicities change.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -182,15 +165,14 @@ def first_count_difference(
     return None
 
 
-def compare(stat_x: Statistic, stat_y: Statistic, n_from: int, n_to: int) -> ComparisonReport:
+def compare(
+    stat_x: FamilyStatistic, stat_y: FamilyStatistic, n_from: int, n_to: int
+) -> ComparisonReport:
     """Check Prob_n(X=j) = Prob_n(Y=j) for every n in [n_from, n_to].
 
-    Both sides are tallied over one walk of P(n), so equal count maps mean
-    equal distributions exactly. Family sides keep their hit counts up to
-    date from the walk's changes, as in `distribution_bruteforce`; a native
-    rule reads the walk's reused {size: multiplicity} map, which it may
-    neither keep nor change. A divergent verdict carries the smallest j
-    whose counts differ.
+    Both sides are tallied over one walk of P(n), as in
+    `distribution_bruteforce`, so equal count maps mean equal distributions
+    exactly. A divergent verdict carries the smallest j whose counts differ.
     """
     if not 0 <= n_from <= n_to:
         raise ValueError(f"need 0 <= n_from <= n_to, got [{n_from}, {n_to}]")

@@ -279,6 +279,21 @@ def _mod6_pair() -> FamilyPair:
     return FamilyPair("mod6", F, G)
 
 
+def mod6_prose_family() -> MultisetFamily:
+    """The literal reading of mod6's Y as a family: every multiple of 3
+    present, plus every repeated size not divisible by 3. Unlike mod6.G it
+    also counts the even multiples of 3, so its distribution differs from
+    mod6.X's, first at n=6 (`compare --prose-y`)."""
+    return MultisetFamily(
+        "mod6_Y_prose",
+        (
+            _single((0, 3, 3), (0, 1), tmin=0),  # {3t+3}
+            _single((0, 3, 1), (0, 2), tmin=0),  # {3t+1, 3t+1}
+            _single((0, 3, 2), (0, 2), tmin=0),  # {3t+2, 3t+2}
+        ),
+    )
+
+
 def _glaisher_pair(d: int) -> FamilyPair:
     if not isinstance(d, int) or d <= 1:
         raise FamilyError(f"glaisher requires an integer d > 1, got {d!r}")

@@ -1,10 +1,11 @@
 """Partition statistics: family-induced counts and native closed forms.
 
 A family-induced statistic counts how many family members a partition
-contains: X(pi) = |{i : F_i contained in pi}|. The native statistics apply
-the equivalent direct rule (e.g. "number of even part sizes"); they exist
-as independent oracles for the family-induced forms, so any disagreement
-localizes a bug to one of two unrelated code paths.
+contains: X(pi) = |{i : F_i contained in pi}|. Brute force, the sieve and
+the CLI tally only these. The native statistics apply the equivalent direct
+rule (e.g. "number of even part sizes") to one {size: multiplicity} map;
+they exist as independent oracles for the family-induced forms, so any
+disagreement localizes a bug to one of two unrelated code paths.
 
 All statistics are deterministic, total on partitions, and return
 nonnegative integers. Instances are safe for concurrent use.
@@ -20,7 +21,6 @@ from .families import FamilyPair, MultisetFamily, doubling_complement
 __all__ = [
     "FamilyStatistic",
     "NativeStatistic",
-    "Statistic",
     "native",
     "pair_statistics",
 ]
@@ -28,51 +28,18 @@ __all__ = [
 CountsRule = Callable[[Mapping[int, int]], int]
 
 
-class Statistic:
-    """Evaluator from partitions to nonnegative integers."""
-
-    label: str
-
-    def counts_evaluator(self, n: int) -> CountsRule:
-        """A rule over {size: multiplicity} maps, specialized to weight n.
-
-        The specialization is what lets family-induced statistics resolve
-        their relevant members once per n instead of once per partition.
-
-        Brute force tallies a statistic that has `member_patterns` through
-        its own watch list, not through this rule. The rule serves the other
-        statistics, which brute force hands the walk's one map, reused and
-        updated in place for the next partition: a rule may read it, but
-        must neither keep it nor change it. It is also the per-map oracle
-        that the tests check every tally against.
-        """
-        raise NotImplementedError
-
-    def member_patterns(self, n: int) -> tuple[tuple[tuple[int, int], ...], ...] | None:
-        """The (size, multiplicity) items of every multiset counted at
-        weight n, when X(pi) is the number of them contained in pi; None
-        when the statistic is not such a count.
-
-        Brute force indexes these members by the sizes they use and keeps
-        their containment up to date as the walk changes multiplicities, so
-        a subclass must return them exactly when its rule is that count.
-        """
-        return None
-
-
-class FamilyStatistic(Statistic):
+class FamilyStatistic:
     """X(pi) = number of family members contained in pi.
 
-    Only members of weight <= n can occur in a partition of n, so
-    evaluation restricts to the family's relevant indices for n, resolved
-    once each time a rule is built.
+    Only members of weight <= n can occur in a partition of n, so both
+    forms below restrict to the family's relevant indices for n.
 
     Brute force takes the relevant members from `member_patterns`, indexes
     them by the sizes they use and keeps each member's count of unmet
     entries up to date as the walk changes multiplicities, so a partition
     costs only the members at the sizes that just changed.
     `counts_evaluator` tests every relevant member against one map; it is
-    the independent per-map form.
+    the independent per-map form that the tests check the tally against.
     """
 
     def __init__(self, family: MultisetFamily, label: str | None = None):
@@ -80,6 +47,7 @@ class FamilyStatistic(Statistic):
         self.label = label if label is not None else family.name
 
     def member_patterns(self, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The (size, multiplicity) items of every member of weight <= n."""
         return tuple(
             self.family.member(idx).items() for idx in self.family.relevant_indices(n)
         )
@@ -104,7 +72,7 @@ class FamilyStatistic(Statistic):
         return f"FamilyStatistic({self.label!r})"
 
 
-class NativeStatistic(Statistic):
+class NativeStatistic:
     """A named closed-form rule on the {size: multiplicity} map."""
 
     def __init__(self, label: str, rule: CountsRule):

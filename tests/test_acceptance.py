@@ -21,11 +21,11 @@ from partition_sieve import (
     compare,
     count_partitions,
     distribution_bruteforce,
-    native,
     pair_statistics,
     sieve_distribution,
 )
 from partition_sieve.cli import main as cli_main
+from partition_sieve.families import mod6_prose_family
 from partition_sieve.partitions import descending_part_sequences
 
 from oracles import count_distinct_parts_dp, count_odd_parts_dp
@@ -58,8 +58,7 @@ def test_criterion_1_euler_identical_to_40():
 
 def test_criterion_2_euler_j0_marginals_to_40():
     with criterion(2, "j=0 marginals equal independent distinct/odd-part counts, n <= 40"):
-        repeated = native("repeated_sizes")
-        evens = native("even_sizes")
+        evens, repeated = pair_statistics(builtin_pair("euler"))
         for n in range(41):
             assert distribution_bruteforce(repeated, n).marginal(0) == count_distinct_parts_dp(n)
             assert distribution_bruteforce(evens, n).marginal(0) == count_odd_parts_dp(n)
@@ -154,7 +153,7 @@ def test_criterion_6_mod6_family_and_prose():
         x, y = pair_statistics(builtin_pair("mod6"))
         assert compare(x, y, 1, 30).identical_everywhere
 
-        prose = native("mod6_Y_prose")
+        prose = FamilyStatistic(mod6_prose_family())
         report = compare(x, prose, 1, 6)
         first = report.first_divergence()
         assert first.n == 6

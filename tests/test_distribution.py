@@ -1,5 +1,6 @@
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +10,7 @@ from partition_sieve import (
     FamilyStatistic,
     Multiset,
     MultisetFamily,
-    Statistic,
+    NativeStatistic,
     Strand,
     StrandEntry,
     builtin_pair,
@@ -20,7 +21,9 @@ from partition_sieve import (
     native,
     pair_statistics,
 )
+from partition_sieve.cli import main as cli_main
 from partition_sieve.distribution import first_count_difference
+from partition_sieve.families import mod6_prose_family
 
 from oracles import tally_distribution
 
@@ -118,30 +121,39 @@ class TestDistributionTable:
 
 
 class TestBruteForce:
+    # euler's X counts the even part sizes, its Y the repeated part sizes.
+    EVEN_SIZES, REPEATED_SIZES = pair_statistics(builtin_pair("euler"))
+
     def test_even_sizes_n4(self):
-        table = distribution_bruteforce(native("even_sizes"), 4)
+        table = distribution_bruteforce(self.EVEN_SIZES, 4)
         assert table.counts == {0: 2, 1: 3}
         assert table.total == 5
 
     def test_repeated_sizes_n4(self):
-        table = distribution_bruteforce(native("repeated_sizes"), 4)
+        table = distribution_bruteforce(self.REPEATED_SIZES, 4)
         assert table.counts == {0: 2, 1: 3}
 
     def test_n0_single_empty_partition(self):
-        assert distribution_bruteforce(native("even_sizes"), 0).counts == {0: 1}
-        x, _ = pair_statistics(builtin_pair("euler"))
-        assert distribution_bruteforce(x, 0).counts == {0: 1}
+        assert distribution_bruteforce(self.EVEN_SIZES, 0).counts == {0: 1}
+        assert distribution_bruteforce(self.REPEATED_SIZES, 0).counts == {0: 1}
 
     def test_marginals_at_n5(self):
-        assert distribution_bruteforce(native("repeated_sizes"), 5).marginal(0) == 3
-        assert distribution_bruteforce(native("even_sizes"), 5).marginal(0) == 3
+        assert distribution_bruteforce(self.REPEATED_SIZES, 5).marginal(0) == 3
+        assert distribution_bruteforce(self.EVEN_SIZES, 5).marginal(0) == 3
 
     @pytest.mark.parametrize("n", [0, 1, 5, 9, 14])
     def test_matches_independent_tally(self, n):
-        for name in ("even_sizes", "repeated_sizes", "square_sizes", "consecutive_even"):
-            stat = native(name)
+        # Each family form against its native rule over the recursive enumerator.
+        squares_x, _ = pair_statistics(builtin_pair("squares"))
+        remmel_x, _ = pair_statistics(builtin_pair("remmel_consecutive"))
+        for stat, name in (
+            (self.EVEN_SIZES, "even_sizes"),
+            (self.REPEATED_SIZES, "repeated_sizes"),
+            (squares_x, "square_sizes"),
+            (remmel_x, "consecutive_even"),
+        ):
             table = distribution_bruteforce(stat, n)
-            assert table.counts == tally_distribution(stat.counts_evaluator(n), n)
+            assert table.counts == tally_distribution(native(name).counts_evaluator(n), n)
 
     @pytest.mark.parametrize("n", range(0, 26, 5))
     def test_totals_are_partition_counts(self, n):
@@ -150,7 +162,7 @@ class TestBruteForce:
 
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
-            distribution_bruteforce(native("even_sizes"), -1)
+            distribution_bruteforce(self.EVEN_SIZES, -1)
 
     @pytest.mark.parametrize("name,pair", builtin_pairs(), ids=[name for name, _ in builtin_pairs()])
     def test_builtin_sides_match_independent_tally(self, name, pair):
@@ -187,39 +199,24 @@ class TestIncrementalTally:
         assert tallies == [tally_distribution(s.counts_evaluator(n), n) for s in (x, y)]
         assert report_verdicts(compare(x, y, n, n)) == oracle_verdicts(x, y, n, n)
 
-    @given(drawn_families(), st.integers(0, 16))
-    @settings(max_examples=60, deadline=None)
-    def test_compare_against_native_matches_oracle(self, family, n):
-        x, y = FamilyStatistic(family), native("repeated_sizes")
-        assert report_verdicts(compare(x, y, n, n)) == oracle_verdicts(x, y, n, n)
-        assert report_verdicts(compare(y, x, n, n)) == oracle_verdicts(y, x, n, n)
-
     def test_hits_above_n_plus_one(self):
         stat = FamilyStatistic(self.DUPLICATES)
         assert distribution_bruteforce(stat, 3).counts == {0: 1, 20: 2}
 
     def test_family_sides_skip_their_rule(self, monkeypatch):
-        def refuse(self, n):
-            raise AssertionError("family side evaluated per map")
+        argv = ["compare", "--pair", "mod6", "--prose-y", "--n-max", "6"]
+        expected = CliRunner().invoke(cli_main, argv)
 
-        monkeypatch.setattr(FamilyStatistic, "counts_evaluator", refuse)
+        def refuse(self, n):
+            raise AssertionError("side evaluated per map")
+
+        for cls in (FamilyStatistic, NativeStatistic):
+            monkeypatch.setattr(cls, "counts_evaluator", refuse)
         x, y = pair_statistics(builtin_pair("euler"))
         assert distribution_bruteforce(x, 12).total == count_partitions(12)
         assert compare(x, y, 0, 12).identical_everywhere
-
-    def test_statistic_without_member_patterns_uses_its_rule(self):
-        class DistinctSizes(Statistic):
-            label = "distinct_sizes"
-
-            def counts_evaluator(self, n):
-                return len
-
-        stat = DistinctSizes()
-        assert stat.member_patterns(9) is None
-        for n in range(10):
-            assert distribution_bruteforce(stat, n).counts == tally_distribution(len, n)
-        x, _ = pair_statistics(builtin_pair("euler"))
-        assert report_verdicts(compare(x, stat, 0, 9)) == oracle_verdicts(x, stat, 0, 9)
+        result = CliRunner().invoke(cli_main, argv)
+        assert (result.exit_code, result.stdout) == (1, expected.stdout)
 
 
 class TestCompare:
@@ -230,21 +227,23 @@ class TestCompare:
         assert [v.n for v in report.verdicts] == list(range(1, 13))
 
     def test_mod6_prose_divergence_at_6(self):
-        report = compare(native("mod6_X"), native("mod6_Y_prose"), 6, 6)
+        x, _ = pair_statistics(builtin_pair("mod6"))
+        prose = FamilyStatistic(mod6_prose_family())
+        report = compare(x, prose, 6, 6)
         assert not report.identical_everywhere
         v = report.first_divergence()
         assert (v.n, v.j, v.count_x, v.count_y) == (6, 0, 3, 2)
         # full count maps behind that verdict
-        assert distribution_bruteforce(native("mod6_X"), 6).counts == {0: 3, 1: 6, 2: 2}
-        assert distribution_bruteforce(native("mod6_Y_prose"), 6).counts == {0: 2, 1: 7, 2: 2}
+        assert distribution_bruteforce(x, 6).counts == {0: 3, 1: 6, 2: 2}
+        assert distribution_bruteforce(prose, 6).counts == {0: 2, 1: 7, 2: 2}
 
     def test_reflexive(self):
         x, _ = pair_statistics(builtin_pair("squares"))
         assert compare(x, x, 0, 10).identical_everywhere
 
     def test_symmetric(self):
-        x = native("mod6_X")
-        y = native("mod6_Y_prose")
+        x, _ = pair_statistics(builtin_pair("mod6"))
+        y = FamilyStatistic(mod6_prose_family())
         fwd = compare(x, y, 1, 8)
         rev = compare(y, x, 1, 8)
         for a, b in zip(fwd.verdicts, rev.verdicts):
@@ -259,9 +258,9 @@ class TestCompare:
 
     def test_mod6_prose_matches_two_oracle_tallies(self):
         x, _ = pair_statistics(builtin_pair("mod6"))
-        y = native("mod6_Y_prose")
-        report = compare(x, y, 0, N_ORACLE)
-        expected = oracle_verdicts(x, y, 0, N_ORACLE)
+        report = compare(x, FamilyStatistic(mod6_prose_family()), 0, N_ORACLE)
+        # The oracle tallies the prose reading's native rule.
+        expected = oracle_verdicts(x, native("mod6_Y_prose"), 0, N_ORACLE)
         assert report_verdicts(report) == expected
         v = report.first_divergence()
         assert (v.n, v.identical, v.j, v.count_x, v.count_y) == next(
@@ -286,10 +285,11 @@ class TestCompare:
         assert compare(x, y, 3, 9).identical_everywhere
         assert calls == list(range(3, 10))
 
-    def test_one_enumeration_per_n_family_vs_native(self, monkeypatch):
+    def test_one_enumeration_per_n_prose_y(self, monkeypatch):
         calls = self.count_walks(monkeypatch)
         x, _ = pair_statistics(builtin_pair("mod6"))
-        assert not compare(x, native("mod6_Y_prose"), 3, 9).identical_everywhere
+        prose = FamilyStatistic(mod6_prose_family())
+        assert not compare(x, prose, 3, 9).identical_everywhere
         assert calls == list(range(3, 10))
 
     def test_rejects_bad_range(self):

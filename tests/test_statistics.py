@@ -9,8 +9,12 @@ from partition_sieve import (
     builtin_pair,
     native,
     pair_statistics,
+    sieve_distribution,
 )
+from partition_sieve.families import mod6_prose_family
 from partition_sieve.partitions import descending_part_sequences
+
+from oracles import tally_distribution
 
 PI_4221 = (4, 2, 2, 1)
 
@@ -141,6 +145,17 @@ class TestFamilyNativeEquivalence:
         x, y = pair_statistics(builtin_pair("andrews", m1=m1, bound=30))
         assert_statistics_agree(x, native("not_in_M2", m1=m1))
         assert_statistics_agree(y, native("andrews_Y", m1=m1))
+
+    def test_mod6_prose(self):
+        assert_statistics_agree(
+            FamilyStatistic(mod6_prose_family()), native("mod6_Y_prose"), n_hi=30
+        )
+
+    def test_mod6_prose_sieve_matches_native_tally(self):
+        rule = native("mod6_Y_prose").counts_evaluator(0)
+        for n in range(31):
+            table = sieve_distribution(mod6_prose_family(), n).table
+            assert table.counts == tally_distribution(rule, n), n
 
     def test_mod6_family_y_differs_from_prose(self):
         # The weight-matched family Y and the literal prose Y are NOT the
