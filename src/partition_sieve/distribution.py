@@ -7,8 +7,10 @@ verdicts are computed from exact counts only, never from floating point.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import accumulate
+from typing import Iterable, Mapping
 
 from .partitions import partition_walk
 from .statistics import FamilyStatistic
@@ -61,61 +63,120 @@ class DistributionTable:
         return f"DistributionTable(n={self.n}, counts={{{body}}}, total={self.total})"
 
 
+def _cover(classes: Iterable[tuple[tuple[int, int], int]], rest: int) -> list[int]:
+    """For k = 0 .. rest // 2, how many members of the given classes the tail
+    2^k 1^(rest - 2k) contains. A class is the (a, b) that its members need
+    at sizes 2 and 1, given with its number of members; the tail contains
+    them iff k >= a and rest - 2k >= b, so for k in [a, (rest - b) // 2].
+    """
+    top = rest >> 1
+    diff = [0] * (top + 2)
+    for (a, b), mult in classes:
+        hi = (rest - b) >> 1
+        if a <= hi:
+            diff[a] += mult
+            diff[hi + 1] -= mult
+    return list(accumulate(diff[: top + 1]))
+
+
 def _tally_walk(stats: tuple[FamilyStatistic, ...], n: int) -> list[dict[int, int]]:
     """Tally each statistic over one walk of the partitions of n: one
     {j: count} per statistic, in order.
 
-    No statistic is evaluated per partition. Each member (see
-    `FamilyStatistic.member_patterns`) is a slot holding its number of
-    unmet entries, and watch[s] lists the (needed multiplicity, slot, side)
-    entries of every member that uses size s, by need. The walk reports each
-    change of a watched multiplicity, so a step touches only the members
-    that use the few sizes it changed, and hits[side] is the side's count of
-    members contained in the current partition.
+    No statistic is evaluated per partition. `partition_walk` yields groups:
+    a map nu of the parts >= 3 and a rest r, standing for the partitions
+    nu + 2^k 1^(r - 2k), k = 0 .. r // 2. Each member (see
+    `FamilyStatistic.member_patterns`) needs some a at size 2 and b at
+    size 1 (0 where it has no entry); the partition of k contains it iff
+    its entries at sizes >= 3 are met in nu and k lies in [a, (r - b) // 2].
+
+    A member with entries at sizes >= 3 is a slot holding its number of
+    unmet such entries, and watch[s] lists the (needed multiplicity, slot,
+    class) entries of every member that uses size s, by need. The walk
+    reports each change of a watched multiplicity, so a step touches only
+    the members at the few sizes it changed, and level[class] counts the
+    class's members whose entries >= 3 are all met. A side's members with
+    no entry below 3 form its base class, contained at every k; the others
+    are classed by (a, b), so a group costs its rest plus the side's
+    classes, not its members. Members with entries at sizes 1 and 2 only
+    cover the same k in every group with the same r: their hit counts, and
+    the histogram of those, are made once per r.
     """
     watch: list[list[tuple[int, int, int]] | None] = [None] * (n + 1)
     unmet: list[int] = []
-    hits = [0] * len(stats)
-    tallies = []
-    for side, stat in enumerate(stats):
+    level: list[int] = []
+    sides = []
+    for stat in stats:
         patterns = stat.member_patterns(n)
+        base = len(level)
+        level.append(0)
+        mixed: dict[tuple[int, int], int] = {}
+        small: Counter[tuple[int, int]] = Counter()
         for items in patterns:
+            need = dict(items)
+            ab = (need.get(2, 0), need.get(1, 0))
+            big = [(size, mult) for size, mult in items if size >= 3]
+            if not big:
+                small[ab] += 1
+                continue
+            cls = base if ab == (0, 0) else mixed.get(ab)
+            if cls is None:
+                cls = mixed[ab] = len(level)
+                level.append(0)
             slot = len(unmet)
-            unmet.append(len(items))
-            for size, need in items:
+            unmet.append(len(big))
+            for size, mult in big:
                 bucket = watch[size]
                 if bucket is None:
                     bucket = watch[size] = []
-                bucket.append((need, slot, side))
+                bucket.append((mult, slot, cls))
+        small_classes = tuple(small.items())
+        histograms = [
+            tuple(Counter(_cover(small_classes, rest)).items()) for rest in range(n + 1)
+        ]
         # At most every member is contained at once.
-        tallies.append([0] * (len(patterns) + 1))
+        tally = [0] * (len(patterns) + 1)
+        # The side's mixed classes sit at level[base + 1 : end], in the order
+        # of `mixed`. With mixed members met, a group's histogram depends on
+        # its rest and those levels, so each is made once.
+        merged: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
+        sides.append((tally, base, len(level), tuple(mixed), small_classes, histograms, merged))
     for bucket in watch:
         if bucket:
             bucket.sort()
 
     def on_change(bucket, old, new):
         if old < new:
-            for need, slot, side in bucket:
+            for need, slot, cls in bucket:
                 if need > new:
                     break
                 if need > old:
                     unmet[slot] -= 1
                     if not unmet[slot]:
-                        hits[side] += 1
+                        level[cls] += 1
         else:
-            for need, slot, side in bucket:
+            for need, slot, cls in bucket:
                 if need > old:
                     break
                 if need > new:
                     if not unmet[slot]:
-                        hits[side] -= 1
+                        level[cls] -= 1
                     unmet[slot] += 1
 
-    sides = tuple(enumerate(tallies))
-    for _ in partition_walk(n, watch, on_change):
-        for side, tally in sides:
-            tally[hits[side]] += 1
-    return [{j: c for j, c in enumerate(tally) if c} for tally in tallies]
+    for _, rest in partition_walk(n, watch, on_change):
+        for tally, base, end, mixed, small_classes, histograms, merged in sides:
+            if mixed:
+                key = (rest, *level[base + 1 : end])
+                histogram = merged.get(key)
+                if histogram is None:
+                    cover = _cover(small_classes + tuple(zip(mixed, key[1:])), rest)
+                    histogram = merged[key] = tuple(Counter(cover).items())
+            else:
+                histogram = histograms[rest]
+            hits = level[base]
+            for c, count in histogram:
+                tally[hits + c] += count
+    return [{j: c for j, c in enumerate(tally) if c} for tally, *_ in sides]
 
 
 def distribution_bruteforce(stat: FamilyStatistic, n: int) -> DistributionTable:

@@ -97,67 +97,96 @@ def descending_part_sequences(n: int) -> Iterator[dict[int, int]]:
     The map is one dict, yielded for every partition and updated in place
     between yields, changing O(1) entries per step. A caller may read it but
     must neither keep it nor change it; copy it (``dict(counts)``) to keep a
-    partition. This is `partition_walk` with no size watched.
+    partition. It is `partition_walk` with no size watched, each group
+    expanded: the walk's map of parts >= 3 with 2^k 1^(rest - 2k) added,
+    for k = rest // 2 down to 0.
     """
-    return partition_walk(n, [None] * (n + 1), None)
+    for counts, rest in partition_walk(n, [None] * (n + 1), None):
+        twos, ones = divmod(rest, 2)
+        if twos:
+            counts[2] = twos
+        if ones:
+            counts[1] = ones
+        yield counts
+        while twos:
+            # Turn one 2 into 1 + 1; 1 stays the last key.
+            twos -= 1
+            ones += 2
+            if twos:
+                counts[2] = twos
+            else:
+                del counts[2]
+            counts[1] = ones
+            yield counts
+        # The walk resumes from its own map, which holds no 2s or 1s.
+        if rest:
+            del counts[1]
 
 
 def partition_walk(
     n: int,
     watch: Sequence[object],
     on_change: Callable[[object, int, int], object] | None,
-) -> Iterator[dict[int, int]]:
-    """The walk behind `descending_part_sequences`, reporting the sizes it
-    changes: same partitions, same order, same one in-place map.
+) -> Iterator[tuple[dict[int, int], int]]:
+    """Walk the partitions of n in groups, reporting the sizes >= 3 it changes.
+
+    Yields ``(counts, rest)`` for every partition nu of some m <= n into
+    parts >= 3, in reverse lexicographic order of the part sequences (a
+    sequence before its own prefixes), with rest = n - m. ``counts`` is nu
+    as one {size: multiplicity} dict, updated in place between yields, keys
+    in decreasing order; it never holds the sizes 1 or 2. The group of nu
+    is the partitions nu + 2^k 1^(rest - 2k) for k = rest // 2 down to 0,
+    and the groups, in order, are every partition of n in the order of
+    `descending_part_sequences`. There are p(n) - p(n - 2) groups.
 
     ``watch[s]`` (0 <= s <= n) is a caller's bucket for size s, or None (or
-    anything falsy) when s is not watched. Before each map is yielded,
+    anything falsy) when s is not watched. Before each yield,
     ``on_change(watch[s], old, new)`` is called once for every watched size
-    s whose multiplicity differs from the one in the previously yielded map,
-    the empty map before the first; replaying these changes on an empty
-    dict therefore rebuilds the live map. One step changes at most four
-    sizes: the s it takes a part off, s - 1, the remainder r and 1.
+    s whose multiplicity in ``counts`` differs from the one at the previous
+    yield, the empty map before the first; replaying these changes on an
+    empty dict therefore rebuilds ``counts``. A step pops one part of the
+    smallest size s. A 3 goes to rest; a larger s is refilled with parts of
+    size s - 1 and one remainder part, kept when it is >= 3 and otherwise
+    the new rest. So a step reports at most three sizes: s, s - 1 and the
+    remainder, and never 1 or 2.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    counts: dict[int, int] = {n: 1} if n else {}
-    if n and watch[n]:
-        on_change(watch[n], 0, 1)
+    counts: dict[int, int] = {}
+    rest = n
+    if n >= 3:
+        counts[n] = 1
+        rest = 0
+        if watch[n]:
+            on_change(watch[n], 0, 1)
     while True:
-        yield counts
-        # Take one part s off the smallest size above 1 and refill it and the
-        # 1s with parts of size s - 1 and one remainder part. Every size is
-        # inserted below all sizes already present (and 1 is popped first),
-        # so the dict's last key is always its smallest size.
-        ones = counts.pop(1, 0)
+        yield counts, rest
         if not counts:
             return
+        # Every size is inserted below all sizes already present, so the
+        # dict's last key is always its smallest size.
         s, m = counts.popitem()
         if m > 1:
             counts[s] = m - 1
         bucket = watch[s]
         if bucket:
             on_change(bucket, m, m - 1)
-        q, r = divmod(s + ones, s - 1)
+        if s == 3:
+            rest += 3
+            continue
+        q, r = divmod(s + rest, s - 1)
         counts[s - 1] = q
-        if s == 2:
-            new_ones = q
+        bucket = watch[s - 1]
+        if bucket:
+            on_change(bucket, 0, q)
+        if r < 3:
+            rest = r
         else:
-            bucket = watch[s - 1]
+            rest = 0
+            counts[r] = 1
+            bucket = watch[r]
             if bucket:
-                on_change(bucket, 0, q)
-            new_ones = 0
-            if r == 1:
-                counts[1] = new_ones = 1
-            elif r:
-                counts[r] = 1
-                bucket = watch[r]
-                if bucket:
-                    on_change(bucket, 0, 1)
-        if ones != new_ones:
-            bucket = watch[1]
-            if bucket:
-                on_change(bucket, ones, new_ones)
+                on_change(bucket, 0, 1)
 
 
 # Memo for count_partitions: append-only, p(0) .. p(len - 1).
@@ -173,9 +202,7 @@ def count_partitions(n: int) -> int:
 
         p(n) = sum_k (-1)^(k+1) [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)]
 
-    with a memo table that only ever grows. The memo is filled without a
-    lock, so the first call for a new n must not race another call from a
-    second thread.
+    with a memo table that only ever grows.
     """
     if n < 0:
         return 0

@@ -34,10 +34,11 @@ class FamilyStatistic:
     Only members of weight <= n can occur in a partition of n, so both
     forms below restrict to the family's relevant indices for n.
 
-    Brute force takes the relevant members from `member_patterns`, indexes
-    them by the sizes they use and keeps each member's count of unmet
-    entries up to date as the walk changes multiplicities, so a partition
-    costs only the members at the sizes that just changed.
+    Brute force takes the relevant members from `member_patterns`. It
+    indexes their entries at sizes >= 3 by size and keeps each member's
+    count of unmet such entries up to date as the walk changes
+    multiplicities, and it counts the partitions that differ only in their
+    2s and 1s in closed form, from what each member needs at sizes 2 and 1.
     `counts_evaluator` tests every relevant member against one map; it is
     the independent per-map form that the tests check the tally against.
     """

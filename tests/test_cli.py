@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from click.testing import CliRunner
 
-from partition_sieve import builtin_pair, cli, render_family_pair
+from partition_sieve import builtin_pair, cli, distribution, render_family_pair
 from partition_sieve.cli import main
 
 EULER_DOC = json.dumps(render_family_pair(builtin_pair("euler")))
@@ -164,6 +164,92 @@ class TestSieve:
         doc = json.loads(result.output)
         assert doc["crosscheck"] == "PASS"
         assert doc["truncated"] is False
+
+
+class TestPartitionCap:
+    """p(n) is known before any walk: dist and compare exit 3 over the cap
+    with one stderr line, and sieve keeps its exact table but skips the
+    brute-force crosscheck."""
+
+    P100 = "partition cap exceeded: p(100) = 190569292 over --partition-cap 100000000\n"
+    SKIPPED_100 = "crosscheck: skipped: p(n) = 190569292 over --partition-cap"
+
+    @pytest.fixture
+    def no_walk(self, monkeypatch):
+        monkeypatch.setattr(distribution, "partition_walk", _boom)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["dist", "--pair", "euler", "--side", "X", "--n", "100"],
+            ["compare", "--pair", "euler", "--n-max", "100"],
+            ["compare", "--pair", "mod6", "--prose-y", "--n-from", "99", "--n-max", "100"],
+        ],
+        ids=["dist", "compare", "compare-prose-y"],
+    )
+    def test_default_cap_n100_exits_3(self, runner, no_walk, args):
+        result = invoke(runner, args)
+        assert (result.exit_code, result.stdout, result.stderr) == (3, "", self.P100)
+
+    def test_sieve_n100_keeps_exact_table(self, runner, no_walk):
+        result = invoke(runner, ["sieve", "--pair", "euler", "--side", "X", "--n", "100"])
+        assert result.exit_code == 3
+        lines = result.stdout.splitlines()
+        assert lines[0] == "euler.X (sieve)  n=100  total=190569292"
+        assert lines[-1] == self.SKIPPED_100
+        assert result.stderr == ""
+
+    def test_sieve_n100_json_and_csv(self, runner, no_walk):
+        args = ["sieve", "--pair", "euler", "--side", "X", "--n", "100", "--format"]
+        doc = json.loads(invoke(runner, args + ["json"]).stdout)
+        assert (doc["crosscheck"], doc["partitions"], doc["total"]) == (
+            "skipped",
+            "190569292",
+            "190569292",
+        )
+        result = invoke(runner, args + ["csv"])
+        assert result.exit_code == 3
+        assert result.stdout.startswith("n,j,count,total\n100,0,444793,190569292\n")
+        assert result.stderr == self.SKIPPED_100 + "\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["dist", "--pair", "euler", "--side", "Y", "--n", "10"],
+            ["compare", "--pair", "euler", "--n-max", "10"],
+        ],
+        ids=["dist", "compare"],
+    )
+    def test_small_cap(self, runner, args):
+        # p(10) = 42: a cap of 42 still walks, 41 does not.
+        assert invoke(runner, args + ["--partition-cap", "42"]).exit_code == 0
+        result = invoke(runner, args + ["--partition-cap", "41"])
+        assert (result.exit_code, result.stdout) == (3, "")
+        assert result.stderr == "partition cap exceeded: p(10) = 42 over --partition-cap 41\n"
+
+    def test_sieve_small_cap(self, runner):
+        args = ["sieve", "--pair", "remmel_consecutive", "--side", "Y", "--n", "10"]
+        checked = invoke(runner, args + ["--partition-cap", "42"])
+        skipped = invoke(runner, args + ["--partition-cap", "41"])
+        assert (checked.exit_code, skipped.exit_code) == (0, 3)
+        table = checked.stdout.splitlines()[:-1]
+        skipped_line = "crosscheck: skipped: p(n) = 42 over --partition-cap"
+        assert skipped.stdout.splitlines() == table + [skipped_line]
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["dist", "--pair", "euler", "--side", "X", "--n", "4"],
+            ["compare", "--pair", "euler", "--n-max", "4"],
+            ["sieve", "--pair", "euler", "--side", "X", "--n", "4"],
+        ],
+        ids=["dist", "compare", "sieve"],
+    )
+    def test_nonpositive_cap_exits_2(self, runner, args, cap):
+        result = invoke(runner, args + ["--partition-cap", cap])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert "Error: --partition-cap must be > 0" in result.stderr
 
 
 class TestCheck:

@@ -98,6 +98,22 @@ def drawn_families(draw):
     return MultisetFamily("drawn", tuple(strands + repeats))
 
 
+@st.composite
+def tail_families(draw):
+    """Explicit members that mix needs of up to 4 at sizes 1 and 2 with
+    entries at sizes 3-8, or hold only one kind, often repeated."""
+    small = st.dictionaries(st.sampled_from([1, 2]), st.integers(1, 4), max_size=2)
+    big = st.dictionaries(st.integers(3, 8), st.integers(1, 3), max_size=2)
+    member = st.tuples(small, big).filter(any).map(lambda sb: {**sb[0], **sb[1]})
+    strands = draw(st.lists(member, min_size=1, max_size=5))
+    repeats = draw(st.lists(st.sampled_from(strands), max_size=8))
+    return explicit_family(*strands, *repeats)
+
+
+def explicit_family(*members):
+    return MultisetFamily("explicit", tuple(Strand(explicit=Multiset(m)) for m in members))
+
+
 def report_verdicts(report):
     return [(v.n, v.identical, v.j, v.count_x, v.count_y) for v in report.verdicts]
 
@@ -198,6 +214,35 @@ class TestIncrementalTally:
         tallies = distribution._tally_walk((x, y), n)
         assert tallies == [tally_distribution(s.counts_evaluator(n), n) for s in (x, y)]
         assert report_verdicts(compare(x, y, n, n)) == oracle_verdicts(x, y, n, n)
+
+    @given(tail_families(), tail_families(), st.integers(0, 22))
+    @example(explicit_family({2: 1, 1: 1}), explicit_family({2: 3}), 12)
+    @example(explicit_family({1: 5}), explicit_family({2: 1, 3: 1}), 12)
+    # At {6, 3} the member's 3 is met but its three 1s are not: rest 0.
+    @example(explicit_family({1: 3, 3: 1}), explicit_family({1: 3, 3: 1}, {1: 3}), 9)
+    @settings(max_examples=150, deadline=None)
+    def test_closed_form_tail_matches_oracle(self, family_x, family_y, n):
+        x, y = FamilyStatistic(family_x), FamilyStatistic(family_y)
+        tallies = distribution._tally_walk((x, y), n)
+        assert tallies == [tally_distribution(s.counts_evaluator(n), n) for s in (x, y)]
+
+    def test_copies_share_one_class(self, monkeypatch):
+        # 1,500 copies of {1: 1}, as in the overlap workload's R1500 file,
+        # and one mixed member: a closed-form cover sees at most two classes.
+        family = explicit_family(*[{1: 1}] * 1500, {2: 1, 3: 1})
+        classes = []
+        cover = distribution._cover
+
+        def counted(pairs, rest):
+            pairs = list(pairs)
+            classes.append(len(pairs))
+            return cover(pairs, rest)
+
+        monkeypatch.setattr(distribution, "_cover", counted)
+        stat = FamilyStatistic(family)
+        table = distribution_bruteforce(stat, 20)
+        assert max(classes) == 2
+        assert table.counts == tally_distribution(stat.counts_evaluator(20), 20)
 
     def test_hits_above_n_plus_one(self):
         stat = FamilyStatistic(self.DUPLICATES)

@@ -127,20 +127,23 @@ class TestEnumeration:
 
 
 class TestWalkChanges:
-    """partition_walk reports, before each yield, every watched size whose
-    multiplicity changed since the previous map (the empty map at first)."""
+    """partition_walk yields groups: the map of the parts >= 3 and the rest
+    left for 2s and 1s. Before each yield it reports every watched size
+    whose multiplicity changed since the previous map (the empty map at
+    first), at most three per step and never the sizes 1 or 2."""
 
     @staticmethod
     def replay(n, watched):
         """Walk n watching the given sizes; after every step, the shadow map
-        rebuilt from the reported changes and the live map, both restricted
-        to the watched sizes. Each bucket is its own size."""
+        rebuilt from the reported changes, the live map restricted to the
+        watched sizes, the rest and the running count of reports. Each
+        bucket is its own size."""
         shadow = {}
         reports = []
 
         def on_change(bucket, old, new):
             reports.append(bucket)
-            assert bucket in watched
+            assert bucket in watched and bucket >= 3
             assert shadow.get(bucket, 0) == old != new
             if new:
                 shadow[bucket] = new
@@ -149,28 +152,48 @@ class TestWalkChanges:
 
         watch = [s if s in watched else None for s in range(n + 1)]
         steps = []
-        for counts in partition_walk(n, watch, on_change):
+        for counts, rest in partition_walk(n, watch, on_change):
+            assert min(counts, default=3) >= 3
+            assert sum(s * m for s, m in counts.items()) + rest == n
             live = {s: m for s, m in counts.items() if s in watched}
-            steps.append((dict(shadow), live, len(reports)))
+            steps.append((dict(shadow), live, rest, len(reports)))
         return steps
+
+    @staticmethod
+    def expand(counts, rest):
+        """The partitions of a group, 2s turned into 1 + 1 one at a time."""
+        for twos in range(rest // 2, -1, -1):
+            partition = dict(counts)
+            if twos:
+                partition[2] = twos
+            if rest - 2 * twos:
+                partition[1] = rest - 2 * twos
+            yield partition
 
     @pytest.mark.parametrize("n", range(21))
     def test_replay_rebuilds_every_map(self, n):
+        # Sizes 1 and 2 are watched too; replay() asserts they never report.
         steps = self.replay(n, set(range(1, n + 1)))
-        # Watching changes no map: the same partitions as the unwatched view.
-        assert [live for _, live, _ in steps] == [dict(c) for c in descending_part_sequences(n)]
         previous = 0
-        for shadow, live, reported in steps:
+        for shadow, live, _, reported in steps:
             assert shadow == live
-            assert reported - previous <= 4  # s, s - 1, the remainder and 1
+            assert reported - previous <= 3  # s, s - 1 and the remainder
             previous = reported
+        # The groups, expanded in order, are the partitions of n in order.
+        expanded = [p for _, live, rest, _ in steps for p in self.expand(live, rest)]
+        assert expanded == [dict(c) for c in descending_part_sequences(n)]
 
     @given(st.integers(0, 20), st.sets(st.integers(1, 20)))
     @settings(max_examples=80, deadline=None)
     def test_unwatched_sizes_never_reported(self, n, watched):
-        # replay() asserts that every reported bucket is a watched size.
-        for shadow, live, _ in self.replay(n, watched):
+        # replay() asserts that every reported bucket is a watched size >= 3.
+        for shadow, live, _, _ in self.replay(n, watched):
             assert shadow == live
+
+    @pytest.mark.parametrize("n", range(41))
+    def test_group_count(self, n):
+        groups = sum(1 for _ in partition_walk(n, [None] * (n + 1), None))
+        assert groups == count_partitions_dp(n) - count_partitions_dp(n - 2)
 
 
 class TestCountPartitions:
