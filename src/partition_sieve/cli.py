@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import click
@@ -51,24 +52,32 @@ from .statistics import FamilyStatistic, pair_statistics
 
 FORMATS = click.Choice(["table", "csv", "json"])
 
-# Above p(60) = 966,467, below p(100) = 190,569,292.
+# The largest p(n) that brute-force enumeration may walk: above
+# p(94) = 92,669,720, below p(95) = 104,651,419.
 DEFAULT_PARTITION_CAP = 100_000_000
 
-_partition_cap_option = click.option(
-    "--partition-cap",
-    type=int,
-    default=DEFAULT_PARTITION_CAP,
-    show_default=True,
-    help="Largest p(n) that brute-force enumeration may walk.",
-)
+
+@lru_cache(maxsize=None)
+def _largest_n_within(cap: int) -> int:
+    """The largest n with p(n) <= cap (cap >= 1). p never falls as n grows,
+    so p(n) > cap iff n is larger, and p is never computed past that n."""
+    n = 0
+    while count_partitions(n + 1) <= cap:
+        n += 1
+    return n
 
 
-def _exit_over_partition_cap(n: int, cap: int) -> None:
-    """Exit 3 with one stderr line, before any enumeration, if p(n) > cap."""
-    count = count_partitions(n)
-    if count > cap:
-        message = f"partition cap exceeded: p({n}) = {count} over --partition-cap {cap}"
-        click.echo(message, file=sys.stderr)
+def _over_partition_cap(n: int) -> bool:
+    return n > _largest_n_within(DEFAULT_PARTITION_CAP)
+
+
+def _exit_over_partition_cap(n: int) -> None:
+    """Exit 3 with one stderr line, before any enumeration, if p(n) is over
+    the partition cap."""
+    if _over_partition_cap(n):
+        click.echo(
+            f"partition cap exceeded: p({n}) is over {DEFAULT_PARTITION_CAP}", file=sys.stderr
+        )
         sys.exit(3)
 
 
@@ -340,19 +349,17 @@ def _table_csv(doc: dict) -> str:
 @_pair_options
 @click.option("--side", type=click.Choice(["X", "Y"]), required=True, help="Which statistic.")
 @click.option("--n", type=int, required=True, help="Partition weight (n >= 0).")
-@_partition_cap_option
 @click.option("--format", "fmt", type=FORMATS, default="table", help="Output format.")
-def dist(pair, pair_file, d, m1_file, side, n, partition_cap, fmt):
+def dist(pair, pair_file, d, m1_file, side, n, fmt):
     """Exact distribution table of one side's statistic at a single n.
 
-    Exits 3, printing nothing on stdout, when p(n) is over --partition-cap.
+    Exits 3, printing nothing on stdout, when p(n) is over the partition cap
+    (100,000,000, first passed at n = 95).
     """
     if n < 0:
         raise click.UsageError("--n must be >= 0")
-    if partition_cap <= 0:
-        raise click.UsageError("--partition-cap must be > 0")
     resolved = _resolve_pair(pair, pair_file, d, m1_file, bound=n)
-    _exit_over_partition_cap(n, partition_cap)
+    _exit_over_partition_cap(n)
     stat_x, stat_y = pair_statistics(resolved)
     stat = stat_x if side == "X" else stat_y
     doc = _table_doc(distribution_bruteforce(stat, n), stat.label)
@@ -423,26 +430,23 @@ def _compare_csv(doc: dict) -> str:
     help="mod6 only: compare against the literal 'any multiple of 3' reading "
     "of Y instead of the weight-matched family form.",
 )
-@_partition_cap_option
 @click.option("--format", "fmt", type=FORMATS, default="table", help="Output format.")
-def compare(pair, pair_file, d, m1_file, n_from, n_max, prose_y, partition_cap, fmt):
+def compare(pair, pair_file, d, m1_file, n_from, n_max, prose_y, fmt):
     """Verify identical distributions of X and Y for every n in a range.
 
     Exits 0 when the exact count maps match at every n, 1 on the first
     divergence (reported with the smallest differing j), and 3, printing
-    nothing on stdout, when p(n_max) is over --partition-cap.
+    nothing on stdout, when p(n_max) is over the partition cap.
     """
     if not 0 <= n_from <= n_max:
         raise click.UsageError("need 0 <= --n-from <= --n-max")
-    if partition_cap <= 0:
-        raise click.UsageError("--partition-cap must be > 0")
     resolved = _resolve_pair(pair, pair_file, d, m1_file, bound=n_max)
     stat_x, stat_y = pair_statistics(resolved)
     if prose_y:
         if pair != "mod6":
             raise click.UsageError("--prose-y applies only to --pair mod6")
         stat_y = FamilyStatistic(mod6_prose_family())
-    _exit_over_partition_cap(n_max, partition_cap)
+    _exit_over_partition_cap(n_max)
     report = compare_distributions(stat_x, stat_y, n_from, n_max)
     _emit(fmt, _compare_doc(report, resolved.name), _compare_text, _compare_csv)
     sys.exit(0 if report.identical_everywhere else 1)
@@ -452,7 +456,7 @@ def _sieve_status(doc: dict) -> str:
     if doc["truncated"]:
         return f"truncated: subset cap exceeded after {doc['subsets_explored']} subsets"
     if doc["crosscheck"] == "skipped":
-        return f"crosscheck: skipped: p(n) = {doc['partitions']} over --partition-cap"
+        return f"crosscheck: skipped: p(n) is over {DEFAULT_PARTITION_CAP}"
     return f"crosscheck: {doc['crosscheck']}"
 
 
@@ -475,35 +479,31 @@ def _sieve_text(doc: dict) -> str:
     show_default=True,
     help="Budget of explored index subsets.",
 )
-@_partition_cap_option
 @click.option("--format", "fmt", type=FORMATS, default="table", help="Output format.")
-def sieve(pair, pair_file, d, m1_file, side, n, subset_cap, partition_cap, fmt):
+def sieve(pair, pair_file, d, m1_file, side, n, subset_cap, fmt):
     """Inclusion-exclusion table for one side, cross-checked against brute force.
 
     Prints the sieve's exact-j table plus a `crosscheck: PASS|FAIL` line
     comparing it with the enumeration-based distribution. Exits 0 on PASS,
     1 on FAIL, 3 if the subset budget was exceeded (truncated result) or if
-    p(n) is over --partition-cap (`crosscheck: skipped`, table still exact).
+    p(n) is over the partition cap (`crosscheck: skipped`, table still exact).
     """
     if n < 0:
         raise click.UsageError("--n must be >= 0")
     if subset_cap <= 0:
         raise click.UsageError("--subset-cap must be > 0")
-    if partition_cap <= 0:
-        raise click.UsageError("--partition-cap must be > 0")
     resolved = _resolve_pair(pair, pair_file, d, m1_file, bound=n)
     family = resolved.F if side == "X" else resolved.G
     label = f"{resolved.name}.{side} (sieve)"
     result = sieve_distribution(family, n, subset_cap)
     explored = str(result.subsets_explored)
-    partitions = count_partitions(n)
+    over_cap = _over_partition_cap(n)
     if result.truncated:
         doc = {"statistic": label, "n": str(n), "truncated": True, "subsets_explored": explored}
     else:
         doc = {**_table_doc(result.table, label), "subsets_explored": explored, "truncated": False}
-        if partitions > partition_cap:
+        if over_cap:
             doc["crosscheck"] = "skipped"
-            doc["partitions"] = str(partitions)
         else:
             brute = distribution_bruteforce(FamilyStatistic(family), n)
             doc["crosscheck"] = "PASS" if result.table == brute else "FAIL"
@@ -514,7 +514,7 @@ def sieve(pair, pair_file, d, m1_file, side, n, subset_cap, partition_cap, fmt):
         click.echo(_sieve_status(doc), file=sys.stderr)
     else:
         _emit(fmt, doc, _sieve_text)
-    if result.truncated or partitions > partition_cap:
+    if result.truncated or over_cap:
         sys.exit(3)
     sys.exit(0 if doc["crosscheck"] == "PASS" else 1)
 

@@ -98,9 +98,9 @@ def _tally_walk(stats: tuple[FamilyStatistic, ...], n: int) -> list[dict[int, in
     class's members whose entries >= 3 are all met. A side's members with
     no entry below 3 form its base class, contained at every k; the others
     are classed by (a, b), so a group costs its rest plus the side's
-    classes, not its members. Members with entries at sizes 1 and 2 only
-    cover the same k in every group with the same r: their hit counts, and
-    the histogram of those, are made once per r.
+    classes, not its members. A group's histogram of hit counts over k
+    depends only on r and the levels of the side's mixed classes, so it is
+    made once per such state.
     """
     watch: list[list[tuple[int, int, int]] | None] = [None] * (n + 1)
     unmet: list[int] = []
@@ -130,17 +130,13 @@ def _tally_walk(stats: tuple[FamilyStatistic, ...], n: int) -> list[dict[int, in
                 if bucket is None:
                     bucket = watch[size] = []
                 bucket.append((mult, slot, cls))
-        small_classes = tuple(small.items())
-        histograms = [
-            tuple(Counter(_cover(small_classes, rest)).items()) for rest in range(n + 1)
-        ]
         # At most every member is contained at once.
         tally = [0] * (len(patterns) + 1)
         # The side's mixed classes sit at level[base + 1 : end], in the order
-        # of `mixed`. With mixed members met, a group's histogram depends on
-        # its rest and those levels, so each is made once.
-        merged: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
-        sides.append((tally, base, len(level), tuple(mixed), small_classes, histograms, merged))
+        # of `mixed`. A group's histogram depends only on its rest and those
+        # levels, so each is made once.
+        memo: dict[int | tuple[int, ...], tuple[tuple[int, int], ...]] = {}
+        sides.append((tally, base, len(level), tuple(mixed), tuple(small.items()), memo))
     for bucket in watch:
         if bucket:
             bucket.sort()
@@ -164,15 +160,15 @@ def _tally_walk(stats: tuple[FamilyStatistic, ...], n: int) -> list[dict[int, in
                     unmet[slot] += 1
 
     for _, rest in partition_walk(n, watch, on_change):
-        for tally, base, end, mixed, small_classes, histograms, merged in sides:
-            if mixed:
-                key = (rest, *level[base + 1 : end])
-                histogram = merged.get(key)
-                if histogram is None:
-                    cover = _cover(small_classes + tuple(zip(mixed, key[1:])), rest)
-                    histogram = merged[key] = tuple(Counter(cover).items())
-            else:
-                histogram = histograms[rest]
+        for tally, base, end, mixed, small_classes, memo in sides:
+            # With no mixed class the bare rest is the key: building a tuple
+            # per group would cost more than the tally.
+            key = (rest, *level[base + 1 : end]) if mixed else rest
+            histogram = memo.get(key)
+            if histogram is None:
+                levels = level[base + 1 : end]
+                cover = _cover(small_classes + tuple(zip(mixed, levels)), rest)
+                histogram = memo[key] = tuple(Counter(cover).items())
             hits = level[base]
             for c, count in histogram:
                 tally[hits + c] += count

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from partition_sieve import builtin_pair, cli, distribution, render_family_pair
 from partition_sieve.cli import main
+from partition_sieve.partitions import count_partitions
 
 EULER_DOC = json.dumps(render_family_pair(builtin_pair("euler")))
 
@@ -171,8 +172,8 @@ class TestPartitionCap:
     with one stderr line, and sieve keeps its exact table but skips the
     brute-force crosscheck."""
 
-    P100 = "partition cap exceeded: p(100) = 190569292 over --partition-cap 100000000\n"
-    SKIPPED_100 = "crosscheck: skipped: p(n) = 190569292 over --partition-cap"
+    P100 = "partition cap exceeded: p(100) is over 100000000\n"
+    SKIPPED = "crosscheck: skipped: p(n) is over 100000000"
 
     @pytest.fixture
     def no_walk(self, monkeypatch):
@@ -191,26 +192,48 @@ class TestPartitionCap:
         result = invoke(runner, args)
         assert (result.exit_code, result.stdout, result.stderr) == (3, "", self.P100)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["dist", "--pair", "euler", "--side", "X", "--n", "1000000"],
+            ["compare", "--pair", "euler", "--n-max", "1000000"],
+        ],
+        ids=["dist", "compare"],
+    )
+    def test_huge_n_never_counts_its_partitions(self, runner, no_walk, monkeypatch, args):
+        # The check steps p up to the cap, never out to p(1000000).
+        def bounded(m):
+            assert m <= 100, f"p({m}) computed for the cap check"
+            return count_partitions(m)
+
+        monkeypatch.setattr(cli, "count_partitions", bounded)
+        cli._largest_n_within.cache_clear()
+        result = invoke(runner, args)
+        assert (result.exit_code, result.stdout) == (3, "")
+        assert result.stderr == "partition cap exceeded: p(1000000) is over 100000000\n"
+
+    def test_cap_passed_first_at_95(self, runner, no_walk):
+        # p(94) = 89,134,817 and p(95) = 104,651,419.
+        assert cli._largest_n_within(cli.DEFAULT_PARTITION_CAP) == 94
+        result = invoke(runner, ["dist", "--pair", "euler", "--side", "X", "--n", "95"])
+        assert (result.exit_code, result.stdout) == (3, "")
+
     def test_sieve_n100_keeps_exact_table(self, runner, no_walk):
         result = invoke(runner, ["sieve", "--pair", "euler", "--side", "X", "--n", "100"])
         assert result.exit_code == 3
         lines = result.stdout.splitlines()
         assert lines[0] == "euler.X (sieve)  n=100  total=190569292"
-        assert lines[-1] == self.SKIPPED_100
+        assert lines[-1] == self.SKIPPED
         assert result.stderr == ""
 
     def test_sieve_n100_json_and_csv(self, runner, no_walk):
         args = ["sieve", "--pair", "euler", "--side", "X", "--n", "100", "--format"]
         doc = json.loads(invoke(runner, args + ["json"]).stdout)
-        assert (doc["crosscheck"], doc["partitions"], doc["total"]) == (
-            "skipped",
-            "190569292",
-            "190569292",
-        )
+        assert (doc["crosscheck"], doc["total"]) == ("skipped", "190569292")
         result = invoke(runner, args + ["csv"])
         assert result.exit_code == 3
         assert result.stdout.startswith("n,j,count,total\n100,0,444793,190569292\n")
-        assert result.stderr == self.SKIPPED_100 + "\n"
+        assert result.stderr == self.SKIPPED + "\n"
 
     @pytest.mark.parametrize(
         "args",
@@ -220,36 +243,25 @@ class TestPartitionCap:
         ],
         ids=["dist", "compare"],
     )
-    def test_small_cap(self, runner, args):
+    def test_small_cap(self, runner, monkeypatch, args):
         # p(10) = 42: a cap of 42 still walks, 41 does not.
-        assert invoke(runner, args + ["--partition-cap", "42"]).exit_code == 0
-        result = invoke(runner, args + ["--partition-cap", "41"])
+        monkeypatch.setattr(cli, "DEFAULT_PARTITION_CAP", 42)
+        assert invoke(runner, args).exit_code == 0
+        monkeypatch.setattr(cli, "DEFAULT_PARTITION_CAP", 41)
+        result = invoke(runner, args)
         assert (result.exit_code, result.stdout) == (3, "")
-        assert result.stderr == "partition cap exceeded: p(10) = 42 over --partition-cap 41\n"
+        assert result.stderr == "partition cap exceeded: p(10) is over 41\n"
 
-    def test_sieve_small_cap(self, runner):
+    def test_sieve_small_cap(self, runner, monkeypatch):
         args = ["sieve", "--pair", "remmel_consecutive", "--side", "Y", "--n", "10"]
-        checked = invoke(runner, args + ["--partition-cap", "42"])
-        skipped = invoke(runner, args + ["--partition-cap", "41"])
+        monkeypatch.setattr(cli, "DEFAULT_PARTITION_CAP", 42)
+        checked = invoke(runner, args)
+        monkeypatch.setattr(cli, "DEFAULT_PARTITION_CAP", 41)
+        skipped = invoke(runner, args)
         assert (checked.exit_code, skipped.exit_code) == (0, 3)
         table = checked.stdout.splitlines()[:-1]
-        skipped_line = "crosscheck: skipped: p(n) = 42 over --partition-cap"
+        skipped_line = "crosscheck: skipped: p(n) is over 41"
         assert skipped.stdout.splitlines() == table + [skipped_line]
-
-    @pytest.mark.parametrize("cap", ["0", "-1"])
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["dist", "--pair", "euler", "--side", "X", "--n", "4"],
-            ["compare", "--pair", "euler", "--n-max", "4"],
-            ["sieve", "--pair", "euler", "--side", "X", "--n", "4"],
-        ],
-        ids=["dist", "compare", "sieve"],
-    )
-    def test_nonpositive_cap_exits_2(self, runner, args, cap):
-        result = invoke(runner, args + ["--partition-cap", cap])
-        assert (result.exit_code, result.stdout) == (2, "")
-        assert "Error: --partition-cap must be > 0" in result.stderr
 
 
 class TestCheck:
