@@ -63,65 +63,80 @@ class DistributionTable:
         return f"DistributionTable(n={self.n}, counts={{{body}}}, total={self.total})"
 
 
-def _cover(classes: Iterable[tuple[tuple[int, int], int]], rest: int) -> list[int]:
-    """For k = 0 .. rest // 2, how many members of the given classes the tail
-    2^k 1^(rest - 2k) contains. A class is the (a, b) that its members need
-    at sizes 2 and 1, given with its number of members; the tail contains
-    them iff k >= a and rest - 2k >= b, so for k in [a, (rest - b) // 2].
+def _cover(classes: Iterable[tuple[tuple[int, int, int], int]], rest: int) -> Counter[int]:
+    """How many tails 3^t 2^k 1^(rest - 3t - 2k) of rest contain each number
+    of members of the given classes: {hits: tails}. A class is the (c, a, b)
+    that its members need at sizes 3, 2 and 1, given with its number of
+    members; a tail contains them iff t >= c, k >= a and rest - 3t - 2k >= b,
+    so for each t >= c for k in [a, (rest - 3t - b) // 2].
     """
-    top = rest >> 1
-    diff = [0] * (top + 2)
-    for (a, b), mult in classes:
-        hi = (rest - b) >> 1
-        if a <= hi:
-            diff[a] += mult
-            diff[hi + 1] -= mult
-    return list(accumulate(diff[: top + 1]))
+    hits: list[int] = []
+    for t in range(rest // 3 + 1):
+        left = rest - 3 * t
+        top = left >> 1
+        diff = [0] * (top + 2)
+        for (c, a, b), mult in classes:
+            hi = (left - b) >> 1
+            if c <= t and a <= hi:
+                diff[a] += mult
+                diff[hi + 1] -= mult
+        hits += accumulate(diff[: top + 1])
+    return Counter(hits)
 
 
-def _tally_walk(stats: tuple[FamilyStatistic, ...], n: int) -> list[dict[int, int]]:
-    """Tally each statistic over one walk of the partitions of n: one
-    {j: count} per statistic, in order.
+def _tally_walk(
+    stats: tuple[FamilyStatistic, ...], n_from: int, n_to: int
+) -> list[list[dict[int, int]]]:
+    """Tally each statistic at every n in [n_from, n_to] over one walk of
+    the partitions of n_to: for each n in order, one {j: count} per
+    statistic, in order.
 
     No statistic is evaluated per partition. `partition_walk` yields groups:
-    a map nu of the parts >= 3 and a rest r, standing for the partitions
-    nu + 2^k 1^(r - 2k), k = 0 .. r // 2. Each member (see
-    `FamilyStatistic.member_patterns`) needs some a at size 2 and b at
-    size 1 (0 where it has no entry); the partition of k contains it iff
-    its entries at sizes >= 3 are met in nu and k lies in [a, (r - b) // 2].
+    a map nu of the parts >= 4 and a rest r, standing for the partitions
+    nu + 3^t 2^k 1^(r - 3t - 2k). Each member (see
+    `FamilyStatistic.member_patterns`) needs some (c, a, b) at sizes 3, 2
+    and 1 (0 where it has no entry); such a partition contains it iff its
+    entries at sizes >= 4 are met in nu, t >= c, k >= a and
+    r - 3t - 2k >= b.
 
-    A member with entries at sizes >= 3 is a slot holding its number of
+    A member with entries at sizes >= 4 is a slot holding its number of
     unmet such entries, and watch[s] lists the (needed multiplicity, slot,
     class) entries of every member that uses size s, by need. The walk
     reports each change of a watched multiplicity, so a step touches only
     the members at the few sizes it changed, and level[class] counts the
-    class's members whose entries >= 3 are all met. A side's members with
-    no entry below 3 form its base class, contained at every k; the others
-    are classed by (a, b), so a group costs its rest plus the side's
-    classes, not its members. A group's histogram of hit counts over k
-    depends only on r and the levels of the side's mixed classes, so it is
-    made once per such state.
+    class's members whose entries >= 4 are all met. A side's members with
+    no entry below 4 form its base class, contained in the whole group; the
+    others are classed by (c, a, b), and a class is mixed when its members
+    also have entries >= 4. During the walk the groups are only counted by
+    the rest and every class level; a side's state is the rest, its base
+    level and its mixed classes' levels.
+
+    The same nu with rest r - d is a group of n_to - d, so after the walk
+    each state serves every n with r - (n_to - n) >= 0. Its histogram of
+    hit counts over the tails depends only on that rest and the mixed
+    levels, and is made once per side for them. The members are those of
+    n_to for every n: a member heavier than n is never met at n.
     """
-    watch: list[list[tuple[int, int, int]] | None] = [None] * (n + 1)
+    watch: list[list[tuple[int, int, int]] | None] = [None] * (n_to + 1)
     unmet: list[int] = []
     level: list[int] = []
     sides = []
     for stat in stats:
-        patterns = stat.member_patterns(n)
+        patterns = stat.member_patterns(n_to)
         base = len(level)
         level.append(0)
-        mixed: dict[tuple[int, int], int] = {}
-        small: Counter[tuple[int, int]] = Counter()
+        mixed: dict[tuple[int, int, int], int] = {}
+        small: Counter[tuple[int, int, int]] = Counter()
         for items in patterns:
             need = dict(items)
-            ab = (need.get(2, 0), need.get(1, 0))
-            big = [(size, mult) for size, mult in items if size >= 3]
+            cab = (need.get(3, 0), need.get(2, 0), need.get(1, 0))
+            big = [(size, mult) for size, mult in items if size >= 4]
             if not big:
-                small[ab] += 1
+                small[cab] += 1
                 continue
-            cls = base if ab == (0, 0) else mixed.get(ab)
+            cls = base if cab == (0, 0, 0) else mixed.get(cab)
             if cls is None:
-                cls = mixed[ab] = len(level)
+                cls = mixed[cab] = len(level)
                 level.append(0)
             slot = len(unmet)
             unmet.append(len(big))
@@ -130,13 +145,7 @@ def _tally_walk(stats: tuple[FamilyStatistic, ...], n: int) -> list[dict[int, in
                 if bucket is None:
                     bucket = watch[size] = []
                 bucket.append((mult, slot, cls))
-        # At most every member is contained at once.
-        tally = [0] * (len(patterns) + 1)
-        # The side's mixed classes sit at level[base + 1 : end], in the order
-        # of `mixed`. A group's histogram depends only on its rest and those
-        # levels, so each is made once.
-        memo: dict[int | tuple[int, ...], tuple[tuple[int, int], ...]] = {}
-        sides.append((tally, base, len(level), tuple(mixed), tuple(small.items()), memo))
+        sides.append((base, len(level), tuple(mixed), tuple(small.items()), len(patterns)))
     for bucket in watch:
         if bucket:
             bucket.sort()
@@ -159,20 +168,35 @@ def _tally_walk(stats: tuple[FamilyStatistic, ...], n: int) -> list[dict[int, in
                         level[cls] -= 1
                     unmet[slot] += 1
 
-    for _, rest in partition_walk(n, watch, on_change):
-        for tally, base, end, mixed, small_classes, memo in sides:
-            # With no mixed class the bare rest is the key: building a tuple
-            # per group would cost more than the tally.
-            key = (rest, *level[base + 1 : end]) if mixed else rest
-            histogram = memo.get(key)
-            if histogram is None:
-                levels = level[base + 1 : end]
-                cover = _cover(small_classes + tuple(zip(mixed, levels)), rest)
-                histogram = memo[key] = tuple(Counter(cover).items())
-            hits = level[base]
-            for c, count in histogram:
-                tally[hits + c] += count
-    return [{j: c for j, c in enumerate(tally) if c} for tally, *_ in sides]
+    # One tuple per group for all sides; each side's states are read off
+    # the counts after the walk.
+    walked: Counter[tuple[int, ...]] = Counter()
+    for _, rest in partition_walk(n_to, watch, on_change):
+        walked[(rest, *level)] += 1
+
+    tallies: list[list[dict[int, int]]] = [[] for _ in range(n_from, n_to + 1)]
+    for base, end, mixed, small_classes, size in sides:
+        # The side's states: (rest, base level, *mixed levels).
+        states: Counter[tuple[int, ...]] = Counter()
+        for (rest, *levels), groups in walked.items():
+            states[(rest, *levels[base:end])] += groups
+        memo: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
+        for n, row in zip(range(n_from, n_to + 1), tallies):
+            drop = n_to - n
+            # At most every member is contained at once.
+            tally = [0] * (size + 1)
+            for (rest, hits, *levels), groups in states.items():
+                key = (rest - drop, *levels)
+                if key[0] < 0:
+                    continue
+                histogram = memo.get(key)
+                if histogram is None:
+                    classes = small_classes + tuple(zip(mixed, levels))
+                    histogram = memo[key] = tuple(_cover(classes, key[0]).items())
+                for c, tails in histogram:
+                    tally[hits + c] += groups * tails
+            row.append({j: c for j, c in enumerate(tally) if c})
+    return tallies
 
 
 def distribution_bruteforce(stat: FamilyStatistic, n: int) -> DistributionTable:
@@ -181,7 +205,7 @@ def distribution_bruteforce(stat: FamilyStatistic, n: int) -> DistributionTable:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    (tally,) = _tally_walk((stat,), n)
+    ((tally,),) = _tally_walk((stat,), n, n)
     return DistributionTable(n, tally)
 
 
@@ -227,15 +251,15 @@ def compare(
 ) -> ComparisonReport:
     """Check Prob_n(X=j) = Prob_n(Y=j) for every n in [n_from, n_to].
 
-    Both sides are tallied over one walk of P(n), as in
+    Both sides are tallied at every n over one walk of P(n_to), as in
     `distribution_bruteforce`, so equal count maps mean equal distributions
     exactly. A divergent verdict carries the smallest j whose counts differ.
     """
     if not 0 <= n_from <= n_to:
         raise ValueError(f"need 0 <= n_from <= n_to, got [{n_from}, {n_to}]")
     verdicts = []
-    for n in range(n_from, n_to + 1):
-        tx, ty = _tally_walk((stat_x, stat_y), n)
+    tallies = _tally_walk((stat_x, stat_y), n_from, n_to)
+    for n, (tx, ty) in zip(range(n_from, n_to + 1), tallies):
         diff = first_count_difference(tx, ty)
         if diff is None:
             verdicts.append(ComparisonVerdict(n, True))

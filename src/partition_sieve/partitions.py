@@ -92,35 +92,44 @@ def descending_part_sequences(n: int) -> Iterator[dict[int, int]]:
 
     This is the canonical enumeration order: for n=4 it yields
     {4: 1}, {3: 1, 1: 1}, {2: 2}, {2: 1, 1: 2}, {1: 4}. No size is stored
-    with multiplicity 0, and the keys run in decreasing order.
+    with multiplicity 0, and the keys run in strictly decreasing order.
 
     The map is one dict, yielded for every partition and updated in place
     between yields, changing O(1) entries per step. A caller may read it but
     must neither keep it nor change it; copy it (``dict(counts)``) to keep a
     partition. It is `partition_walk` with no size watched, each group
-    expanded: the walk's map of parts >= 3 with 2^k 1^(rest - 2k) added,
-    for k = rest // 2 down to 0.
+    expanded: the walk's map of parts >= 4 with 3^t 2^k 1^(rest - 3t - 2k)
+    added, for t = rest // 3 down to 0 and, within each t, for
+    k = (rest - 3t) // 2 down to 0.
     """
     for counts, rest in partition_walk(n, [None] * (n + 1), None):
-        twos, ones = divmod(rest, 2)
-        if twos:
-            counts[2] = twos
-        if ones:
-            counts[1] = ones
-        yield counts
-        while twos:
-            # Turn one 2 into 1 + 1; 1 stays the last key.
-            twos -= 1
-            ones += 2
+        for threes in range(rest // 3, -1, -1):
+            # The 3s sit below the walk's parts; the 2s and 1s of the last
+            # tail go first, so that the keys stay in decreasing order.
+            counts.pop(2, None)
+            counts.pop(1, None)
+            if threes:
+                counts[3] = threes
+            else:
+                counts.pop(3, None)
+            twos, ones = divmod(rest - 3 * threes, 2)
             if twos:
                 counts[2] = twos
-            else:
-                del counts[2]
-            counts[1] = ones
+            if ones:
+                counts[1] = ones
             yield counts
-        # The walk resumes from its own map, which holds no 2s or 1s.
-        if rest:
-            del counts[1]
+            while twos:
+                # Turn one 2 into 1 + 1; 1 stays the last key.
+                twos -= 1
+                ones += 2
+                if twos:
+                    counts[2] = twos
+                else:
+                    del counts[2]
+                counts[1] = ones
+                yield counts
+        # The walk resumes from its own map, which holds no 3s, 2s or 1s.
+        counts.pop(1, None)
 
 
 def partition_walk(
@@ -128,16 +137,19 @@ def partition_walk(
     watch: Sequence[object],
     on_change: Callable[[object, int, int], object] | None,
 ) -> Iterator[tuple[dict[int, int], int]]:
-    """Walk the partitions of n in groups, reporting the sizes >= 3 it changes.
+    """Walk the partitions of n in groups, reporting the sizes >= 4 it changes.
 
     Yields ``(counts, rest)`` for every partition nu of some m <= n into
-    parts >= 3, in reverse lexicographic order of the part sequences (a
+    parts >= 4, in reverse lexicographic order of the part sequences (a
     sequence before its own prefixes), with rest = n - m. ``counts`` is nu
     as one {size: multiplicity} dict, updated in place between yields, keys
-    in decreasing order; it never holds the sizes 1 or 2. The group of nu
-    is the partitions nu + 2^k 1^(rest - 2k) for k = rest // 2 down to 0,
-    and the groups, in order, are every partition of n in the order of
-    `descending_part_sequences`. There are p(n) - p(n - 2) groups.
+    in decreasing order; it never holds the sizes 1, 2 or 3. The group of
+    nu is the partitions nu + 3^t 2^k 1^(rest - 3t - 2k), one for each
+    partition of rest into parts <= 3, round((rest + 3)^2 / 12) of them;
+    the groups, in order and each expanded as in
+    `descending_part_sequences`, are every partition of n in its order.
+    There are p(n) - p(n - 2) - p(n - 3) + p(n - 5) groups, the coefficient
+    of q^n in P(q)(1 - q^2)(1 - q^3).
 
     ``watch[s]`` (0 <= s <= n) is a caller's bucket for size s, or None (or
     anything falsy) when s is not watched. Before each yield,
@@ -145,16 +157,16 @@ def partition_walk(
     s whose multiplicity in ``counts`` differs from the one at the previous
     yield, the empty map before the first; replaying these changes on an
     empty dict therefore rebuilds ``counts``. A step pops one part of the
-    smallest size s. A 3 goes to rest; a larger s is refilled with parts of
-    size s - 1 and one remainder part, kept when it is >= 3 and otherwise
+    smallest size s. A 4 goes to rest; a larger s is refilled with parts of
+    size s - 1 and one remainder part, kept when it is >= 4 and otherwise
     the new rest. So a step reports at most three sizes: s, s - 1 and the
-    remainder, and never 1 or 2.
+    remainder, and never 1, 2 or 3.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     counts: dict[int, int] = {}
     rest = n
-    if n >= 3:
+    if n >= 4:
         counts[n] = 1
         rest = 0
         if watch[n]:
@@ -171,15 +183,15 @@ def partition_walk(
         bucket = watch[s]
         if bucket:
             on_change(bucket, m, m - 1)
-        if s == 3:
-            rest += 3
+        if s == 4:
+            rest += 4
             continue
         q, r = divmod(s + rest, s - 1)
         counts[s - 1] = q
         bucket = watch[s - 1]
         if bucket:
             on_change(bucket, 0, q)
-        if r < 3:
+        if r < 4:
             rest = r
         else:
             rest = 0

@@ -44,13 +44,22 @@ def builtin_pairs():
     ]
 
 
-def oracle_verdicts(stat_x, stat_y, n_from, n_to):
+def oracle_tallies(stat_x, stat_y, n_from, n_to):
+    """[X tally, Y tally] per n, each from its own oracle tally."""
+    return [
+        [tally_distribution(stat.counts_evaluator(n), n) for stat in (stat_x, stat_y)]
+        for n in range(n_from, n_to + 1)
+    ]
+
+
+def oracle_verdicts(stat_x, stat_y, n_from, n_to, tallies=None):
     """(n, identical, j, count_x, count_y) per n from two separate oracle
-    tallies, the smallest differing j found by a scan of its own."""
+    tallies (`oracle_tallies` unless given), the smallest differing j found
+    by a scan of its own."""
+    if tallies is None:
+        tallies = oracle_tallies(stat_x, stat_y, n_from, n_to)
     verdicts = []
-    for n in range(n_from, n_to + 1):
-        tx = tally_distribution(stat_x.counts_evaluator(n), n)
-        ty = tally_distribution(stat_y.counts_evaluator(n), n)
+    for n, (tx, ty) in zip(range(n_from, n_to + 1), tallies):
         differing = [j for j in sorted(set(tx) | set(ty)) if tx.get(j, 0) != ty.get(j, 0)]
         if differing:
             j = differing[0]
@@ -100,9 +109,9 @@ def drawn_families(draw):
 
 @st.composite
 def tail_families(draw):
-    """Explicit members that mix needs of up to 4 at sizes 1 and 2 with
+    """Explicit members that mix needs of up to 4 at sizes 1, 2 and 3 with
     entries at sizes 3-8, or hold only one kind, often repeated."""
-    small = st.dictionaries(st.sampled_from([1, 2]), st.integers(1, 4), max_size=2)
+    small = st.dictionaries(st.sampled_from([1, 2, 3]), st.integers(1, 4), max_size=3)
     big = st.dictionaries(st.integers(3, 8), st.integers(1, 3), max_size=2)
     member = st.tuples(small, big).filter(any).map(lambda sb: {**sb[0], **sb[1]})
     strands = draw(st.lists(member, min_size=1, max_size=5))
@@ -211,9 +220,9 @@ class TestIncrementalTally:
     def test_compare_matches_oracle(self, family_x, family_y, n):
         x, y = FamilyStatistic(family_x), FamilyStatistic(family_y)
         # The two sides share one walk and one watch list.
-        tallies = distribution._tally_walk((x, y), n)
-        assert tallies == [tally_distribution(s.counts_evaluator(n), n) for s in (x, y)]
-        assert report_verdicts(compare(x, y, n, n)) == oracle_verdicts(x, y, n, n)
+        tallies = distribution._tally_walk((x, y), n, n)
+        assert tallies == oracle_tallies(x, y, n, n)
+        assert report_verdicts(compare(x, y, n, n)) == oracle_verdicts(x, y, n, n, tallies)
 
     @given(tail_families(), tail_families(), st.integers(0, 22))
     @example(explicit_family({2: 1, 1: 1}), explicit_family({2: 3}), 12)
@@ -223,13 +232,27 @@ class TestIncrementalTally:
     @settings(max_examples=150, deadline=None)
     def test_closed_form_tail_matches_oracle(self, family_x, family_y, n):
         x, y = FamilyStatistic(family_x), FamilyStatistic(family_y)
-        tallies = distribution._tally_walk((x, y), n)
-        assert tallies == [tally_distribution(s.counts_evaluator(n), n) for s in (x, y)]
+        assert distribution._tally_walk((x, y), n, n) == oracle_tallies(x, y, n, n)
+
+    @given(tail_families(), tail_families(), st.integers(0, 22), st.integers(0, 22))
+    # remmel's mixed members: {3: 2, 4: 2} weighs 14, inside the range.
+    @example(explicit_family({3: 2, 4: 2}), explicit_family({2: 1, 4: 1}), 0, 22)
+    @example(explicit_family({3: 2, 4: 2}, {1: 1}), explicit_family({2: 1, 4: 1}, {3: 3}), 9, 16)
+    @settings(max_examples=60, deadline=None)
+    def test_range_matches_per_n_oracle(self, family_x, family_y, a, b):
+        # One walk of n_to tallies every n of the range with n_to's members.
+        n_from, n_to = sorted((a, b))
+        x, y = FamilyStatistic(family_x), FamilyStatistic(family_y)
+        expected = oracle_tallies(x, y, n_from, n_to)
+        assert distribution._tally_walk((x, y), n_from, n_to) == expected
+        report = compare(x, y, n_from, n_to)
+        assert report_verdicts(report) == oracle_verdicts(x, y, n_from, n_to, expected)
 
     def test_copies_share_one_class(self, monkeypatch):
         # 1,500 copies of {1: 1}, as in the overlap workload's R1500 file,
-        # and one mixed member: a closed-form cover sees at most two classes.
-        family = explicit_family(*[{1: 1}] * 1500, {2: 1, 3: 1})
+        # and one mixed member (entries at 2 and at 4, the walk's smallest
+        # size): a closed-form cover sees at most two classes.
+        family = explicit_family(*[{1: 1}] * 1500, {2: 1, 4: 1})
         classes = []
         cover = distribution._cover
 
@@ -325,17 +348,31 @@ class TestCompare:
         return calls
 
     def test_one_enumeration_per_n(self, monkeypatch):
+        # One walk of n_to serves every n of the range.
         calls = self.count_walks(monkeypatch)
         x, y = pair_statistics(builtin_pair("euler"))
         assert compare(x, y, 3, 9).identical_everywhere
-        assert calls == list(range(3, 10))
+        assert calls == [9]
 
     def test_one_enumeration_per_n_prose_y(self, monkeypatch):
         calls = self.count_walks(monkeypatch)
         x, _ = pair_statistics(builtin_pair("mod6"))
         prose = FamilyStatistic(mod6_prose_family())
         assert not compare(x, prose, 3, 9).identical_everywhere
-        assert calls == list(range(3, 10))
+        assert calls == [9]
+
+    def test_members_built_once_per_side(self, monkeypatch):
+        calls = []
+        patterns = FamilyStatistic.member_patterns
+
+        def counted(self, n):
+            calls.append((self.label, n))
+            return patterns(self, n)
+
+        monkeypatch.setattr(FamilyStatistic, "member_patterns", counted)
+        x, y = pair_statistics(builtin_pair("euler"))
+        assert compare(x, y, 1, 30).identical_everywhere
+        assert calls == [("euler.X", 30), ("euler.Y", 30)]
 
     def test_rejects_bad_range(self):
         x, y = pair_statistics(builtin_pair("euler"))

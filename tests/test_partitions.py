@@ -102,6 +102,14 @@ class TestEnumeration:
                 assert sum(s * m for s, m in counts.items()) == n
                 assert all(s >= 1 and m >= 1 for s, m in counts.items()), counts
 
+    def test_keys_strictly_decreasing(self):
+        # The in-place map keeps its keys in strictly decreasing order as
+        # the 3s, 2s and 1s of each group come and go.
+        for n in range(26):
+            for counts in descending_part_sequences(n):
+                keys = list(counts)
+                assert all(a > b for a, b in zip(keys, keys[1:])), (n, counts)
+
     def test_duplicate_free_and_deterministic(self):
         for n in range(16):
             first = [frozenset(c.items()) for c in descending_part_sequences(n)]
@@ -127,10 +135,10 @@ class TestEnumeration:
 
 
 class TestWalkChanges:
-    """partition_walk yields groups: the map of the parts >= 3 and the rest
-    left for 2s and 1s. Before each yield it reports every watched size
+    """partition_walk yields groups: the map of the parts >= 4 and the rest
+    left for 3s, 2s and 1s. Before each yield it reports every watched size
     whose multiplicity changed since the previous map (the empty map at
-    first), at most three per step and never the sizes 1 or 2."""
+    first), at most three per step and never the sizes 1, 2 or 3."""
 
     @staticmethod
     def replay(n, watched):
@@ -143,7 +151,7 @@ class TestWalkChanges:
 
         def on_change(bucket, old, new):
             reports.append(bucket)
-            assert bucket in watched and bucket >= 3
+            assert bucket in watched and bucket >= 4
             assert shadow.get(bucket, 0) == old != new
             if new:
                 shadow[bucket] = new
@@ -153,7 +161,7 @@ class TestWalkChanges:
         watch = [s if s in watched else None for s in range(n + 1)]
         steps = []
         for counts, rest in partition_walk(n, watch, on_change):
-            assert min(counts, default=3) >= 3
+            assert min(counts, default=4) >= 4
             assert sum(s * m for s, m in counts.items()) + rest == n
             live = {s: m for s, m in counts.items() if s in watched}
             steps.append((dict(shadow), live, rest, len(reports)))
@@ -161,18 +169,20 @@ class TestWalkChanges:
 
     @staticmethod
     def expand(counts, rest):
-        """The partitions of a group, 2s turned into 1 + 1 one at a time."""
-        for twos in range(rest // 2, -1, -1):
-            partition = dict(counts)
-            if twos:
-                partition[2] = twos
-            if rest - 2 * twos:
-                partition[1] = rest - 2 * twos
-            yield partition
+        """The partitions of a group in reverse-lex order: the tails of rest
+        into 3s, 2s and 1s, most 3s first and, for each number of 3s, most
+        2s first."""
+        for threes in range(rest // 3, -1, -1):
+            for twos in range((rest - 3 * threes) // 2, -1, -1):
+                partition = dict(counts)
+                for size, mult in ((3, threes), (2, twos), (1, rest - 3 * threes - 2 * twos)):
+                    if mult:
+                        partition[size] = mult
+                yield partition
 
     @pytest.mark.parametrize("n", range(21))
     def test_replay_rebuilds_every_map(self, n):
-        # Sizes 1 and 2 are watched too; replay() asserts they never report.
+        # Sizes 1, 2 and 3 are watched too; replay() asserts they never report.
         steps = self.replay(n, set(range(1, n + 1)))
         previous = 0
         for shadow, live, _, reported in steps:
@@ -186,14 +196,16 @@ class TestWalkChanges:
     @given(st.integers(0, 20), st.sets(st.integers(1, 20)))
     @settings(max_examples=80, deadline=None)
     def test_unwatched_sizes_never_reported(self, n, watched):
-        # replay() asserts that every reported bucket is a watched size >= 3.
+        # replay() asserts that every reported bucket is a watched size >= 4.
         for shadow, live, _, _ in self.replay(n, watched):
             assert shadow == live
 
     @pytest.mark.parametrize("n", range(41))
     def test_group_count(self, n):
+        # The coefficient of q^n in P(q)(1 - q^2)(1 - q^3).
         groups = sum(1 for _ in partition_walk(n, [None] * (n + 1), None))
-        assert groups == count_partitions_dp(n) - count_partitions_dp(n - 2)
+        p = count_partitions_dp
+        assert groups == p(n) - p(n - 2) - p(n - 3) + p(n - 5)
 
 
 class TestCountPartitions:
