@@ -23,14 +23,24 @@ factor through the individual members.
 Because only the union weights matter, the sieve never visits the sets S
 one by one: a DP over the members, whose state is the union restricted to
 the sizes that later members still use, counts them by (|S|, union weight).
-The theorem C check, which needs a witness S, walks the same (member
-index, frontier) states depth-first, each once, with two moves per state --
-include the member, then exclude it -- and counts the sets below a state it
-meets again. Both restrict a frontier with the same rule (`_restrict`).
+
+The theorem C check decides by intersection weights. On each size the max
+is an alternating sum of mins, so on the down-set of sets the truncation
+covers, the union weights agree iff the min-intersection weights do. A
+depth-first search over sets of twin classes (positions with equal F and G
+members) visits only the sets whose intersection is nonempty on some side
+and that stay within the truncation. When every intersection agrees, the
+sieve DP on F counts the covered sets. Only on a difference, or when the
+search runs out of budget, does the check walk the (member index,
+frontier) states depth-first, each once, with two moves per state --
+include the member, then exclude it -- for the first failing S in preorder;
+it counts the sets below a state it meets again. The DP and the walk
+restrict a frontier with the same rule (`_restrict`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
 from math import comb
@@ -52,8 +62,9 @@ __all__ = [
 ]
 
 # Budget on the number of index subsets with union weight <= n (counted by
-# the sieve and by the theorem C check, which walks only their states);
-# exceeding it is a loud, flagged condition, never a silent approximation.
+# the sieve and by the theorem C check, which walks only their states), and
+# on the extensions the theorem C intersection search examines; exceeding
+# it is a loud, flagged condition, never a silent approximation.
 DEFAULT_SUBSET_CAP = 5_000_000
 
 
@@ -129,7 +140,7 @@ def _added_weight(pattern: tuple[tuple[int, int], ...], union: dict[int, int]) -
     return sum((m - get(s, 0)) * s for s, m in pattern if m > get(s, 0))
 
 
-def _weight(frontier: tuple[tuple[int, int], ...]) -> int:
+def _weight(frontier: Iterable[tuple[int, int]]) -> int:
     return sum(s * m for s, m in frontier)
 
 
@@ -150,39 +161,27 @@ def _grow(
     pattern, restricted to the sizes that a member after i still uses."""
     if not frontier:
         return _restrict(pattern, last, i)
-    union = dict(frontier)
+    return _restrict(sorted(_merged(frontier, pattern).items()), last, i)
+
+
+def _merged(
+    union: Iterable[tuple[int, int]] | dict[int, int], pattern: tuple[tuple[int, int], ...]
+) -> dict[int, int]:
+    """The max-multiplicity union of a union and a member's pattern."""
+    merged = dict(union)
     for s, m in pattern:
-        if m > union.get(s, 0):
-            union[s] = m
-    return _restrict(sorted(union.items()), last, i)
+        if m > merged.get(s, 0):
+            merged[s] = m
+    return merged
 
 
-def sieve_distribution(
-    family: MultisetFamily, n: int, subset_cap: int = DEFAULT_SUBSET_CAP
-) -> SieveResult:
-    """Distribution of the family-induced statistic on P(n), by sieve.
-
-    Counts the index subsets S of the members relevant to n by (|S|, union
-    weight) with one frontier DP over the members in order -- the
-    coefficients of U(y,q) = sum_S y^|S| q^w(union_S) up to q^n -- then sums
-    N_t = sum_w [y^t q^w]U * p(n - w) and applies the inclusion-exclusion
-    transform. Before member i the state is the union restricted to the
-    frontier, the sizes that some earlier member and some member from i on
-    both use; every other size's weight is already committed. Including a
-    member adds its weight beyond the frontier union, and an inclusion that
-    takes the union weight past n is dropped (sound: union weight only grows
-    when sets are added). For support-disjoint families the frontier is
-    always empty and this is the subset-sum DP for prod_i (1 + y q^w_i).
-
-    subsets_explored is the number of index subsets with union weight <= n:
-    counted, not visited. Independent of partition enumeration, which is the
-    whole point: it cross-checks the brute-force path.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if subset_cap <= 0:
-        raise ValueError(f"subset_cap must be > 0, got {subset_cap}")
-    patterns = [family.member(idx).items() for idx in family.relevant_indices(n)]
+def _count_subsets(
+    patterns: list[tuple[tuple[int, int], ...]], n: int, subset_cap: int
+) -> tuple[dict[tuple[int, int], int], int]:
+    """The frontier DP of `sieve_distribution` over the members' patterns,
+    in order: ({(|S|, union weight): number of subsets S}, the number of
+    subsets with union weight <= n), or ({}, subset_cap + 1) once that
+    number passes subset_cap."""
     last = {size: i for i, pattern in enumerate(patterns) for size, _ in pattern}
     # Frontier union, as sorted (size, mult) pairs -> {(|S|, union weight):
     # number of subsets S of the members seen so far}.
@@ -211,11 +210,41 @@ def sieve_distribution(
                     target[cell] = target.get(cell, 0) + count
                     explored += count
             if explored > subset_cap:
-                return SieveResult(DistributionTable(n, {}), subset_cap + 1, True)
+                return {}, subset_cap + 1
         states = grown_states
-
     # After the last member no size is still to come, so one state is left.
-    cells = states[()]
+    return states[()], explored
+
+
+def sieve_distribution(
+    family: MultisetFamily, n: int, subset_cap: int = DEFAULT_SUBSET_CAP
+) -> SieveResult:
+    """Distribution of the family-induced statistic on P(n), by sieve.
+
+    Counts the index subsets S of the members relevant to n by (|S|, union
+    weight) with one frontier DP over the members in order -- the
+    coefficients of U(y,q) = sum_S y^|S| q^w(union_S) up to q^n -- then sums
+    N_t = sum_w [y^t q^w]U * p(n - w) and applies the inclusion-exclusion
+    transform. Before member i the state is the union restricted to the
+    frontier, the sizes that some earlier member and some member from i on
+    both use; every other size's weight is already committed. Including a
+    member adds its weight beyond the frontier union, and an inclusion that
+    takes the union weight past n is dropped (sound: union weight only grows
+    when sets are added). For support-disjoint families the frontier is
+    always empty and this is the subset-sum DP for prod_i (1 + y q^w_i).
+
+    subsets_explored is the number of index subsets with union weight <= n:
+    counted, not visited. Independent of partition enumeration, which is the
+    whole point: it cross-checks the brute-force path.
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if subset_cap <= 0:
+        raise ValueError(f"subset_cap must be > 0, got {subset_cap}")
+    patterns = [family.member(idx).items() for idx in family.relevant_indices(n)]
+    cells, explored = _count_subsets(patterns, n, subset_cap)
+    if explored > subset_cap:
+        return SieveResult(DistributionTable(n, {}), explored, True)
     levels = [0] * (max(t for t, _ in cells) + 1)
     for (t, weight), count in cells.items():
         levels[t] += count * count_partitions(n - weight)
@@ -310,6 +339,87 @@ def check_theorem_b(pair: FamilyPair, n_max: int) -> HypothesisReport:
     return HypothesisReport("B", n_max, True)
 
 
+def _intersections_agree(
+    table: list[tuple[FamilyIndex, Multiset, Multiset]], n_max: int, budget: int
+) -> bool:
+    """True when the min-intersections of F_T and of G_T weigh the same for
+    every set T of positions with min(w(union F_T), w(union G_T)) <= n_max.
+    False on a difference, or once more than `budget` extensions have been
+    examined (undecided).
+
+    Twins, positions with equal (F member, G member), form one class: every
+    union and intersection depends only on the classes a set touches. The
+    search is depth-first over class sets T, each built in increasing class
+    order. It extends T only by a later class that uses a size of the F
+    intersection on F or of the G intersection on G: any other extension has
+    two empty intersections, so it and every superset agree. It drops an
+    extension whose min union weight passes n_max: it and every superset lie
+    outside the truncation. A class after c adds to T's union at least its
+    own weight less the union's weight at the sizes some class after c
+    uses, and classes come in table order, by min weight; so the classes
+    that can join T within n_max form a prefix, found by bisection, and no
+    heavier class is examined.
+    """
+    classes = list(dict.fromkeys((member_f, member_g) for _, member_f, member_g in table))
+    if len(classes) > budget:
+        return False
+    pats_f = [member_f.items() for member_f, _ in classes]
+    pats_g = [member_g.items() for _, member_g in classes]
+    lightest = [min(member_f.weight, member_g.weight) for member_f, member_g in classes]
+    users_f: dict[int, list[int]] = {}
+    users_g: dict[int, list[int]] = {}
+    for c in range(len(classes)):
+        for s, _ in pats_f[c]:
+            users_f.setdefault(s, []).append(c)
+        for s, _ in pats_g[c]:
+            users_g.setdefault(s, []).append(c)
+    # A singleton's intersections and unions are its members.
+    stack = []
+    for c, (member_f, member_g) in enumerate(classes):
+        if member_f.weight != member_g.weight:
+            return False
+        dict_f, dict_g = dict(pats_f[c]), dict(pats_g[c])
+        stack.append((c, dict_f, dict_g, dict_f, dict_g, member_f.weight, member_g.weight))
+    examined = len(classes)
+    while stack:
+        c, inter_f, inter_g, union_f, union_g, weight_f, weight_g = stack.pop()
+        floor = min(
+            weight_f - sum(s * m for s, m in union_f.items() if users_f[s][-1] > c),
+            weight_g - sum(s * m for s, m in union_g.items() if users_g[s][-1] > c),
+        )
+        # Classes from `stop` on are too heavy to join T within n_max.
+        stop = bisect_right(lightest, n_max - floor)
+        later: set[int] = set()
+        for inter, users in ((inter_f, users_f), (inter_g, users_g)):
+            for s in inter:
+                sharing = users[s]
+                later.update(sharing[bisect_right(sharing, c) : bisect_left(sharing, stop)])
+        for d in sorted(later):
+            examined += 1
+            if examined > budget:
+                return False
+            next_weight_f = weight_f + _added_weight(pats_f[d], union_f)
+            next_weight_g = weight_g + _added_weight(pats_g[d], union_g)
+            if min(next_weight_f, next_weight_g) > n_max:
+                continue
+            next_f = {s: min(m, inter_f[s]) for s, m in pats_f[d] if s in inter_f}
+            next_g = {s: min(m, inter_g[s]) for s, m in pats_g[d] if s in inter_g}
+            if _weight(next_f.items()) != _weight(next_g.items()):
+                return False
+            stack.append(
+                (
+                    d,
+                    next_f,
+                    next_g,
+                    _merged(union_f, pats_f[d]),
+                    _merged(union_g, pats_g[d]),
+                    next_weight_f,
+                    next_weight_g,
+                )
+            )
+    return True
+
+
 def check_theorem_c(
     pair: FamilyPair, n_max: int, subset_cap: int = DEFAULT_SUBSET_CAP
 ) -> HypothesisReport:
@@ -318,24 +428,59 @@ def check_theorem_c(
 
     S ranges over the positions relevant to n_max in either family,
     restricted to min(weight_F(S), weight_G(S)) <= n_max -- exactly the
-    sets that can influence either sieve for n <= n_max. The walk is
-    depth-first over the sieve's states: the sets that extend a holding set
-    by positions from i on depend only on (i, F frontier, G frontier, union
-    weight). Each state has two moves, include position i (a new set, checked
-    at once) and then exclude it, and each leads to a state at i + 1. A state
-    met again adds the count of sets below it, recorded when its walk ended,
-    instead of walking them again; that walk met no violation, since the
-    first one ends the walk. So the preorder, the witness (the first failing
-    S), subsets_explored and the cap outcome are those of a walk over every
-    S one by one. A state has nothing below it once no position is left, or
-    once even the lightest remaining member, less all a frontier could save,
-    takes the union weight past n_max (positions are sorted by min weight).
+    sets that can influence either sieve for n <= n_max. These sets form a
+    down-set D, and on each size max = sum over T of (-1)^(|T|+1) min, so
+    Moebius inversion on D gives: the union weights agree on D iff the
+    min-intersection weights agree on D. `_intersections_agree` decides
+    that on twin classes, with subset_cap as its budget on the extensions it
+    examines. When they agree, D is the set of subsets of F's relevant
+    members with union weight <= n_max (a set holding an F member heavier
+    than n_max would weigh more on F than on G). The sieve's DP,
+    `_count_subsets`, counts exactly that set, so subsets_explored and the
+    cap outcome are those of `sieve_distribution(pair.F, n_max,
+    subset_cap)`.
+
+    Only on a difference, or when the search runs out of budget, does
+    `_walk_sets` walk the sets one state at a time for the witness (the
+    first failing S in preorder) or the cap outcome.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if subset_cap <= 0:
         raise ValueError(f"subset_cap must be > 0, got {subset_cap}")
     table = _annotated_positions(pair, n_max)
+    if _intersections_agree(table, n_max, subset_cap):
+        # Every position's members weigh the same, so the table holds F's
+        # relevant members in the order sieve_distribution takes them.
+        patterns = [member_f.items() for _, member_f, _ in table]
+        _, explored = _count_subsets(patterns, n_max, subset_cap)
+        return HypothesisReport(
+            "C", n_max, True, None, explored, inconclusive=explored > subset_cap
+        )
+    return _walk_sets(pair, table, n_max, subset_cap)
+
+
+def _walk_sets(
+    pair: FamilyPair,
+    table: list[tuple[FamilyIndex, Multiset, Multiset]],
+    n_max: int,
+    subset_cap: int,
+) -> HypothesisReport:
+    """Theorem C by walking the sets S of `check_theorem_c` in preorder.
+
+    The walk is depth-first over the sieve's states: the sets that extend a
+    holding set by positions from i on depend only on (i, F frontier, G
+    frontier, union weight). Each state has two moves, include position i (a
+    new set, checked at once) and then exclude it, and each leads to a state
+    at i + 1. A state met again adds the count of sets below it, recorded
+    when its walk ended, instead of walking them again; that walk met no
+    violation, since the first one ends the walk. So the preorder, the
+    witness (the first failing S), subsets_explored and the cap outcome are
+    those of a walk over every S one by one. A state has nothing below it
+    once no position is left, or once even the lightest remaining member,
+    less all a frontier could save, takes the union weight past n_max
+    (positions are sorted by min weight).
+    """
     pats_f = [member_f.items() for _, member_f, _ in table]
     pats_g = [member_g.items() for _, _, member_g in table]
     last_f = {size: i for i, pattern in enumerate(pats_f) for size, _ in pattern}

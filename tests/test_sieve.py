@@ -1,7 +1,7 @@
 from dataclasses import fields
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -114,6 +114,23 @@ def theorem_b_pairs(draw):
 # subsets fit under any n >= 1 and only the subset cap stops the search.
 DEEP_PAIR = explicit_pair("deep", [{1: 1}] * 1500, [{1: 1}] * 1500)
 
+# A budget no search in these tests reaches.
+UNCAPPED = 2**62
+
+
+def bound_added_weight_calls(monkeypatch, bound):
+    """Fail once sieve._added_weight runs more than bound times."""
+    calls = 0
+    added_weight = sieve_module._added_weight
+
+    def counted(pattern, union):
+        nonlocal calls
+        calls += 1
+        assert calls <= bound, "calls grow with the sets, not the states"
+        return added_weight(pattern, union)
+
+    monkeypatch.setattr(sieve_module, "_added_weight", counted)
+
 
 def drawn_members(draw, k):
     """k members over sizes 1-6, sharing sizes, some repeated identically."""
@@ -147,6 +164,24 @@ def theorem_c_pairs(draw):
     else:
         g = drawn_members(draw, k)
     return explicit_pair("drawn", f, g)
+
+
+@st.composite
+def weight_matched_pairs(draw):
+    """Up to 8 explicit members per side, each G member drawn afresh over
+    sizes 1-6 with the weight of its F member: every singleton agrees, so
+    only sets of two or more members can tell the sides apart."""
+    f = drawn_members(draw, draw(st.integers(1, 8)))
+    g = []
+    for member in f:
+        rest = sum(s * m for s, m in member.items())
+        drawn: dict[int, int] = {}
+        while rest:
+            s = draw(st.integers(1, min(6, rest)))
+            drawn[s] = drawn.get(s, 0) + 1
+            rest -= s
+        g.append(drawn)
+    return explicit_pair("matched", f, g), draw(st.integers(1, 60))
 
 
 @st.composite
@@ -542,8 +577,9 @@ class TestCheckTheoremC:
 
     @pytest.mark.parametrize("cap", [2_000, 20_000])
     def test_no_state_repeats(self, cap):
-        # Every set of {2^i: 1} members has its own union weight, so no state
-        # is ever met twice and every set is walked.
+        # Every set of {2^i: 1} members has its own union weight, so a walk
+        # would meet no state twice. The pair holds, so the intersection
+        # search decides it and the sieve DP counts the sets up to the cap.
         members = [{2**i: 1} for i in range(24)]
         pair = explicit_pair("powers", members, members)
         report = check_theorem_c(pair, 2**24, subset_cap=cap)
@@ -553,24 +589,119 @@ class TestCheckTheoremC:
 
     def test_each_state_walked_once(self, monkeypatch):
         # euler's sides are support-disjoint, so both frontiers stay empty
-        # and a state is (next position, union weight): at most
-        # (positions + 1) x (n_max + 1) of them. Each state costs two
-        # _added_weight calls, for its include move, far fewer than the
-        # 502,822 sets a one-by-one walk would step through.
+        # and a walk state is (next position, union weight): at most
+        # (positions + 1) x (n_max + 1) of them, at two _added_weight calls
+        # each, far fewer than the 502,822 sets a one-by-one walk would step
+        # through. euler holds, so the intersection search and the sieve DP
+        # answer without walking; the late-violation test below walks.
         pair = builtin_pair("euler")
         positions = len(pair.F.relevant_indices(150))
-        bound = 2 * (positions + 1) * 151
-        calls = 0
-        added_weight = sieve_module._added_weight
-
-        def counted(pattern, union):
-            nonlocal calls
-            calls += 1
-            assert calls <= bound, "calls grow with the sets, not the states"
-            return added_weight(pattern, union)
-
-        monkeypatch.setattr(sieve_module, "_added_weight", counted)
+        bound_added_weight_calls(monkeypatch, 2 * (positions + 1) * 151)
         assert check_theorem_c(pair, 150).subsets_explored == 502_822
+
+    def test_each_state_walked_once_before_a_late_violation(self, monkeypatch):
+        # euler plus one position of weight 97 on F and 99 on G, sizes no
+        # euler member uses. The first failing set is {2} | {97} against
+        # {1,1} | {99}: the walk reaches it only after every holding set
+        # that holds euler's first member, yet walks each state once.
+        euler = builtin_pair("euler")
+        late = Strand(explicit=Multiset({97: 1}))
+        pair = FamilyPair(
+            "euler-late",
+            MultisetFamily("euler-late.F", euler.F.strands + (late,)),
+            MultisetFamily("euler-late.G", euler.G.strands + (Strand(explicit=Multiset({99: 1})),)),
+        )
+        expected = theorem_c_dfs(pair, 100, DEFAULT_SUBSET_CAP)
+        assert expected[2] > 10_000
+        positions = len(sieve_module._annotated_positions(pair, 100))
+        bound_added_weight_calls(monkeypatch, 2 * (positions + 1) * 101)
+        assert c_fields(pair, 100, DEFAULT_SUBSET_CAP) == expected
+        assert expected[3][0] == (FamilyIndex(0, 1), FamilyIndex(1, 1))
+        assert expected[3][1:3] == (99, 101)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(theorem_c_pairs(), st.integers(1, 40)),
+            template_c_pairs(),
+            theorem_b_pairs(),
+            weight_matched_pairs(),
+        )
+    )
+    # F disjoint, G not: the two members' G intersection {1:1} is all
+    # that tells the sides apart.
+    @example((explicit_pair("g-shares", [{1: 1}, {2: 1}], [{1: 1}, {1: 2}]), 3))
+    # The two members' intersections weigh 1 on F and 0 on G, but their
+    # unions weigh 14 and 15, past n_max: only the singletons count.
+    @example((explicit_pair("past-n-max", [{1: 1, 6: 1}, {1: 1, 7: 1}], [{7: 1}, {1: 2, 6: 1}]), 10))
+    # The pair's F union weighs 11, under n_max only because the second F
+    # member reuses the first one's 5s: G's is 21, and its intersection 0.
+    @example((explicit_pair("reused", [{5: 2}, {5: 2, 1: 1}], [{10: 1}, {2: 5, 1: 1}]), 15))
+    # Found by a random search. Every set but the singletons and the first
+    # two members lies past n_max, with unequal intersections; grown from
+    # the wrong members, the G union of all three would seem to fit.
+    @example(
+        (
+            explicit_pair(
+                "three", [{4: 1, 1: 3}, {4: 2}, {3: 3}], [{2: 1, 3: 1, 1: 2}, {2: 3, 1: 2}, {4: 2, 1: 1}]
+            ),
+            14,
+        )
+    )
+    def test_intersection_search_agrees_iff_walk_finds_no_witness(self, drawn):
+        pair, n_max = drawn
+        table = sieve_module._annotated_positions(pair, n_max)
+        expected = theorem_c_dfs(pair, n_max, UNCAPPED)
+        agree = sieve_module._intersections_agree(table, n_max, UNCAPPED)
+        assert agree == (expected[3] is None)
+        assert c_fields(pair, n_max, UNCAPPED) == expected
+        if agree:
+            # The sets the check covers are F's subsets within n_max.
+            assert expected[2] == sieve_distribution(pair.F, n_max, UNCAPPED).subsets_explored
+
+    @pytest.mark.parametrize(
+        "late,cap,walks",
+        [(False, 20, True), (True, 20, True), (True, 5_000, True), (False, 10**6, False)],
+        ids=["holding-cap-20", "violating-cap-20", "violating-cap-5000", "holding-uncapped"],
+    )
+    def test_search_past_its_budget_falls_back_to_the_walk(self, monkeypatch, late, cap, walks):
+        # Twelve distinct members all hold {1:1}, so every intersection is
+        # nonempty and the search meets all 4,095 nonempty sets. The
+        # violation swaps G's last member for {2:1, 12:1}: same weight, but
+        # its intersection with G's first member, {1:1, 2:1}, is {2:1}
+        # where F's is {1:1}. The walk meets {first, last} only after the
+        # other sets that hold the first member.
+        f = [{1: 1, i + 2: 1} for i in range(12)]
+        g = [dict(m) for m in f]
+        if late:
+            g[-1] = {2: 1, 12: 1}
+        pair = explicit_pair("shared", f, g)
+        walked = 0
+        walk_sets = sieve_module._walk_sets
+
+        def spy(*args):
+            nonlocal walked
+            walked += 1
+            return walk_sets(*args)
+
+        monkeypatch.setattr(sieve_module, "_walk_sets", spy)
+        assert c_fields(pair, 200, cap) == theorem_c_dfs(pair, 200, cap)
+        assert walked == walks
+        if not late:
+            report = check_theorem_c(pair, 200, subset_cap=cap)
+            assert (report.inconclusive, report.subsets_explored) == (
+                (True, cap + 1) if cap < 4096 else (False, 4096)
+            )
+
+    def test_deep_family_is_decided_without_walking(self, monkeypatch):
+        # 1,500 twins are one class: the search checks one singleton, and
+        # the sieve DP stops at the cap, as the walk would.
+        def refuse(*args):
+            raise AssertionError("the walk ran")
+
+        monkeypatch.setattr(sieve_module, "_walk_sets", refuse)
+        report = check_theorem_c(DEEP_PAIR, 10, subset_cap=2000)
+        assert (report.holds, report.inconclusive, report.subsets_explored) == (True, True, 2001)
 
     def test_validation(self):
         pair = builtin_pair("euler")
