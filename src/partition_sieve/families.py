@@ -456,47 +456,93 @@ def _require_int(value: Any, where: str) -> int:
     return value
 
 
-def _parse_strand(raw: Any, tmin: int, where: str) -> Strand:
-    if not isinstance(raw, Mapping):
-        raise FamilyError(f"{where}: strand must be an object, got {type(raw).__name__}")
-    keys = set(raw)
-    if keys == {"entries"}:
-        entries = raw["entries"]
-        if not isinstance(entries, Sequence) or isinstance(entries, (str, bytes)) or not entries:
-            raise FamilyError(f"{where}: 'entries' must be a nonempty array")
-        parsed = []
-        for k, entry in enumerate(entries):
-            loc = f"{where} entry {k}"
-            if not isinstance(entry, Mapping) or set(entry) != {"size", "mult"}:
-                raise FamilyError(f"{loc}: expected keys 'size' and 'mult'")
-            size = entry["size"]
-            mult = entry["mult"]
-            if not isinstance(size, Sequence) or len(size) != 3:
-                raise FamilyError(f"{loc}: 'size' must be [c2, c1, c0]")
-            if not isinstance(mult, Sequence) or len(mult) != 2:
-                raise FamilyError(f"{loc}: 'mult' must be [m1, m0]")
-            size_t = tuple(_require_int(c, f"{loc} size") for c in size)
-            mult_t = tuple(_require_int(c, f"{loc} mult") for c in mult)
-            parsed.append(StrandEntry(size_t, mult_t))
-        try:
-            return Strand(entries=tuple(parsed), tmin=tmin)
-        except FamilyError as exc:
-            raise FamilyError(f"{where}: {exc}") from None
-    if keys == {"explicit"}:
+# The checks below test the exact JSON types (dict, list, int) first and fall
+# back to the general Mapping/Sequence/bool tests only when those fail, and
+# build a location string only to raise it: a pair file may hold thousands of
+# strands, and the ABC checks and strings would cost more than the JSON
+# decoding itself.
+
+
+def _is_array(value: Any) -> bool:
+    return type(value) is list or (
+        isinstance(value, Sequence) and not isinstance(value, (str, bytes))
+    )
+
+
+def _parse_strand(
+    raw: Any, tmin: int, side: str, i: int, built: dict[tuple, Strand]
+) -> Strand:
+    """Validate and build the strand that error locations call
+    "{side} strand {i}". `built` maps the key of each strand validated so
+    far -- its (size, mult) pairs, or its entries' (size, mult)
+    coefficients -- to the Strand made for it, so identical strands are
+    built once. A key is made only from values that passed every check:
+    True == 1 and their hashes match, so an unchecked key could stand for a
+    bad strand."""
+    if type(raw) is not dict and not isinstance(raw, Mapping):
+        raise FamilyError(f"{side} strand {i}: strand must be an object, got {type(raw).__name__}")
+    if len(raw) == 1 and "explicit" in raw:
         pairs = raw["explicit"]
-        if not isinstance(pairs, Sequence) or isinstance(pairs, (str, bytes)) or not pairs:
-            raise FamilyError(f"{where}: 'explicit' must be a nonempty array of [size, mult]")
+        if not _is_array(pairs) or not pairs:
+            raise FamilyError(
+                f"{side} strand {i}: 'explicit' must be a nonempty array of [size, mult]"
+            )
         elements = []
         for k, pair in enumerate(pairs):
-            if not isinstance(pair, Sequence) or len(pair) != 2:
-                raise FamilyError(f"{where} element {k}: expected [size, mult]")
-            size = _require_int(pair[0], f"{where} element {k} size")
-            mult = _require_int(pair[1], f"{where} element {k} mult")
+            if (type(pair) is not list and not isinstance(pair, Sequence)) or len(pair) != 2:
+                raise FamilyError(f"{side} strand {i} element {k}: expected [size, mult]")
+            size = pair[0]
+            mult = pair[1]
+            if type(size) is not int:
+                _require_int(size, f"{side} strand {i} element {k} size")
+            if type(mult) is not int:
+                _require_int(mult, f"{side} strand {i} element {k} mult")
             if size < 1 or mult < 1:
-                raise FamilyError(f"{where} element {k}: size and mult must be >= 1")
+                raise FamilyError(f"{side} strand {i} element {k}: size and mult must be >= 1")
             elements.append((size, mult))
-        return Strand(explicit=Multiset(elements), tmin=tmin)
-    raise FamilyError(f"{where}: strand must have exactly one of 'entries' or 'explicit'")
+        key = tuple(elements)
+        strand = built.get(key)
+        if strand is None:
+            strand = built[key] = Strand(explicit=Multiset(key), tmin=tmin)
+        return strand
+    if len(raw) == 1 and "entries" in raw:
+        entries = raw["entries"]
+        if not _is_array(entries) or not entries:
+            raise FamilyError(f"{side} strand {i}: 'entries' must be a nonempty array")
+        parsed = []
+        for k, entry in enumerate(entries):
+            if (
+                (type(entry) is not dict and not isinstance(entry, Mapping))
+                or len(entry) != 2
+                or "size" not in entry
+                or "mult" not in entry
+            ):
+                raise FamilyError(f"{side} strand {i} entry {k}: expected keys 'size' and 'mult'")
+            size = entry["size"]
+            mult = entry["mult"]
+            if (type(size) is not list and not isinstance(size, Sequence)) or len(size) != 3:
+                raise FamilyError(f"{side} strand {i} entry {k}: 'size' must be [c2, c1, c0]")
+            if (type(mult) is not list and not isinstance(mult, Sequence)) or len(mult) != 2:
+                raise FamilyError(f"{side} strand {i} entry {k}: 'mult' must be [m1, m0]")
+            for name, coeffs in (("size", size), ("mult", mult)):
+                for c in coeffs:
+                    if type(c) is not int:
+                        _require_int(c, f"{side} strand {i} entry {k} {name}")
+            parsed.append((tuple(size), tuple(mult)))
+        key = tuple(parsed)
+        strand = built.get(key)
+        if strand is None:
+            try:
+                strand = Strand(
+                    entries=tuple(StrandEntry(size, mult) for size, mult in key), tmin=tmin
+                )
+            except FamilyError as exc:
+                raise FamilyError(f"{side} strand {i}: {exc}") from None
+            built[key] = strand
+        return strand
+    raise FamilyError(
+        f"{side} strand {i}: strand must have exactly one of 'entries' or 'explicit'"
+    )
 
 
 def parse_family_pair(document: str | bytes | Mapping[str, Any]) -> FamilyPair:
@@ -506,7 +552,9 @@ def parse_family_pair(document: str | bytes | Mapping[str, Any]) -> FamilyPair:
     strand is accepted only if, for every t >= tmin, its sizes and
     multiplicities are >= 1 and its weight does not decrease; this is
     decided exactly from the coefficients, so an invalid strand fails here
-    and never later, whatever n a command asks for.
+    and never later, whatever n a command asks for. Strands are validated
+    in one pass, and identical strands (on either side) are built once and
+    shared.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -530,6 +578,7 @@ def parse_family_pair(document: str | bytes | Mapping[str, Any]) -> FamilyPair:
         raise FamilyError("'name' must be a nonempty string")
     tmin = _require_int(data.get("tmin", 1), "'tmin'")
     sides = {}
+    built: dict[tuple, Strand] = {}
     for side in ("F", "G"):
         raw_strands = data[side]
         if not isinstance(raw_strands, Sequence) or isinstance(raw_strands, (str, bytes)):
@@ -537,8 +586,7 @@ def parse_family_pair(document: str | bytes | Mapping[str, Any]) -> FamilyPair:
         if not raw_strands:
             raise FamilyError(f"'{side}' must contain at least one strand")
         strands = tuple(
-            _parse_strand(raw, tmin, f"{side} strand {i}")
-            for i, raw in enumerate(raw_strands)
+            [_parse_strand(raw, tmin, side, i, built) for i, raw in enumerate(raw_strands)]
         )
         sides[side] = MultisetFamily(f"{name}.{side}", strands)
     return FamilyPair(name, sides["F"], sides["G"])

@@ -44,6 +44,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
 from math import comb
+from operator import itemgetter
 
 from .families import FamilyIndex, FamilyPair, MultisetFamily
 from .partitions import Multiset, count_partitions
@@ -261,11 +262,28 @@ def _annotated_positions(
     pair: FamilyPair, n_max: int
 ) -> list[tuple[FamilyIndex, Multiset, Multiset]]:
     """Positions relevant to n_max on either side, with both members built
-    once, sorted by (min weight, strand, t) for deterministic witnesses."""
-    positions = set(pair.F.relevant_indices(n_max)) | set(pair.G.relevant_indices(n_max))
-    table = [(idx, pair.F.member(idx), pair.G.member(idx)) for idx in positions]
-    table.sort(key=lambda row: (min(row[1].weight, row[2].weight), row[0].strand, row[0].t))
-    return table
+    once, sorted by (min weight, strand, t) for deterministic witnesses.
+
+    One pass over the aligned strands: a position is relevant when its
+    lighter member weighs <= n_max. Strand weights never decrease (checked
+    when a strand is built), so neither does the lighter weight along a
+    strand, and a strand's relevant positions end at the first t whose two
+    members are both too heavy."""
+    keyed = []
+    for si, (strand_f, strand_g) in enumerate(zip(pair.F.strands, pair.G.strands)):
+        t = strand_f.tmin
+        while True:
+            member_f = strand_f.multiset_at(t)
+            member_g = strand_g.multiset_at(t)
+            lightest = min(member_f.weight, member_g.weight)
+            if lightest > n_max:
+                break
+            keyed.append(((lightest, si, t), FamilyIndex(si, t), member_f, member_g))
+            if strand_f.is_explicit():
+                break
+            t += 1
+    keyed.sort(key=itemgetter(0))
+    return [(idx, member_f, member_g) for _, idx, member_f, member_g in keyed]
 
 
 def _revalidate_disjointness(family: MultisetFamily, w: DisjointnessWitness) -> None:

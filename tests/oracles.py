@@ -126,6 +126,16 @@ def theorem_b_scan(pair, n_max):
     return None
 
 
+def annotated_positions(pair, n_max):
+    """The checkers' position table from the set union of both sides'
+    relevant indices: rows (idx, F member, G member), sorted by (min weight,
+    strand, t)."""
+    positions = set(pair.F.relevant_indices(n_max)) | set(pair.G.relevant_indices(n_max))
+    table = [(idx, pair.F.member(idx), pair.G.member(idx)) for idx in positions]
+    table.sort(key=lambda row: (min(row[1].weight, row[2].weight), row[0].strand, row[0].t))
+    return table
+
+
 def _added_weight(pattern, union):
     get = union.get
     return sum((m - get(s, 0)) * s for s, m in pattern if m > get(s, 0))

@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from click.testing import CliRunner
 
-from partition_sieve import builtin_pair, cli, distribution, render_family_pair
+from partition_sieve import builtin_pair, cli, distribution, parse_family_pair, render_family_pair
 from partition_sieve.cli import main
 from partition_sieve.partitions import count_partitions
 
@@ -336,6 +336,21 @@ class TestDeepFamilies:
         path = tmp_path / "deep.json"
         path.write_text(DEEP_DOC)
         result = invoke(runner, args + ["--pair-file", str(path)])
+        assert result.exit_code == 3
+
+    def test_identical_strands_are_built_once(self, runner, tmp_path):
+        pair = parse_family_pair(DEEP_DOC)
+        strands = pair.F.strands + pair.G.strands
+        assert len(strands) == 3000
+        assert all(strand is strands[0] for strand in strands)
+        doc = render_family_pair(pair)
+        assert doc["F"] == doc["G"] == [{"explicit": [[1, 1]]}] * 1500
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_DOC)
+        result = invoke(
+            runner,
+            ["check", "--theorem", "c", "--n-max", "20", "--subset-cap", "2000", "--pair-file", str(path)],
+        )
         assert result.exit_code == 3
 
 

@@ -1,5 +1,6 @@
 import json
 import re
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
@@ -359,3 +360,149 @@ class TestStrandInvariants:
         shifted = Strand(entries=euler.G.strands[0].entries, tmin=2)
         with pytest.raises(FamilyError, match="domains"):
             FamilyPair("bad", euler.F, MultisetFamily("bad.G", (shifted,)))
+
+
+def strand_doc(f_strands, g_strands):
+    return {"name": "located", "tmin": 1, "F": f_strands, "G": g_strands}
+
+
+VALID_EXPLICIT = {"explicit": [[1, 1]]}
+VALID_TEMPLATE = {"entries": [{"size": [0, 1, 0], "mult": [0, 1]}]}
+
+
+class TestStrandErrorTexts:
+    """The exact text of every strand-level FamilyError. Each bad strand is
+    F strand 1, after a valid one, so the location is never a default."""
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ([[1, 1]], "F strand 1: strand must be an object, got list"),
+            ("explicit", "F strand 1: strand must be an object, got str"),
+            (
+                {"explicit": [[1, 1]], "entries": []},
+                "F strand 1: strand must have exactly one of 'entries' or 'explicit'",
+            ),
+            ({}, "F strand 1: strand must have exactly one of 'entries' or 'explicit'"),
+            ({"explicit": "11"}, "F strand 1: 'explicit' must be a nonempty array of [size, mult]"),
+            ({"explicit": []}, "F strand 1: 'explicit' must be a nonempty array of [size, mult]"),
+            ({"explicit": 11}, "F strand 1: 'explicit' must be a nonempty array of [size, mult]"),
+            (
+                {"explicit": {"1": 1}},
+                "F strand 1: 'explicit' must be a nonempty array of [size, mult]",
+            ),
+            ({"explicit": [[1, 1], 3]}, "F strand 1 element 1: expected [size, mult]"),
+            ({"explicit": [[1, 1], {"1": 1}]}, "F strand 1 element 1: expected [size, mult]"),
+            ({"explicit": [[1, 1, 1]]}, "F strand 1 element 0: expected [size, mult]"),
+            ({"explicit": [[1]]}, "F strand 1 element 0: expected [size, mult]"),
+            # A two-character string is a sequence of length 2; its characters fail.
+            ({"explicit": ["ab"]}, "F strand 1 element 0 size: expected an integer, got 'a'"),
+            (
+                {"explicit": [[True, 1]]},
+                "F strand 1 element 0 size: expected an integer, got True",
+            ),
+            ({"explicit": [[1, 1.0]]}, "F strand 1 element 0 mult: expected an integer, got 1.0"),
+            ({"explicit": [[2, 1], [1, False]]}, "F strand 1 element 1 mult: expected an integer, got False"),
+            ({"explicit": [[0, 1]]}, "F strand 1 element 0: size and mult must be >= 1"),
+            ({"explicit": [[1, 0]]}, "F strand 1 element 0: size and mult must be >= 1"),
+            ({"explicit": [[1, -2]]}, "F strand 1 element 0: size and mult must be >= 1"),
+            ({"entries": []}, "F strand 1: 'entries' must be a nonempty array"),
+            ({"entries": "ab"}, "F strand 1: 'entries' must be a nonempty array"),
+            ({"entries": [[0, 1, 0]]}, "F strand 1 entry 0: expected keys 'size' and 'mult'"),
+            (
+                {"entries": [{"size": [0, 1, 0]}]},
+                "F strand 1 entry 0: expected keys 'size' and 'mult'",
+            ),
+            (
+                {"entries": [{"size": [0, 1, 0], "mult": [0, 1], "t": 1}]},
+                "F strand 1 entry 0: expected keys 'size' and 'mult'",
+            ),
+            (
+                {"entries": [{"size": [1, 0], "mult": [0, 1]}]},
+                "F strand 1 entry 0: 'size' must be [c2, c1, c0]",
+            ),
+            ({"entries": [{"size": 5, "mult": [0, 1]}]}, "F strand 1 entry 0: 'size' must be [c2, c1, c0]"),
+            (
+                {"entries": [{"size": [0, 1, 0], "mult": [1]}]},
+                "F strand 1 entry 0: 'mult' must be [m1, m0]",
+            ),
+            (
+                {"entries": [VALID_TEMPLATE["entries"][0], {"size": [0, True, 0], "mult": [0, 1]}]},
+                "F strand 1 entry 1 size: expected an integer, got True",
+            ),
+            (
+                {"entries": [{"size": [0, 1, 0], "mult": [0, "1"]}]},
+                "F strand 1 entry 0 mult: expected an integer, got '1'",
+            ),
+            (
+                {"entries": [{"size": [0, 1, -1], "mult": [0, 1]}]},
+                "F strand 1: entry 0: size 0 < 1 at t=1",
+            ),
+            (
+                {"entries": [{"size": [0, 0, 3], "mult": [0, 1]}]},
+                "F strand 1: strand weight must tend to infinity (needs a positive leading "
+                "size or multiplicity coefficient), weight poly [0, 0, 0, 3]",
+            ),
+        ],
+    )
+    def test_message(self, bad, message):
+        valid = VALID_TEMPLATE if "entries" in bad else VALID_EXPLICIT
+        doc = strand_doc([valid, bad], [valid, valid])
+        with pytest.raises(FamilyError) as info:
+            parse_family_pair(doc)
+        assert str(info.value) == message
+        with pytest.raises(FamilyError) as info:
+            parse_family_pair(json.dumps(doc))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("bad_size", [True, 1.0, "1"])
+    def test_bad_g_strand_after_an_identical_valid_f_strand(self, bad_size):
+        # True == 1 and hash(True) == hash(1): a strand already built from
+        # [[1, 1]] must not stand in for [[true, 1]].
+        doc = strand_doc(
+            [VALID_EXPLICIT] * 3, [VALID_EXPLICIT, VALID_EXPLICIT, {"explicit": [[bad_size, 1]]}]
+        )
+        with pytest.raises(FamilyError) as info:
+            parse_family_pair(doc)
+        assert str(info.value) == (
+            f"G strand 2 element 0 size: expected an integer, got {bad_size!r}"
+        )
+
+    def test_bad_g_template_after_an_identical_valid_f_template(self):
+        entry = {"size": [0, True, 0], "mult": [0, 1]}
+        doc = strand_doc([VALID_TEMPLATE] * 2, [VALID_TEMPLATE, {"entries": [entry]}])
+        with pytest.raises(FamilyError) as info:
+            parse_family_pair(doc)
+        assert str(info.value) == "G strand 1 entry 0 size: expected an integer, got True"
+
+
+class TestNonJsonDocuments:
+    def test_read_only_mappings_and_tuples_parse_like_json(self):
+        # Neither dict nor list anywhere: every check takes its general
+        # Mapping/Sequence branch.
+        doc = {
+            "name": "mixed",
+            "tmin": 1,
+            "F": [
+                {"explicit": [[2, 1], [4, 1]]},
+                {"entries": [{"size": [0, 2, 0], "mult": [0, 1]}]},
+                {"explicit": [[2, 1], [4, 1]]},
+            ],
+            "G": [
+                {"explicit": [[1, 2], [2, 2]]},
+                {"entries": [{"size": [0, 1, 0], "mult": [0, 2]}]},
+                {"explicit": [[1, 2], [2, 2]]},
+            ],
+        }
+
+        def frozen(value):
+            if isinstance(value, dict):
+                return MappingProxyType({k: frozen(v) for k, v in value.items()})
+            if isinstance(value, list):
+                return tuple(frozen(v) for v in value)
+            return value
+
+        proxy = frozen(doc)
+        assert isinstance(proxy, MappingProxyType)
+        assert isinstance(proxy["F"], tuple) and isinstance(proxy["F"][0], MappingProxyType)
+        assert parse_family_pair(proxy) == parse_family_pair(json.dumps(doc))

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    annotated_positions,
     count_distinct_parts_dp,
     count_odd_parts_dp,
     count_partitions_dp,
@@ -227,6 +228,51 @@ def template_c_pairs(draw):
 
 
 @st.composite
+def growing_template(draw, tmin):
+    """A template strand with nonnegative coefficients and constant terms
+    >= 1, so sizes and multiplicities stay >= 1 and the weight never falls;
+    its first entry grows with t."""
+    entries = []
+    for k in range(draw(st.integers(1, 2))):
+        c2, c1 = draw(st.integers(0, 1)), draw(st.integers(0, 3))
+        m1 = draw(st.integers(0, 1))
+        if k == 0 and not (c2 or c1 or m1):
+            c1 = 1
+        size = (c2, c1, draw(st.integers(1, 4)))
+        entries.append(StrandEntry(size, (m1, draw(st.integers(1, 2)))))
+    return Strand(entries=tuple(entries), tmin=tmin)
+
+
+@st.composite
+def aligned_strand_pairs(draw):
+    """Up to 6 aligned strands, explicit or template, at tmin 0 or 1, with
+    F and G drawn apart, so their members' weights differ. n_max is some
+    member's weight or one less: then at some position only one side's
+    member is relevant."""
+    tmin = draw(st.sampled_from([0, 1]))
+    f_strands, g_strands = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            f, g = drawn_members(draw, 2)
+            f_strands.append(Strand(explicit=Multiset(f), tmin=tmin))
+            g_strands.append(Strand(explicit=Multiset(g), tmin=tmin))
+        else:
+            f_strands.append(draw(growing_template(tmin)))
+            g_strands.append(draw(growing_template(tmin)))
+    pair = FamilyPair(
+        "aligned",
+        MultisetFamily("aligned.F", tuple(f_strands)),
+        MultisetFamily("aligned.G", tuple(g_strands)),
+    )
+    weights = [
+        strand.weight_at(t)
+        for strand in f_strands + g_strands
+        for t in range(tmin, tmin + (1 if strand.is_explicit() else 5))
+    ]
+    return pair, draw(st.sampled_from(weights)) - draw(st.integers(0, 1))
+
+
+@st.composite
 def overlapping_families(draw):
     """Up to 12 explicit members over sizes 1-6: shared supports, one size
     at several multiplicities, and repeated identical members."""
@@ -443,6 +489,39 @@ class TestCheckTheoremB:
         w = report.witness
         found = None if w is None else (type(w).__name__, *(getattr(w, f.name) for f in fields(w)))
         assert found == expected
+
+
+class TestAnnotatedPositions:
+    """The checkers' position table, built in one pass over the aligned
+    strands, against the set union of both sides' relevant indices."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(aligned_strand_pairs())
+    # Only G's member is relevant at n_max 3; only F's on the template strand.
+    @example(
+        (
+            FamilyPair(
+                "one-sided",
+                MultisetFamily(
+                    "one-sided.F",
+                    (Strand(explicit=Multiset({5: 1})), single_entry_strand((0, 1, 0), (0, 1))),
+                ),
+                MultisetFamily(
+                    "one-sided.G",
+                    (Strand(explicit=Multiset({1: 1})), single_entry_strand((0, 3, 0), (0, 1))),
+                ),
+            ),
+            3,
+        )
+    )
+    def test_one_pass_equals_set_union(self, drawn):
+        pair, n_max = drawn
+        assert sieve_module._annotated_positions(pair, n_max) == annotated_positions(pair, n_max)
+
+    @pytest.mark.parametrize("label,pair", builtin_pairs())
+    @pytest.mark.parametrize("n_max", [1, 2, 7, 40])
+    def test_builtins_equal_set_union(self, label, pair, n_max):
+        assert sieve_module._annotated_positions(pair, n_max) == annotated_positions(pair, n_max)
 
 
 class TestCheckTheoremC:
