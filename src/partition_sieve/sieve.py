@@ -24,23 +24,21 @@ Because only the union weights matter, the sieve never visits the sets S
 one by one: a DP over the members, whose state is the union restricted to
 the sizes that later members still use, counts them by (|S|, union weight).
 
-The theorem C check decides by intersection weights. On each size the max
-is an alternating sum of mins, so on the down-set of sets the truncation
-covers, the union weights agree iff the min-intersection weights do. A
-depth-first search over sets of twin classes (positions with equal F and G
-members) visits only the sets whose intersection is nonempty on some side
-and that stay within the truncation. When every intersection agrees, the
-sieve DP on F counts the covered sets. Only on a difference, or when the
-search runs out of budget, does the check walk the (member index,
+The theorem C check runs the same DP on F and G at once, over twin classes
+(positions with equal F and G members): a state holds both frontiers, and
+its cells the union weight that every set still agreeing has on both sides.
+The first include whose two added weights differ, for a cell within the
+truncation, is a difference. Only on a difference, or when the DP runs out
+of budget past the subset cap, does the check walk the (member index,
 frontier) states depth-first, each once, with two moves per state --
 include the member, then exclude it -- for the first failing S in preorder;
-it counts the sets below a state it meets again. The DP and the walk
+it counts the sets below a state it meets again. The DPs and the walk
 restrict a frontier with the same rule (`_restrict`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from math import comb
@@ -64,8 +62,8 @@ __all__ = [
 
 # Budget on the number of index subsets with union weight <= n (counted by
 # the sieve and by the theorem C check, which walks only their states), and
-# on the extensions the theorem C intersection search examines; exceeding
-# it is a loud, flagged condition, never a silent approximation.
+# on the states the theorem C DP examines past it; exceeding it is a loud,
+# flagged condition, never a silent approximation.
 DEFAULT_SUBSET_CAP = 5_000_000
 
 
@@ -162,18 +160,11 @@ def _grow(
     pattern, restricted to the sizes that a member after i still uses."""
     if not frontier:
         return _restrict(pattern, last, i)
-    return _restrict(sorted(_merged(frontier, pattern).items()), last, i)
-
-
-def _merged(
-    union: Iterable[tuple[int, int]] | dict[int, int], pattern: tuple[tuple[int, int], ...]
-) -> dict[int, int]:
-    """The max-multiplicity union of a union and a member's pattern."""
-    merged = dict(union)
+    merged = dict(frontier)
     for s, m in pattern:
         if m > merged.get(s, 0):
             merged[s] = m
-    return merged
+    return _restrict(sorted(merged.items()), last, i)
 
 
 def _count_subsets(
@@ -357,85 +348,65 @@ def check_theorem_b(pair: FamilyPair, n_max: int) -> HypothesisReport:
     return HypothesisReport("B", n_max, True)
 
 
-def _intersections_agree(
-    table: list[tuple[FamilyIndex, Multiset, Multiset]], n_max: int, budget: int
-) -> bool:
-    """True when the min-intersections of F_T and of G_T weigh the same for
-    every set T of positions with min(w(union F_T), w(union G_T)) <= n_max.
-    False on a difference, or once more than `budget` extensions have been
-    examined (undecided).
+def _agreeing_sets(
+    table: list[tuple[FamilyIndex, Multiset, Multiset]], n_max: int, subset_cap: int
+) -> int | None:
+    """The number of sets S of positions with min(w(union F_S), w(union
+    G_S)) <= n_max, or subset_cap + 1 once it passes subset_cap, when every
+    one of them has equal union weights. None on a difference, or once more
+    than subset_cap states have been examined past the cap (undecided).
 
-    Twins, positions with equal (F member, G member), form one class: every
-    union and intersection depends only on the classes a set touches. The
-    search is depth-first over class sets T, each built in increasing class
-    order. It extends T only by a later class that uses a size of the F
-    intersection on F or of the G intersection on G: any other extension has
-    two empty intersections, so it and every superset agree. It drops an
-    extension whose min union weight passes n_max: it and every superset lie
-    outside the truncation. A class after c adds to T's union at least its
-    own weight less the union's weight at the sizes some class after c
-    uses, and classes come in table order, by min weight; so the classes
-    that can join T within n_max form a prefix, found by bisection, and no
-    heavier class is examined.
+    The sieve's frontier DP, run on both sides at once over twin classes
+    (positions with equal (F member, G member)) in table order. A state is
+    the pair of frontiers; its cells map a union weight, the same on both
+    sides for every set that still agrees, to the number of sets. A class of
+    c twins joins a set in 2^c - 1 ways, all with the same unions. Past the
+    cap a state keeps only its lightest cell: its extensions add the same
+    weights to any set in that state, so a heavier set's extension fits
+    within n_max, and differs, only if the lightest set's does too.
     """
-    classes = list(dict.fromkeys((member_f, member_g) for _, member_f, member_g in table))
-    if len(classes) > budget:
-        return False
+    classes = Counter((member_f, member_g) for _, member_f, member_g in table)
     pats_f = [member_f.items() for member_f, _ in classes]
     pats_g = [member_g.items() for _, member_g in classes]
-    lightest = [min(member_f.weight, member_g.weight) for member_f, member_g in classes]
-    users_f: dict[int, list[int]] = {}
-    users_g: dict[int, list[int]] = {}
-    for c in range(len(classes)):
-        for s, _ in pats_f[c]:
-            users_f.setdefault(s, []).append(c)
-        for s, _ in pats_g[c]:
-            users_g.setdefault(s, []).append(c)
-    # A singleton's intersections and unions are its members.
-    stack = []
-    for c, (member_f, member_g) in enumerate(classes):
-        if member_f.weight != member_g.weight:
-            return False
-        dict_f, dict_g = dict(pats_f[c]), dict(pats_g[c])
-        stack.append((c, dict_f, dict_g, dict_f, dict_g, member_f.weight, member_g.weight))
-    examined = len(classes)
-    while stack:
-        c, inter_f, inter_g, union_f, union_g, weight_f, weight_g = stack.pop()
-        floor = min(
-            weight_f - sum(s * m for s, m in union_f.items() if users_f[s][-1] > c),
-            weight_g - sum(s * m for s, m in union_g.items() if users_g[s][-1] > c),
-        )
-        # Classes from `stop` on are too heavy to join T within n_max.
-        stop = bisect_right(lightest, n_max - floor)
-        later: set[int] = set()
-        for inter, users in ((inter_f, users_f), (inter_g, users_g)):
-            for s in inter:
-                sharing = users[s]
-                later.update(sharing[bisect_right(sharing, c) : bisect_left(sharing, stop)])
-        for d in sorted(later):
-            examined += 1
-            if examined > budget:
-                return False
-            next_weight_f = weight_f + _added_weight(pats_f[d], union_f)
-            next_weight_g = weight_g + _added_weight(pats_g[d], union_g)
-            if min(next_weight_f, next_weight_g) > n_max:
-                continue
-            next_f = {s: min(m, inter_f[s]) for s, m in pats_f[d] if s in inter_f}
-            next_g = {s: min(m, inter_g[s]) for s, m in pats_g[d] if s in inter_g}
-            if _weight(next_f.items()) != _weight(next_g.items()):
-                return False
-            stack.append(
-                (
-                    d,
-                    next_f,
-                    next_g,
-                    _merged(union_f, pats_f[d]),
-                    _merged(union_g, pats_g[d]),
-                    next_weight_f,
-                    next_weight_g,
-                )
-            )
-    return True
+    last_f = {size: i for i, pattern in enumerate(pats_f) for size, _ in pattern}
+    last_g = {size: i for i, pattern in enumerate(pats_g) for size, _ in pattern}
+    # (F frontier, G frontier) -> {union weight: number of sets}.
+    states: dict[tuple, dict[int, int]] = {((), ()): {0: 1}}
+    explored = 1
+    examined = 0
+    for i, twins in enumerate(classes.values()):
+        if explored > subset_cap:
+            examined += len(states)
+            if examined > subset_cap:
+                return None
+            states = {fronts: {min(cells): 1} for fronts, cells in states.items()}
+        pat_f, pat_g = pats_f[i], pats_g[i]
+        ways = 2**twins - 1
+        grown_states: dict[tuple, dict[int, int]] = {}
+        for (front_f, front_g), cells in states.items():
+            kept = (_restrict(front_f, last_f, i), _restrict(front_g, last_g, i))
+            target = grown_states.get(kept)
+            if target is None:
+                grown_states[kept] = dict(cells)
+            else:
+                for weight, count in cells.items():
+                    target[weight] = target.get(weight, 0) + count
+            added_f = _added_weight(pat_f, dict(front_f))
+            added_g = _added_weight(pat_g, dict(front_g))
+            limit = n_max - min(added_f, added_g)
+            target = None
+            for weight, count in cells.items():
+                if weight <= limit:
+                    if added_f != added_g:
+                        return None
+                    if target is None:
+                        grown = (_grow(front_f, pat_f, last_f, i), _grow(front_g, pat_g, last_g, i))
+                        target = grown_states.setdefault(grown, {})
+                    weight += added_f
+                    target[weight] = target.get(weight, 0) + count * ways
+                    explored += count * ways
+        states = grown_states
+    return min(explored, subset_cap + 1)
 
 
 def check_theorem_c(
@@ -447,31 +418,25 @@ def check_theorem_c(
     S ranges over the positions relevant to n_max in either family,
     restricted to min(weight_F(S), weight_G(S)) <= n_max -- exactly the
     sets that can influence either sieve for n <= n_max. These sets form a
-    down-set D, and on each size max = sum over T of (-1)^(|T|+1) min, so
-    Moebius inversion on D gives: the union weights agree on D iff the
-    min-intersection weights agree on D. `_intersections_agree` decides
-    that on twin classes, with subset_cap as its budget on the extensions it
-    examines. When they agree, D is the set of subsets of F's relevant
-    members with union weight <= n_max (a set holding an F member heavier
-    than n_max would weigh more on F than on G). The sieve's DP,
-    `_count_subsets`, counts exactly that set, so subsets_explored and the
-    cap outcome are those of `sieve_distribution(pair.F, n_max,
-    subset_cap)`.
+    down-set D: union weights only grow. `_agreeing_sets` runs the sieve's
+    DP on both sides at once; it decides whether every set in D agrees and
+    counts D, up to subset_cap, in one pass. For a holding pair, whose sets
+    weigh the same on both sides, D is the set of subsets of F's relevant
+    members with union weight <= n_max, so
+    subsets_explored and the cap outcome are those of
+    `sieve_distribution(pair.F, n_max, subset_cap)`.
 
-    Only on a difference, or when the search runs out of budget, does
-    `_walk_sets` walk the sets one state at a time for the witness (the
-    first failing S in preorder) or the cap outcome.
+    Only on a difference, or when the DP examines more than subset_cap
+    states past the cap, does `_walk_sets` walk the sets one state at a time
+    for the witness (the first failing S in preorder) or the cap outcome.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if subset_cap <= 0:
         raise ValueError(f"subset_cap must be > 0, got {subset_cap}")
     table = _annotated_positions(pair, n_max)
-    if _intersections_agree(table, n_max, subset_cap):
-        # Every position's members weigh the same, so the table holds F's
-        # relevant members in the order sieve_distribution takes them.
-        patterns = [member_f.items() for _, member_f, _ in table]
-        _, explored = _count_subsets(patterns, n_max, subset_cap)
+    explored = _agreeing_sets(table, n_max, subset_cap)
+    if explored is not None:
         return HypothesisReport(
             "C", n_max, True, None, explored, inconclusive=explored > subset_cap
         )

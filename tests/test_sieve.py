@@ -118,6 +118,22 @@ DEEP_PAIR = explicit_pair("deep", [{1: 1}] * 1500, [{1: 1}] * 1500)
 # A budget no search in these tests reaches.
 UNCAPPED = 2**62
 
+# Twelve distinct members all hold {1:1}. The late variant swaps G's last
+# member for {2:1, 12:1}: same weight, but its union with G's first member
+# weighs 15 where F's weighs 16. The walk meets {first, last} only after the
+# other sets that hold the first member.
+SHARED_MEMBERS = [{1: 1, i + 2: 1} for i in range(12)]
+SHARED_PAIR = explicit_pair("shared", SHARED_MEMBERS, SHARED_MEMBERS)
+SHARED_LATE_PAIR = explicit_pair("shared", SHARED_MEMBERS, SHARED_MEMBERS[:-1] + [{2: 1, 12: 1}])
+
+# Members {i+1, 10000+i} and {10000+i, 20000+i} for i < 50 share their
+# middle sizes, so up to three chosen members of the first kind stay in both
+# frontiers: tens of thousands of states, each carrying two frontiers.
+CHAINED_MEMBERS = [{i + 1: 1, 10_000 + i: 1} for i in range(50)] + [
+    {10_000 + i: 1, 20_000 + i: 1} for i in range(50)
+]
+CHAINED_PAIR = explicit_pair("chained", CHAINED_MEMBERS, CHAINED_MEMBERS)
+
 
 def bound_added_weight_calls(monkeypatch, bound):
     """Fail once sieve._added_weight runs more than bound times."""
@@ -657,8 +673,8 @@ class TestCheckTheoremC:
     @pytest.mark.parametrize("cap", [2_000, 20_000])
     def test_no_state_repeats(self, cap):
         # Every set of {2^i: 1} members has its own union weight, so a walk
-        # would meet no state twice. The pair holds, so the intersection
-        # search decides it and the sieve DP counts the sets up to the cap.
+        # would meet no state twice. The pair holds, so the joint DP decides
+        # it and counts the sets up to the cap.
         members = [{2**i: 1} for i in range(24)]
         pair = explicit_pair("powers", members, members)
         report = check_theorem_c(pair, 2**24, subset_cap=cap)
@@ -671,8 +687,8 @@ class TestCheckTheoremC:
         # and a walk state is (next position, union weight): at most
         # (positions + 1) x (n_max + 1) of them, at two _added_weight calls
         # each, far fewer than the 502,822 sets a one-by-one walk would step
-        # through. euler holds, so the intersection search and the sieve DP
-        # answer without walking; the late-violation test below walks.
+        # through. euler holds, so the joint DP answers without walking; the
+        # late-violation test below walks.
         pair = builtin_pair("euler")
         positions = len(pair.F.relevant_indices(150))
         bound_added_weight_calls(monkeypatch, 2 * (positions + 1) * 151)
@@ -727,34 +743,47 @@ class TestCheckTheoremC:
             14,
         )
     )
-    def test_intersection_search_agrees_iff_walk_finds_no_witness(self, drawn):
+    # Three twins {1:1} form one class, which joins a set in 7 ways. The
+    # last position weighs 2 on both sides, but its union with a twin
+    # weighs 3 on F and 2 on G.
+    @example(
+        (explicit_pair("twins", [{1: 1}] * 3 + [{2: 1}], [{1: 1}] * 3 + [{1: 2}]), 5)
+    )
+    def test_joint_dp_agrees_iff_walk_finds_no_witness(self, drawn):
         pair, n_max = drawn
         table = sieve_module._annotated_positions(pair, n_max)
         expected = theorem_c_dfs(pair, n_max, UNCAPPED)
-        agree = sieve_module._intersections_agree(table, n_max, UNCAPPED)
-        assert agree == (expected[3] is None)
+        explored = sieve_module._agreeing_sets(table, n_max, UNCAPPED)
+        assert (explored is None) == (expected[3] is not None)
         assert c_fields(pair, n_max, UNCAPPED) == expected
-        if agree:
+        if explored is not None:
+            assert explored == expected[2]
             # The sets the check covers are F's subsets within n_max.
-            assert expected[2] == sieve_distribution(pair.F, n_max, UNCAPPED).subsets_explored
+            assert explored == sieve_distribution(pair.F, n_max, UNCAPPED).subsets_explored
 
     @pytest.mark.parametrize(
-        "late,cap,walks",
-        [(False, 20, True), (True, 20, True), (True, 5_000, True), (False, 10**6, False)],
-        ids=["holding-cap-20", "violating-cap-20", "violating-cap-5000", "holding-uncapped"],
+        "pair,n_max,cap,walks",
+        [
+            (SHARED_PAIR, 200, 20, False),
+            (SHARED_LATE_PAIR, 200, 20, True),
+            (SHARED_LATE_PAIR, 200, 5_000, True),
+            (SHARED_PAIR, 200, 10**6, False),
+            (CHAINED_PAIR, 40_000, 100, True),
+        ],
+        ids=[
+            "holding-cap-20",
+            "violating-cap-20",
+            "violating-cap-5000",
+            "holding-uncapped",
+            "chained-cap-100",
+        ],
     )
-    def test_search_past_its_budget_falls_back_to_the_walk(self, monkeypatch, late, cap, walks):
-        # Twelve distinct members all hold {1:1}, so every intersection is
-        # nonempty and the search meets all 4,095 nonempty sets. The
-        # violation swaps G's last member for {2:1, 12:1}: same weight, but
-        # its intersection with G's first member, {1:1, 2:1}, is {2:1}
-        # where F's is {1:1}. The walk meets {first, last} only after the
-        # other sets that hold the first member.
-        f = [{1: 1, i + 2: 1} for i in range(12)]
-        g = [dict(m) for m in f]
-        if late:
-            g[-1] = {2: 1, 12: 1}
-        pair = explicit_pair("shared", f, g)
+    def test_search_past_its_budget_falls_back_to_the_walk(
+        self, monkeypatch, pair, n_max, cap, walks
+    ):
+        # The joint DP decides a holding pair past the cap by one cell per
+        # state, and walks on a difference or once it has examined more
+        # than cap states past the cap.
         walked = 0
         walk_sets = sieve_module._walk_sets
 
@@ -764,17 +793,35 @@ class TestCheckTheoremC:
             return walk_sets(*args)
 
         monkeypatch.setattr(sieve_module, "_walk_sets", spy)
-        assert c_fields(pair, 200, cap) == theorem_c_dfs(pair, 200, cap)
+        assert c_fields(pair, n_max, cap) == theorem_c_dfs(pair, n_max, cap)
         assert walked == walks
-        if not late:
-            report = check_theorem_c(pair, 200, subset_cap=cap)
+        if pair is SHARED_PAIR:
+            report = check_theorem_c(pair, n_max, subset_cap=cap)
             assert (report.inconclusive, report.subsets_explored) == (
                 (True, cap + 1) if cap < 4096 else (False, 4096)
             )
 
+    def test_shared_size_past_the_cap_is_decided_without_walking(self, monkeypatch):
+        # 40 members {1:1, i+2:1} keep size 1 in both frontiers, so there
+        # are at most two states per member: past the cap the DP keeps
+        # their lightest cells and decides without walking.
+        def refuse(*args):
+            raise AssertionError("the walk ran")
+
+        monkeypatch.setattr(sieve_module, "_walk_sets", refuse)
+        members = [{1: 1, i + 2: 1} for i in range(40)]
+        pair = explicit_pair("shared40", members, members)
+        report = check_theorem_c(pair, 200, subset_cap=200_000)
+        assert (report.holds, report.inconclusive, report.subsets_explored) == (
+            True,
+            True,
+            200_001,
+        )
+
     def test_deep_family_is_decided_without_walking(self, monkeypatch):
-        # 1,500 twins are one class: the search checks one singleton, and
-        # the sieve DP stops at the cap, as the walk would.
+        # 1,500 twins are one class, which joins the empty set in 2^1500 - 1
+        # ways: the joint DP passes the cap at its first step, as the walk
+        # would.
         def refuse(*args):
             raise AssertionError("the walk ran")
 
