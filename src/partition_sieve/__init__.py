@@ -7,70 +7,19 @@ the two sufficient hypotheses (pairwise-disjoint weight-matched families;
 equal union weights for every index set) on finite truncations.
 """
 
-from .partitions import Multiset, count_partitions
-from .families import (
-    BUILTIN_PAIRS,
-    FamilyError,
-    FamilyIndex,
-    FamilyPair,
-    MultisetFamily,
-    Strand,
-    StrandEntry,
-    builtin_pair,
-    parse_family_pair,
-    render_family_pair,
-)
-from .statistics import FamilyStatistic, NativeStatistic, native, pair_statistics
-from .distribution import (
-    ComparisonReport,
-    ComparisonVerdict,
-    DistributionTable,
-    compare,
-    distribution_bruteforce,
-)
-from .sieve import (
-    DEFAULT_SUBSET_CAP,
-    DisjointnessWitness,
-    HypothesisReport,
-    SieveResult,
-    UnionWeightWitness,
-    WeightWitness,
-    check_theorem_b,
-    check_theorem_c,
-    sieve_distribution,
-)
+# The public API is the union of the modules' own __all__ lists, each
+# module's names republished here by its star import.
+from . import partitions, families, statistics, distribution, sieve
+from .partitions import *
+from .families import *
+from .statistics import *
+from .distribution import *
+from .sieve import *
 
-__all__ = [
-    "BUILTIN_PAIRS",
-    "ComparisonReport",
-    "ComparisonVerdict",
-    "DEFAULT_SUBSET_CAP",
-    "DisjointnessWitness",
-    "DistributionTable",
-    "FamilyError",
-    "FamilyIndex",
-    "FamilyPair",
-    "FamilyStatistic",
-    "HypothesisReport",
-    "Multiset",
-    "MultisetFamily",
-    "NativeStatistic",
-    "SieveResult",
-    "Strand",
-    "StrandEntry",
-    "UnionWeightWitness",
-    "WeightWitness",
-    "builtin_pair",
-    "check_theorem_b",
-    "check_theorem_c",
-    "compare",
-    "count_partitions",
-    "distribution_bruteforce",
-    "native",
-    "pair_statistics",
-    "parse_family_pair",
-    "render_family_pair",
-    "sieve_distribution",
-]
+__all__ = sorted(
+    name
+    for module in (partitions, families, statistics, distribution, sieve)
+    for name in module.__all__
+)
 
 __version__ = "0.1.0"

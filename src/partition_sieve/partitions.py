@@ -87,49 +87,24 @@ class Multiset:
 
 
 def descending_part_sequences(n: int) -> Iterator[dict[int, int]]:
-    """Yield every partition of n as a {size: multiplicity} map, partitions in
-    reverse lexicographic order of their weakly decreasing part sequences.
+    """Yield every partition of n as a new {size: multiplicity} dict,
+    partitions in reverse lexicographic order of their weakly decreasing
+    part sequences.
 
     This is the canonical enumeration order: for n=4 it yields
     {4: 1}, {3: 1, 1: 1}, {2: 2}, {2: 1, 1: 2}, {1: 4}. No size is stored
     with multiplicity 0, and the keys run in strictly decreasing order.
 
-    The map is one dict, yielded for every partition and updated in place
-    between yields, changing O(1) entries per step. A caller may read it but
-    must neither keep it nor change it; copy it (``dict(counts)``) to keep a
-    partition. It is `partition_walk` with no size watched, each group
-    expanded: the walk's map of parts >= 4 with 3^t 2^k 1^(rest - 3t - 2k)
-    added, for t = rest // 3 down to 0 and, within each t, for
-    k = (rest - 3t) // 2 down to 0.
+    It is `partition_walk` with no size watched, each group expanded: the
+    walk's map of parts >= 4 with 3^t 2^k 1^(rest - 3t - 2k) added, for
+    t = rest // 3 down to 0 and, within each t, for k = (rest - 3t) // 2
+    down to 0.
     """
     for counts, rest in partition_walk(n, [None] * (n + 1), None):
         for threes in range(rest // 3, -1, -1):
-            # The 3s sit below the walk's parts; the 2s and 1s of the last
-            # tail go first, so that the keys stay in decreasing order.
-            counts.pop(2, None)
-            counts.pop(1, None)
-            if threes:
-                counts[3] = threes
-            else:
-                counts.pop(3, None)
-            twos, ones = divmod(rest - 3 * threes, 2)
-            if twos:
-                counts[2] = twos
-            if ones:
-                counts[1] = ones
-            yield counts
-            while twos:
-                # Turn one 2 into 1 + 1; 1 stays the last key.
-                twos -= 1
-                ones += 2
-                if twos:
-                    counts[2] = twos
-                else:
-                    del counts[2]
-                counts[1] = ones
-                yield counts
-        # The walk resumes from its own map, which holds no 3s, 2s or 1s.
-        counts.pop(1, None)
+            for twos in range((rest - 3 * threes) // 2, -1, -1):
+                tail = {3: threes, 2: twos, 1: rest - 3 * threes - 2 * twos}
+                yield {**counts, **{s: m for s, m in tail.items() if m}}
 
 
 def partition_walk(

@@ -428,7 +428,10 @@ def check_theorem_c(
 
     Only on a difference, or when the DP examines more than subset_cap
     states past the cap, does `_walk_sets` walk the sets one state at a time
-    for the witness (the first failing S in preorder) or the cap outcome.
+    for the witness (the first failing S in preorder) or the cap outcome. A
+    difference is a failing set in D, and a DP that gives up has counted
+    more than subset_cap sets, so the walk ends with a witness or past the
+    cap; it raises RuntimeError if it ever ends otherwise.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -463,6 +466,10 @@ def _walk_sets(
     once no position is left, or once even the lightest remaining member,
     less all a frontier could save, takes the union weight past n_max
     (positions are sorted by min weight).
+
+    It runs only after `_agreeing_sets` found a failing set or counted more
+    than subset_cap sets, so it never reports that the theorem holds: ending
+    within the cap without a witness contradicts the DP and raises.
     """
     pats_f = [member_f.items() for _, member_f, _ in table]
     pats_g = [member_g.items() for _, _, member_g in table]
@@ -528,6 +535,8 @@ def _walk_sets(
             explored += count
             if explored > subset_cap:
                 break
-    if explored > subset_cap:
-        return HypothesisReport("C", n_max, True, None, subset_cap + 1, inconclusive=True)
-    return HypothesisReport("C", n_max, True, None, explored)
+    if explored <= subset_cap:
+        raise RuntimeError(
+            f"theorem C walk ended within the cap without a witness ({explored} sets)"
+        )
+    return HypothesisReport("C", n_max, True, None, subset_cap + 1, inconclusive=True)

@@ -31,18 +31,11 @@ CountsRule = Callable[[Mapping[int, int]], int]
 class FamilyStatistic:
     """X(pi) = number of family members contained in pi.
 
-    Only members of weight <= n can occur in a partition of n, so both
-    forms below restrict to the family's relevant indices for n.
-
-    Brute force takes the relevant members from `member_patterns`, once
-    per side for a whole range of n (those of the largest n; a heavier
-    member is never met at a smaller n). It indexes their entries at sizes
-    >= 4 by size and keeps each member's count of unmet such entries up to
-    date as the walk changes multiplicities, and it counts the partitions
-    that differ only in their 3s, 2s and 1s in closed form, from what each
-    member needs at sizes 3, 2 and 1. `counts_evaluator` tests every
-    relevant member against one map; it is the independent per-map form
-    that the tests check the tally against.
+    Only members of weight <= n can occur in a partition of n.
+    `member_patterns(n)` gives those members' items, which brute force
+    tallies; `counts_evaluator(n)` gives a rule that counts them in one
+    {size: multiplicity} map, the independent per-map form the tests check
+    the tally against.
     """
 
     def __init__(self, family: MultisetFamily, label: str | None = None):

@@ -213,7 +213,8 @@ class TestPartitionCap:
         assert result.stderr == "partition cap exceeded: p(1000000) is over 100000000\n"
 
     def test_cap_passed_first_at_95(self, runner, no_walk):
-        # p(94) = 89,134,817 and p(95) = 104,651,419.
+        # p(94) = 92,669,720 and p(95) = 104,651,419.
+        assert count_partitions(94) == 92_669_720
         assert cli._largest_n_within(cli.DEFAULT_PARTITION_CAP) == 94
         result = invoke(runner, ["dist", "--pair", "euler", "--side", "X", "--n", "95"])
         assert (result.exit_code, result.stdout) == (3, "")
@@ -368,6 +369,97 @@ class TestInternalErrors:
         assert result.stderr == (
             "internal error: RuntimeError: witness failed re-validation\n"
         )
+
+    def test_walk_without_witness_within_the_cap_exits_4(self, runner, monkeypatch):
+        # A theorem C walk that contradicts the DP is a bug, never "holds".
+        monkeypatch.setattr("partition_sieve.sieve._agreeing_sets", lambda *args: None)
+        result = runner.invoke(
+            main, ["check", "--pair", "euler", "--theorem", "c", "--n-max", "30"]
+        )
+        assert (result.exit_code, result.stdout) == (4, "")
+        assert result.stderr.startswith("internal error: RuntimeError: ")
+        assert result.stderr.count("\n") == 1
+
+
+class TestUsageChecks:
+    """Each command's own argument checks exit 2 before any work, with
+    nothing on stdout. PAIR_FILE is the euler document, M1_FILE an M1 list
+    of comments and blank lines only, and LIST_FILE the document []."""
+
+    @pytest.mark.parametrize(
+        "args,last_line",
+        [
+            (
+                ["dist", "--pair", "euler", "--side", "X", "--n", "-1"],
+                "Error: --n must be >= 0",
+            ),
+            (
+                ["compare", "--pair", "euler", "--n-from", "5", "--n-max", "4"],
+                "Error: need 0 <= --n-from <= --n-max",
+            ),
+            (
+                ["sieve", "--pair", "euler", "--side", "X", "--n", "-1"],
+                "Error: --n must be >= 0",
+            ),
+            (
+                ["sieve", "--pair", "euler", "--side", "X", "--n", "5", "--subset-cap", "0"],
+                "Error: --subset-cap must be > 0",
+            ),
+            (
+                ["check", "--pair", "euler", "--theorem", "c", "--n-max", "0"],
+                "Error: --n-max must be >= 1",
+            ),
+            (
+                ["check", "--pair", "euler", "--theorem", "c", "--subset-cap", "0"],
+                "Error: --subset-cap must be > 0",
+            ),
+            (
+                ["compare", "--pair-file", "PAIR_FILE", "--d", "2"],
+                "Error: --d/--m1-file do not apply to --pair-file",
+            ),
+            (["compare", "--pair", "andrews"], "Error: andrews requires --m1-file"),
+            (
+                ["compare", "--pair", "andrews", "--m1-file", "M1_FILE"],
+                "Error: M1_FILE: no M1 entries found",
+            ),
+            (["compare", "--pair-file", "LIST_FILE"], "Error: pair document must be a JSON object"),
+        ],
+        ids=[
+            "dist-negative-n",
+            "compare-empty-range",
+            "sieve-negative-n",
+            "sieve-zero-cap",
+            "check-zero-n-max",
+            "check-zero-cap",
+            "pair-file-with-d",
+            "andrews-without-m1",
+            "m1-file-without-entries",
+            "pair-file-not-an-object",
+        ],
+    )
+    def test_exits_2(self, runner, tmp_path, args, last_line):
+        paths = {
+            "PAIR_FILE": (tmp_path / "euler.json", EULER_DOC),
+            "M1_FILE": (tmp_path / "m1.txt", "# no entries\n\n   \n# still none\n"),
+            "LIST_FILE": (tmp_path / "list.json", "[]"),
+        }
+        for path, text in paths.values():
+            path.write_text(text)
+        argv = [str(paths[a][0]) if a in paths else a for a in args]
+        last_line = last_line.replace("M1_FILE", str(paths["M1_FILE"][0]))
+        result = runner.invoke(main, argv)
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.splitlines()[-1] == last_line
+
+    def test_m1_comments_and_blank_lines_between_values(self, runner, tmp_path):
+        path = tmp_path / "m1.txt"
+        path.write_text("# powers of two\n1\n\n2  # doubles 1\n   \n4\n# 8 next\n8\n16\n")
+        plain = tmp_path / "plain.txt"
+        plain.write_text(POW2_M1)
+        args = ["compare", "--pair", "andrews", "--n-max", "12", "--m1-file"]
+        result = invoke(runner, args + [str(path)])
+        assert result.exit_code == 0
+        assert result.output == invoke(runner, args + [str(plain)]).output
 
 
 class TestPairFiles:

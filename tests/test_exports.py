@@ -22,3 +22,13 @@ def test_module_exports_reach_the_package(module_name):
     module = importlib.import_module(module_name)
     unexported = set(getattr(module, "__all__", ())) - set(partition_sieve.__all__)
     assert unexported == set()
+
+
+def test_no_name_exported_by_two_modules():
+    # The package star-imports every module, so a name in two modules'
+    # __all__ would silently shadow the other.
+    owners = {}
+    for module_name in MODULES[1:]:
+        for name in getattr(importlib.import_module(module_name), "__all__", ()):
+            owners.setdefault(name, []).append(module_name)
+    assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}

@@ -476,6 +476,93 @@ class TestStrandErrorTexts:
         assert str(info.value) == "G strand 1 entry 0 size: expected an integer, got True"
 
 
+# Strand 0 starts at t = 0 and strand 1 at t = 1: a valid pair that no
+# document, with its single top-level tmin, can describe.
+MIXED_TMIN_STRANDS = (
+    Strand(entries=(StrandEntry((0, 1, 1), (0, 1)),), tmin=0),
+    Strand(entries=(StrandEntry((0, 1, 0), (0, 1)),), tmin=1),
+)
+MIXED_TMIN_PAIR = FamilyPair(
+    "mixed",
+    MultisetFamily("mixed.F", MIXED_TMIN_STRANDS),
+    MultisetFamily("mixed.G", MIXED_TMIN_STRANDS),
+)
+
+
+class TestValidationErrorTexts:
+    """The exact text of the document-level, family and catalog errors."""
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ([], "pair document must be a JSON object"),
+            (dict(EULER_DOC, name=""), "'name' must be a nonempty string"),
+            (dict(EULER_DOC, name=3), "'name' must be a nonempty string"),
+            (dict(EULER_DOC, F="ab"), "'F' must be an array of strands"),
+            (dict(EULER_DOC, F=[]), "'F' must contain at least one strand"),
+        ],
+        ids=["not-an-object", "empty-name", "integer-name", "string-side", "empty-side"],
+    )
+    def test_document(self, doc, message):
+        for form in (doc, json.dumps(doc)):
+            with pytest.raises(FamilyError) as info:
+                parse_family_pair(form)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            pytest.param(
+                lambda: MultisetFamily("x", ()), "family 'x' has no strands", id="no-strands"
+            ),
+            pytest.param(
+                lambda: builtin_pair("euler", m1=[1]),
+                "pair 'euler' takes no m1/bound parameters",
+                id="euler-m1",
+            ),
+            pytest.param(lambda: builtin_pair("glaisher"), "glaisher requires d", id="glaisher-no-d"),
+            pytest.param(
+                lambda: builtin_pair("andrews", m1=[1], bound=-1),
+                "andrews requires an integer bound >= 0, got -1",
+                id="andrews-bound",
+            ),
+            pytest.param(
+                lambda: builtin_pair("andrews", m1=[0], bound=5),
+                "M1 entries must be integers >= 1, got 0",
+                id="andrews-m1-zero",
+            ),
+            pytest.param(
+                lambda: builtin_pair("andrews", m1=[True], bound=5),
+                "M1 entries must be integers >= 1, got True",
+                id="andrews-m1-bool",
+            ),
+            pytest.param(
+                lambda: builtin_pair("andrews", m1=[], bound=5),
+                "M1 must be nonempty",
+                id="andrews-m1-empty",
+            ),
+            pytest.param(
+                lambda: StrandEntry((0, 1), (0, 1)),
+                "size must be 3 integer coefficients, got (0, 1)",
+                id="entry-coefficients",
+            ),
+            pytest.param(
+                lambda: render_family_pair(MIXED_TMIN_PAIR),
+                "only pairs with one uniform tmin can be rendered",
+                id="render-mixed-tmin",
+            ),
+        ],
+    )
+    def test_construction(self, build, message):
+        with pytest.raises(FamilyError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_negative_n_has_no_relevant_indices(self):
+        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+            builtin_pair("euler").F.relevant_indices(-1)
+
+
 class TestNonJsonDocuments:
     def test_read_only_mappings_and_tuples_parse_like_json(self):
         # Neither dict nor list anywhere: every check takes its general

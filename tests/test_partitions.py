@@ -1,9 +1,11 @@
 from collections import Counter
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import partition_sieve.partitions as partitions_module
 from partition_sieve import Multiset, count_partitions
 from partition_sieve.partitions import descending_part_sequences, partition_walk
 
@@ -72,8 +74,8 @@ def part_sequence(counts):
 
 
 class TestEnumeration:
-    """The enumeration yields one map per partition, updated in place, so
-    every test copies a map before the next step."""
+    """The enumeration yields a new map per partition, built from the
+    walk's group without writing to the walk's own map."""
 
     def test_n0_single_empty(self):
         assert [dict(c) for c in descending_part_sequences(0)] == [{}]
@@ -103,8 +105,7 @@ class TestEnumeration:
                 assert all(s >= 1 and m >= 1 for s, m in counts.items()), counts
 
     def test_keys_strictly_decreasing(self):
-        # The in-place map keeps its keys in strictly decreasing order as
-        # the 3s, 2s and 1s of each group come and go.
+        # Each map lists its 3s, 2s and 1s after the walk's sizes >= 4.
         for n in range(26):
             for counts in descending_part_sequences(n):
                 keys = list(counts)
@@ -120,6 +121,20 @@ class TestEnumeration:
         for n in range(2, 14):
             seqs = [part_sequence(c) for c in descending_part_sequences(n)]
             assert seqs == sorted(seqs, reverse=True)
+
+    def test_never_writes_to_the_walks_map(self, monkeypatch):
+        # A read-only walk map: any write to it raises.
+        walk = partitions_module.partition_walk
+
+        def read_only_walk(n, watch, on_change):
+            for counts, rest in walk(n, watch, on_change):
+                yield MappingProxyType(counts), rest
+
+        monkeypatch.setattr(partitions_module, "partition_walk", read_only_walk)
+        ours = [list(c.items()) for c in descending_part_sequences(30)]
+        reference = [list(Counter(parts).items()) for parts in partitions_recursive(30)]
+        assert len(ours) == 5_604
+        assert ours == reference
 
     def test_streams_independent(self):
         # Two live generators never share a dict: stepping one leaves the

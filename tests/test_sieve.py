@@ -134,6 +134,17 @@ CHAINED_MEMBERS = [{i + 1: 1, 10_000 + i: 1} for i in range(50)] + [
 ]
 CHAINED_PAIR = explicit_pair("chained", CHAINED_MEMBERS, CHAINED_MEMBERS)
 
+# euler plus one position of weight 97 on F and 99 on G, sizes no euler
+# member uses. The first failing set is {2} | {97} against {1,1} | {99}: the
+# walk reaches it only after every holding set that holds euler's first
+# member, and meets many of their states again.
+EULER = builtin_pair("euler")
+EULER_LATE_PAIR = FamilyPair(
+    "euler-late",
+    MultisetFamily("euler-late.F", EULER.F.strands + (Strand(explicit=Multiset({97: 1})),)),
+    MultisetFamily("euler-late.G", EULER.G.strands + (Strand(explicit=Multiset({99: 1})),)),
+)
+
 
 def bound_added_weight_calls(monkeypatch, bound):
     """Fail once sieve._added_weight runs more than bound times."""
@@ -695,17 +706,8 @@ class TestCheckTheoremC:
         assert check_theorem_c(pair, 150).subsets_explored == 502_822
 
     def test_each_state_walked_once_before_a_late_violation(self, monkeypatch):
-        # euler plus one position of weight 97 on F and 99 on G, sizes no
-        # euler member uses. The first failing set is {2} | {97} against
-        # {1,1} | {99}: the walk reaches it only after every holding set
-        # that holds euler's first member, yet walks each state once.
-        euler = builtin_pair("euler")
-        late = Strand(explicit=Multiset({97: 1}))
-        pair = FamilyPair(
-            "euler-late",
-            MultisetFamily("euler-late.F", euler.F.strands + (late,)),
-            MultisetFamily("euler-late.G", euler.G.strands + (Strand(explicit=Multiset({99: 1})),)),
-        )
+        # The walk reaches the late failing set, yet walks each state once.
+        pair = EULER_LATE_PAIR
         expected = theorem_c_dfs(pair, 100, DEFAULT_SUBSET_CAP)
         assert expected[2] > 10_000
         positions = len(sieve_module._annotated_positions(pair, 100))
@@ -769,6 +771,10 @@ class TestCheckTheoremC:
             (SHARED_LATE_PAIR, 200, 5_000, True),
             (SHARED_PAIR, 200, 10**6, False),
             (CHAINED_PAIR, 40_000, 100, True),
+            # The walk passes these caps on the count of a state met again.
+            (EULER_LATE_PAIR, 100, 500, True),
+            (EULER_LATE_PAIR, 100, 3_000, True),
+            (EULER_LATE_PAIR, 100, 10_000, True),
         ],
         ids=[
             "holding-cap-20",
@@ -776,6 +782,9 @@ class TestCheckTheoremC:
             "violating-cap-5000",
             "holding-uncapped",
             "chained-cap-100",
+            "late-reused-cap-500",
+            "late-reused-cap-3000",
+            "late-reused-cap-10000",
         ],
     )
     def test_search_past_its_budget_falls_back_to_the_walk(
@@ -800,6 +809,8 @@ class TestCheckTheoremC:
             assert (report.inconclusive, report.subsets_explored) == (
                 (True, cap + 1) if cap < 4096 else (False, 4096)
             )
+        if pair is EULER_LATE_PAIR:
+            assert c_fields(pair, n_max, cap) == (True, True, cap + 1, None)
 
     def test_shared_size_past_the_cap_is_decided_without_walking(self, monkeypatch):
         # 40 members {1:1, i+2:1} keep size 1 in both frontiers, so there
@@ -828,6 +839,14 @@ class TestCheckTheoremC:
         monkeypatch.setattr(sieve_module, "_walk_sets", refuse)
         report = check_theorem_c(DEEP_PAIR, 10, subset_cap=2000)
         assert (report.holds, report.inconclusive, report.subsets_explored) == (True, True, 2001)
+
+    def test_walk_without_witness_within_the_cap_raises(self, monkeypatch):
+        # The walk runs only on a difference or past the cap. Ending within
+        # the cap without a witness contradicts the DP: an internal error,
+        # never a holding report.
+        monkeypatch.setattr(sieve_module, "_agreeing_sets", lambda *args: None)
+        with pytest.raises(RuntimeError, match="walk ended within the cap without a witness"):
+            check_theorem_c(builtin_pair("euler"), 30)
 
     def test_validation(self):
         pair = builtin_pair("euler")
