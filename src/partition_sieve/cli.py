@@ -52,8 +52,10 @@ from .statistics import FamilyStatistic, pair_statistics
 
 FORMATS = click.Choice(["table", "csv", "json"])
 
-# The largest p(n) that brute-force enumeration may walk: above
-# p(94) = 92,669,720, below p(95) = 104,651,419.
+# The largest p(n) that brute force may tally: above p(94) = 92,669,720,
+# below p(95) = 104,651,419. The cap is on p(n), although the walk visits
+# far fewer groups: only the partitions into the sizes >= 4 some member
+# uses.
 DEFAULT_PARTITION_CAP = 100_000_000
 
 

@@ -91,13 +91,15 @@ def _tally_walk(
     the partitions of n_to: for each n in order, one {j: count} per
     statistic, in order.
 
-    No statistic is evaluated per partition. `partition_walk` yields groups:
-    a map nu of the parts >= 4 and a rest r, standing for the partitions
-    nu + 3^t 2^k 1^(r - 3t - 2k). Each member (see
+    No statistic is evaluated per partition. `partition_walk` walks only
+    the watched sizes, the sizes >= 4 some member uses, and yields groups:
+    a map nu of the parts at those sizes and a rest r, standing for the
+    partitions nu + mu + 3^t 2^k 1^(r - u - 3t - 2k), mu a partition of
+    some u <= r into the unwatched sizes >= 4. Each member (see
     `FamilyStatistic.member_patterns`) needs some (c, a, b) at sizes 3, 2
     and 1 (0 where it has no entry); such a partition contains it iff its
     entries at sizes >= 4 are met in nu, t >= c, k >= a and
-    r - 3t - 2k >= b.
+    r - u - 3t - 2k >= b.
 
     A member with entries at sizes >= 4 is a slot holding its number of
     unmet such entries, and watch[s] lists the (needed multiplicity, slot,
@@ -109,10 +111,13 @@ def _tally_walk(
     others are classed by (c, a, b), and a class is mixed when its members
     also have entries >= 4. During the walk the groups are only counted by
     the rest and every class level; a side's state is the rest, its base
-    level and its mixed classes' levels.
+    level and its mixed classes' levels. mu changes no level, so after the
+    walk a state of rest r stands for unwatched[u] states of rest r - u,
+    unwatched[u] the partitions of u into the unwatched sizes >= 4 (the
+    coefficient of q^u in their prod 1 / (1 - q^s)), and is spread so.
 
-    The same nu with rest r - d is a group of n_to - d, so after the walk
-    each state serves every n with r - (n_to - n) >= 0. Its histogram of
+    The same nu + mu with rest r - d is a group of n_to - d, so each spread
+    state serves every n with r - (n_to - n) >= 0. Its histogram of
     hit counts over the tails depends only on that rest and the mixed
     levels, and is made once per side for them. The members are those of
     n_to for every n: a member heavier than n is never met at n.
@@ -173,13 +178,27 @@ def _tally_walk(
     walked: Counter[tuple[int, ...]] = Counter()
     for _, rest in partition_walk(n_to, watch, on_change):
         walked[(rest, *level)] += 1
+    # unwatched[u]: the partitions of u into the sizes >= 4 no member uses.
+    unwatched = [1] + [0] * n_to
+    for s in range(4, n_to + 1):
+        if watch[s] is None:
+            for u in range(s, n_to + 1):
+                unwatched[u] += unwatched[u - s]
+    spread = [(u, ways) for u, ways in enumerate(unwatched) if ways]
 
     tallies: list[list[dict[int, int]]] = [[] for _ in range(n_from, n_to + 1)]
     for base, end, mixed, small_classes, size in sides:
-        # The side's states: (rest, base level, *mixed levels).
-        states: Counter[tuple[int, ...]] = Counter()
+        # The side's walked states: (rest, base level, *mixed levels), then
+        # spread over the unwatched parts of the rest.
+        side: Counter[tuple[int, ...]] = Counter()
         for (rest, *levels), groups in walked.items():
-            states[(rest, *levels[base:end])] += groups
+            side[(rest, *levels[base:end])] += groups
+        states: Counter[tuple[int, ...]] = Counter()
+        for (rest, *levels), groups in side.items():
+            for u, ways in spread:
+                if u > rest:
+                    break
+                states[(rest - u, *levels)] += groups * ways
         memo: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
         for n, row in zip(range(n_from, n_to + 1), tallies):
             drop = n_to - n

@@ -95,12 +95,12 @@ def descending_part_sequences(n: int) -> Iterator[dict[int, int]]:
     {4: 1}, {3: 1, 1: 1}, {2: 2}, {2: 1, 1: 2}, {1: 4}. No size is stored
     with multiplicity 0, and the keys run in strictly decreasing order.
 
-    It is `partition_walk` with no size watched, each group expanded: the
-    walk's map of parts >= 4 with 3^t 2^k 1^(rest - 3t - 2k) added, for
+    It is `partition_walk` with every size watched, each group expanded:
+    the walk's map of parts >= 4 with 3^t 2^k 1^(rest - 3t - 2k) added, for
     t = rest // 3 down to 0 and, within each t, for k = (rest - 3t) // 2
     down to 0.
     """
-    for counts, rest in partition_walk(n, [None] * (n + 1), None):
+    for counts, rest in partition_walk(n, [True] * (n + 1), lambda *change: None):
         for threes in range(rest // 3, -1, -1):
             for twos in range((rest - 3 * threes) // 2, -1, -1):
                 tail = {3: threes, 2: twos, 1: rest - 3 * threes - 2 * twos}
@@ -110,43 +110,48 @@ def descending_part_sequences(n: int) -> Iterator[dict[int, int]]:
 def partition_walk(
     n: int,
     watch: Sequence[object],
-    on_change: Callable[[object, int, int], object] | None,
+    on_change: Callable[[object, int, int], object],
 ) -> Iterator[tuple[dict[int, int], int]]:
-    """Walk the partitions of n in groups, reporting the sizes >= 4 it changes.
-
-    Yields ``(counts, rest)`` for every partition nu of some m <= n into
-    parts >= 4, in reverse lexicographic order of the part sequences (a
-    sequence before its own prefixes), with rest = n - m. ``counts`` is nu
-    as one {size: multiplicity} dict, updated in place between yields, keys
-    in decreasing order; it never holds the sizes 1, 2 or 3. The group of
-    nu is the partitions nu + 3^t 2^k 1^(rest - 3t - 2k), one for each
-    partition of rest into parts <= 3, round((rest + 3)^2 / 12) of them;
-    the groups, in order and each expanded as in
-    `descending_part_sequences`, are every partition of n in its order.
-    There are p(n) - p(n - 2) - p(n - 3) + p(n - 5) groups, the coefficient
-    of q^n in P(q)(1 - q^2)(1 - q^3).
+    """Walk the partitions of n in groups, reporting the sizes it changes.
 
     ``watch[s]`` (0 <= s <= n) is a caller's bucket for size s, or None (or
-    anything falsy) when s is not watched. Before each yield,
-    ``on_change(watch[s], old, new)`` is called once for every watched size
-    s whose multiplicity in ``counts`` differs from the one at the previous
-    yield, the empty map before the first; replaying these changes on an
-    empty dict therefore rebuilds ``counts``. A step pops one part of the
-    smallest size s. A 4 goes to rest; a larger s is refilled with parts of
-    size s - 1 and one remainder part, kept when it is >= 4 and otherwise
-    the new rest. So a step reports at most three sizes: s, s - 1 and the
-    remainder, and never 1, 2 or 3.
+    anything falsy) when s is not watched; 1, 2 and 3 are never walked.
+    Yields ``(counts, rest)`` for every partition nu of some m <= n into
+    W, the watched sizes >= 4, in reverse lexicographic order of the part
+    sequences (a sequence before its own prefixes), with rest = n - m.
+    ``counts`` is nu as one {size: multiplicity} dict, updated in place
+    between yields, keys in decreasing order. The group of nu is nu plus
+    each partition of rest into sizes outside W; there are
+    sum_{m <= n} p_W(m) groups, p_W(m) the partitions of m into W. With
+    every size watched, the groups in order, each expanded as in
+    `descending_part_sequences`, are every partition of n in its order,
+    and there are p(n) - p(n - 2) - p(n - 3) + p(n - 5) of them, the
+    coefficient of q^n in P(q)(1 - q^2)(1 - q^3).
+
+    Before each yield, ``on_change(watch[s], old, new)`` is called once for
+    every size s whose multiplicity in ``counts`` differs from the one at
+    the previous yield, the empty map before the first; replaying these
+    changes on an empty dict therefore rebuilds ``counts``. A step pops one
+    part of the smallest size s into rest, then refills rest greedily from
+    the largest size of W below s. It reports s and every size it refills:
+    at most three (s, s - 1 and the remainder) with every size watched,
+    more where gaps in W leave remainders that smaller sizes of W fit.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    # floor[v]: the largest watched size in 4..v, or 0 if there is none.
+    floor = [0] * (n + 1)
+    for v in range(4, n + 1):
+        floor[v] = v if watch[v] else floor[v - 1]
     counts: dict[int, int] = {}
     rest = n
-    if n >= 4:
-        counts[n] = 1
-        rest = 0
-        if watch[n]:
-            on_change(watch[n], 0, 1)
+    t = floor[n]
     while True:
+        while t:
+            q, rest = divmod(rest, t)
+            counts[t] = q
+            on_change(watch[t], 0, q)
+            t = floor[rest]
         yield counts, rest
         if not counts:
             return
@@ -155,25 +160,9 @@ def partition_walk(
         s, m = counts.popitem()
         if m > 1:
             counts[s] = m - 1
-        bucket = watch[s]
-        if bucket:
-            on_change(bucket, m, m - 1)
-        if s == 4:
-            rest += 4
-            continue
-        q, r = divmod(s + rest, s - 1)
-        counts[s - 1] = q
-        bucket = watch[s - 1]
-        if bucket:
-            on_change(bucket, 0, q)
-        if r < 4:
-            rest = r
-        else:
-            rest = 0
-            counts[r] = 1
-            bucket = watch[r]
-            if bucket:
-                on_change(bucket, 0, 1)
+        on_change(watch[s], m, m - 1)
+        rest += s
+        t = floor[s - 1]
 
 
 # Memo for count_partitions: append-only, p(0) .. p(len - 1).

@@ -28,8 +28,14 @@ def partitions_recursive(n, max_part=None):
 
 def partition_counts_dp(n):
     """[p(0), ..., p(n)] by the classic parts-as-coins dynamic program."""
+    return partition_counts_into(range(1, n + 1), n)
+
+
+def partition_counts_into(sizes, n):
+    """[p_S(0), ..., p_S(n)], p_S(m) the partitions of m into parts from
+    the set S of sizes, by the classic parts-as-coins dynamic program."""
     table = [1] + [0] * n
-    for part in range(1, n + 1):
+    for part in sorted(set(sizes)):
         for total in range(part, n + 1):
             table[total] += table[total - part]
     return table

@@ -1,4 +1,7 @@
 
+from contextlib import contextmanager
+from unittest.mock import patch
+
 import pytest
 from click.testing import CliRunner
 from hypothesis import assume, example, given, settings
@@ -25,7 +28,7 @@ from partition_sieve.cli import main as cli_main
 from partition_sieve.distribution import first_count_difference
 from partition_sieve.families import mod6_prose_family
 
-from oracles import tally_distribution
+from oracles import partition_counts_into, tally_distribution
 
 # Brute force and compare are pinned against the recursive enumerator up to here.
 N_ORACLE = 22
@@ -117,6 +120,35 @@ def tail_families(draw):
     strands = draw(st.lists(member, min_size=1, max_size=5))
     repeats = draw(st.lists(st.sampled_from(strands), max_size=8))
     return explicit_family(*strands, *repeats)
+
+
+@st.composite
+def sparse_families(draw):
+    """Explicit members whose entries >= 4 lie on the far-apart sizes 4, 7,
+    11, 16 and 22, with optional needs at 1, 2 and 3, often repeated: the
+    walk skips every other size >= 4."""
+    small = st.dictionaries(st.sampled_from([1, 2, 3]), st.integers(1, 3), max_size=2)
+    big = st.dictionaries(st.sampled_from([4, 7, 11, 16, 22]), st.integers(1, 2), max_size=2)
+    member = st.tuples(small, big).filter(any).map(lambda sb: {**sb[0], **sb[1]})
+    strands = draw(st.lists(member, min_size=1, max_size=4))
+    repeats = draw(st.lists(st.sampled_from(strands), max_size=4))
+    return explicit_family(*strands, *repeats)
+
+
+@contextmanager
+def counting_walks():
+    """Record every walk made inside the block as [n, groups yielded]."""
+    walks = []
+    walk = distribution.partition_walk
+
+    def counted(n, watch, on_change):
+        walks.append([n, 0])
+        for group in walk(n, watch, on_change):
+            walks[-1][1] += 1
+            yield group
+
+    with patch.object(distribution, "partition_walk", counted):
+        yield walks
 
 
 def explicit_family(*members):
@@ -248,6 +280,26 @@ class TestIncrementalTally:
         report = compare(x, y, n_from, n_to)
         assert report_verdicts(report) == oracle_verdicts(x, y, n_from, n_to, expected)
 
+    @given(sparse_families(), sparse_families(), st.integers(0, 26), st.integers(0, 26))
+    @example(explicit_family({23: 1}, {1: 2}), explicit_family({2: 1, 4: 1}), 20, 26)
+    # Sizes <= 3 only: one group, the empty map with rest n_to.
+    @example(explicit_family({1: 2}, {2: 1, 3: 1}), explicit_family({3: 2}), 0, 26)
+    @example(TOO_HEAVY, explicit_family({4: 1, 7: 1}), 10, 16)
+    @settings(max_examples=60, deadline=None)
+    def test_unwatched_sizes_match_oracle(self, family_x, family_y, a, b):
+        # The sizes >= 4 that no member uses are counted in closed form.
+        n_from, n_to = sorted((a, b))
+        x, y = FamilyStatistic(family_x), FamilyStatistic(family_y)
+        with counting_walks() as walks:
+            tallies = distribution._tally_walk((x, y), n_from, n_to)
+        expected = oracle_tallies(x, y, n_from, n_to)
+        assert tallies == expected
+        report = compare(x, y, n_from, n_to)
+        assert report_verdicts(report) == oracle_verdicts(x, y, n_from, n_to, expected)
+        # One group per partition of each m <= n_to into the used sizes >= 4.
+        used = {s for stat in (x, y) for items in stat.member_patterns(n_to) for s, _ in items}
+        assert walks == [[n_to, sum(partition_counts_into([s for s in used if s >= 4], n_to))]]
+
     def test_copies_share_one_class(self, monkeypatch):
         # 1,500 copies of {1: 1}, as in the overlap workload's R1500 file,
         # and one mixed member (entries at 2 and at 4, the walk's smallest
@@ -335,31 +387,40 @@ class TestCompare:
             verdict for verdict in expected if not verdict[1]
         )
 
-    @staticmethod
-    def count_walks(monkeypatch):
-        calls = []
-        walk = distribution.partition_walk
-
-        def counted(n, watch, on_change):
-            calls.append(n)
-            return walk(n, watch, on_change)
-
-        monkeypatch.setattr(distribution, "partition_walk", counted)
-        return calls
-
-    def test_one_enumeration_per_n(self, monkeypatch):
+    def test_one_enumeration_per_n(self):
         # One walk of n_to serves every n of the range.
-        calls = self.count_walks(monkeypatch)
         x, y = pair_statistics(builtin_pair("euler"))
-        assert compare(x, y, 3, 9).identical_everywhere
-        assert calls == [9]
+        with counting_walks() as walks:
+            assert compare(x, y, 3, 9).identical_everywhere
+        assert [n for n, _ in walks] == [9]
 
-    def test_one_enumeration_per_n_prose_y(self, monkeypatch):
-        calls = self.count_walks(monkeypatch)
+    @pytest.mark.parametrize(
+        "name,n,groups",
+        # 3,881 and 1,995 groups with every size >= 4 walked.
+        [("euler", 39, 490), ("squares", 35, 38)],
+        ids=["euler", "squares"],
+    )
+    def test_walks_only_the_sizes_members_use(self, name, n, groups):
+        x, y = pair_statistics(builtin_pair(name))
+        with counting_walks() as walks:
+            table = distribution_bruteforce(x, n)
+        assert walks == [[n, groups]]
+        # Y uses more sizes, so its walk counts fewer of them in closed form.
+        assert table == distribution_bruteforce(y, n)
+        assert table.total == count_partitions(n)
+
+    def test_compare_walks_only_the_sizes_members_use(self):
+        x, y = pair_statistics(builtin_pair("euler"))
+        with counting_walks() as walks:
+            assert compare(x, y, 1, 39).identical_everywhere
+        assert walks == [[39, 3_672]]
+
+    def test_one_enumeration_per_n_prose_y(self):
         x, _ = pair_statistics(builtin_pair("mod6"))
         prose = FamilyStatistic(mod6_prose_family())
-        assert not compare(x, prose, 3, 9).identical_everywhere
-        assert calls == [9]
+        with counting_walks() as walks:
+            assert not compare(x, prose, 3, 9).identical_everywhere
+        assert [n for n, _ in walks] == [9]
 
     def test_members_built_once_per_side(self, monkeypatch):
         calls = []

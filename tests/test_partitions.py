@@ -2,7 +2,7 @@ from collections import Counter
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import partition_sieve.partitions as partitions_module
@@ -13,6 +13,7 @@ from oracles import (
     contains,
     count_containing_bruteforce,
     count_partitions_dp,
+    partition_counts_into,
     partitions_recursive,
 )
 
@@ -150,17 +151,16 @@ class TestEnumeration:
 
 
 class TestWalkChanges:
-    """partition_walk yields groups: the map of the parts >= 4 and the rest
-    left for 3s, 2s and 1s. Before each yield it reports every watched size
-    whose multiplicity changed since the previous map (the empty map at
-    first), at most three per step and never the sizes 1, 2 or 3."""
+    """partition_walk yields groups: the map of the parts at the watched
+    sizes >= 4 and the rest left for every other size. Before each yield it
+    reports every size whose multiplicity changed since the previous map
+    (the empty map at first), never the sizes 1, 2 or 3."""
 
     @staticmethod
     def replay(n, watched):
         """Walk n watching the given sizes; after every step, the shadow map
-        rebuilt from the reported changes, the live map restricted to the
-        watched sizes, the rest and the running count of reports. Each
-        bucket is its own size."""
+        rebuilt from the reported changes, the live map, the rest and the
+        running count of reports. Each bucket is its own size."""
         shadow = {}
         reports = []
 
@@ -176,10 +176,9 @@ class TestWalkChanges:
         watch = [s if s in watched else None for s in range(n + 1)]
         steps = []
         for counts, rest in partition_walk(n, watch, on_change):
-            assert min(counts, default=4) >= 4
+            assert all(4 <= s <= n and s in watched for s in counts), counts
             assert sum(s * m for s, m in counts.items()) + rest == n
-            live = {s: m for s, m in counts.items() if s in watched}
-            steps.append((dict(shadow), live, rest, len(reports)))
+            steps.append((dict(shadow), dict(counts), rest, len(reports)))
         return steps
 
     @staticmethod
@@ -202,23 +201,34 @@ class TestWalkChanges:
         previous = 0
         for shadow, live, _, reported in steps:
             assert shadow == live
-            assert reported - previous <= 3  # s, s - 1 and the remainder
+            # With every size watched: s, s - 1 and the remainder.
+            assert reported - previous <= 3
             previous = reported
         # The groups, expanded in order, are the partitions of n in order.
         expanded = [p for _, live, rest, _ in steps for p in self.expand(live, rest)]
         assert expanded == [dict(c) for c in descending_part_sequences(n)]
 
-    @given(st.integers(0, 20), st.sets(st.integers(1, 20)))
-    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 30), st.sets(st.integers(1, 30)))
+    @example(19, {4, 5, 10, 19})  # 19 is refilled as 10 + 5 + 4: four reports
+    @example(30, set())
+    @settings(max_examples=100, deadline=None)
     def test_unwatched_sizes_never_reported(self, n, watched):
-        # replay() asserts that every reported bucket is a watched size >= 4.
-        for shadow, live, _, _ in self.replay(n, watched):
+        # replay() asserts that every reported bucket and every map key is a
+        # watched size in [4, n], and that the parts and the rest sum to n.
+        steps = self.replay(n, watched)
+        for shadow, live, _, _ in steps:
             assert shadow == live
+        # One group per partition of each m <= n into the watched sizes >= 4.
+        walked = [s for s in watched if s >= 4]
+        assert len(steps) == sum(partition_counts_into(walked, n))
+        # Strictly reverse-lexicographic: a sequence before its own prefixes.
+        seqs = [part_sequence(live) for _, live, _, _ in steps]
+        assert all(a > b for a, b in zip(seqs, seqs[1:]))
 
     @pytest.mark.parametrize("n", range(41))
     def test_group_count(self, n):
-        # The coefficient of q^n in P(q)(1 - q^2)(1 - q^3).
-        groups = sum(1 for _ in partition_walk(n, [None] * (n + 1), None))
+        # Every size watched: the coefficient of q^n in P(q)(1 - q^2)(1 - q^3).
+        groups = sum(1 for _ in partition_walk(n, [True] * (n + 1), lambda *change: None))
         p = count_partitions_dp
         assert groups == p(n) - p(n - 2) - p(n - 3) + p(n - 5)
 
