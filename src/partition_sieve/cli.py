@@ -22,6 +22,7 @@ import json
 import sys
 from functools import lru_cache
 from pathlib import Path
+from typing import Callable
 
 import click
 
@@ -53,9 +54,9 @@ from .statistics import FamilyStatistic, pair_statistics
 FORMATS = click.Choice(["table", "csv", "json"])
 
 # The largest p(n) that brute force may tally: above p(94) = 92,669,720,
-# below p(95) = 104,651,419. The cap is on p(n), although the walk visits
-# far fewer groups: only the partitions into the sizes >= 4 some member
-# uses.
+# below p(95) = 104,651,419. The cap is on p(n), although each side walks
+# far fewer groups: the partitions into the sizes >= 4 its members use.
+# dist and compare check it before building andrews' strands, one per size.
 DEFAULT_PARTITION_CAP = 100_000_000
 
 
@@ -112,22 +113,26 @@ def _resolve_pair(
     pair_file: str | None,
     d: int | None,
     m1_file: str | None,
-    bound: int,
-) -> FamilyPair:
-    """Build the requested pair; any specification problem exits 2."""
+) -> Callable[[int], FamilyPair]:
+    """Check the pair options and read their files, exiting 2 on any
+    specification problem, and return the pair as a function of the bound
+    n. andrews, one strand per size up to n, is built only when called."""
     if (pair is None) == (pair_file is None):
         raise click.UsageError("specify exactly one of --pair or --pair-file")
     if pair_file is not None:
         if d is not None or m1_file is not None:
             raise click.UsageError("--d/--m1-file do not apply to --pair-file")
-        return parse_family_pair(_read_text(pair_file))
+        parsed = parse_family_pair(_read_text(pair_file))
+        return lambda bound: parsed
     if pair == "glaisher" and d is None:
         raise click.UsageError("glaisher requires --d")
     if pair == "andrews" and m1_file is None:
         raise click.UsageError("andrews requires --m1-file")
-    if m1_file is None:
-        return builtin_pair(pair, d=d)
-    return builtin_pair(pair, d=d, m1=_read_m1_file(m1_file), bound=bound)
+    m1 = None if m1_file is None else _read_m1_file(m1_file)
+    if pair == "andrews":
+        return lambda bound: builtin_pair(pair, d=d, m1=m1, bound=bound)
+    built = builtin_pair(pair, d=d, m1=m1)
+    return lambda bound: built
 
 
 def _pair_options(command):
@@ -360,9 +365,9 @@ def dist(pair, pair_file, d, m1_file, side, n, fmt):
     """
     if n < 0:
         raise click.UsageError("--n must be >= 0")
-    resolved = _resolve_pair(pair, pair_file, d, m1_file, bound=n)
+    build = _resolve_pair(pair, pair_file, d, m1_file)
     _exit_over_partition_cap(n)
-    stat_x, stat_y = pair_statistics(resolved)
+    stat_x, stat_y = pair_statistics(build(n))
     stat = stat_x if side == "X" else stat_y
     doc = _table_doc(distribution_bruteforce(stat, n), stat.label)
     _emit(fmt, doc, _table_text, _table_csv)
@@ -442,13 +447,14 @@ def compare(pair, pair_file, d, m1_file, n_from, n_max, prose_y, fmt):
     """
     if not 0 <= n_from <= n_max:
         raise click.UsageError("need 0 <= --n-from <= --n-max")
-    resolved = _resolve_pair(pair, pair_file, d, m1_file, bound=n_max)
+    build = _resolve_pair(pair, pair_file, d, m1_file)
+    if prose_y and pair != "mod6":
+        raise click.UsageError("--prose-y applies only to --pair mod6")
+    _exit_over_partition_cap(n_max)
+    resolved = build(n_max)
     stat_x, stat_y = pair_statistics(resolved)
     if prose_y:
-        if pair != "mod6":
-            raise click.UsageError("--prose-y applies only to --pair mod6")
         stat_y = FamilyStatistic(mod6_prose_family())
-    _exit_over_partition_cap(n_max)
     report = compare_distributions(stat_x, stat_y, n_from, n_max)
     _emit(fmt, _compare_doc(report, resolved.name), _compare_text, _compare_csv)
     sys.exit(0 if report.identical_everywhere else 1)
@@ -494,7 +500,7 @@ def sieve(pair, pair_file, d, m1_file, side, n, subset_cap, fmt):
         raise click.UsageError("--n must be >= 0")
     if subset_cap <= 0:
         raise click.UsageError("--subset-cap must be > 0")
-    resolved = _resolve_pair(pair, pair_file, d, m1_file, bound=n)
+    resolved = _resolve_pair(pair, pair_file, d, m1_file)(n)
     family = resolved.F if side == "X" else resolved.G
     label = f"{resolved.name}.{side} (sieve)"
     result = sieve_distribution(family, n, subset_cap)
@@ -565,7 +571,7 @@ def check(pair, pair_file, d, m1_file, theorem, n_max, subset_cap, fmt):
         raise click.UsageError("--n-max must be >= 1")
     if subset_cap <= 0:
         raise click.UsageError("--subset-cap must be > 0")
-    resolved = _resolve_pair(pair, pair_file, d, m1_file, bound=n_max)
+    resolved = _resolve_pair(pair, pair_file, d, m1_file)(n_max)
     if theorem == "b":
         report = check_theorem_b(resolved, n_max)
     else:

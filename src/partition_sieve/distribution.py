@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .partitions import partition_walk
 from .statistics import FamilyStatistic
@@ -85,18 +85,18 @@ def _cover(classes: Iterable[tuple[tuple[int, int, int], int]], rest: int) -> Co
 
 
 def _tally_walk(
-    stats: tuple[FamilyStatistic, ...], n_from: int, n_to: int
-) -> list[list[dict[int, int]]]:
-    """Tally each statistic at every n in [n_from, n_to] over one walk of
-    the partitions of n_to: for each n in order, one {j: count} per
-    statistic, in order.
+    patterns: Sequence[tuple[tuple[int, int], ...]], n_from: int, n_to: int
+) -> list[dict[int, int]]:
+    """Tally the statistic that counts the members with these (size,
+    multiplicity) patterns at every n in [n_from, n_to], over one walk of
+    the partitions of n_to: one {j: count} per n, in order.
 
-    No statistic is evaluated per partition. `partition_walk` walks only
-    the watched sizes, the sizes >= 4 some member uses, and yields groups:
-    a map nu of the parts at those sizes and a rest r, standing for the
+    No member is checked per partition. `partition_walk` walks only the
+    watched sizes, the sizes >= 4 some member uses, and yields groups: a
+    map nu of the parts at those sizes and a rest r, standing for the
     partitions nu + mu + 3^t 2^k 1^(r - u - 3t - 2k), mu a partition of
     some u <= r into the unwatched sizes >= 4. Each member (see
-    `FamilyStatistic.member_patterns`) needs some (c, a, b) at sizes 3, 2
+    `MultisetFamily.member_patterns`) needs some (c, a, b) at sizes 3, 2
     and 1 (0 where it has no entry); such a partition contains it iff its
     entries at sizes >= 4 are met in nu, t >= c, k >= a and
     r - u - 3t - 2k >= b.
@@ -106,51 +106,44 @@ def _tally_walk(
     class) entries of every member that uses size s, by need. The walk
     reports each change of a watched multiplicity, so a step touches only
     the members at the few sizes it changed, and level[class] counts the
-    class's members whose entries >= 4 are all met. A side's members with
-    no entry below 4 form its base class, contained in the whole group; the
-    others are classed by (c, a, b), and a class is mixed when its members
-    also have entries >= 4. During the walk the groups are only counted by
-    the rest and every class level; a side's state is the rest, its base
-    level and its mixed classes' levels. mu changes no level, so after the
+    class's members whose entries >= 4 are all met. The members with no
+    entry below 4 form the base class, level[0], contained in the whole
+    group; the others are classed by (c, a, b), and a class is mixed when
+    its members also have entries >= 4. The walk only counts its groups by
+    state: the rest and every level. mu changes no level, so after the
     walk a state of rest r stands for unwatched[u] states of rest r - u,
     unwatched[u] the partitions of u into the unwatched sizes >= 4 (the
     coefficient of q^u in their prod 1 / (1 - q^s)), and is spread so.
 
     The same nu + mu with rest r - d is a group of n_to - d, so each spread
-    state serves every n with r - (n_to - n) >= 0. Its histogram of
-    hit counts over the tails depends only on that rest and the mixed
-    levels, and is made once per side for them. The members are those of
-    n_to for every n: a member heavier than n is never met at n.
+    state serves every n with r - (n_to - n) >= 0. Its histogram of hit
+    counts over the tails depends only on that rest and the mixed levels,
+    and is made once for them. The members are those of n_to for every n:
+    a member heavier than n is never met at n.
     """
     watch: list[list[tuple[int, int, int]] | None] = [None] * (n_to + 1)
     unmet: list[int] = []
-    level: list[int] = []
-    sides = []
-    for stat in stats:
-        patterns = stat.member_patterns(n_to)
-        base = len(level)
-        level.append(0)
-        mixed: dict[tuple[int, int, int], int] = {}
-        small: Counter[tuple[int, int, int]] = Counter()
-        for items in patterns:
-            need = dict(items)
-            cab = (need.get(3, 0), need.get(2, 0), need.get(1, 0))
-            big = [(size, mult) for size, mult in items if size >= 4]
-            if not big:
-                small[cab] += 1
-                continue
-            cls = base if cab == (0, 0, 0) else mixed.get(cab)
-            if cls is None:
-                cls = mixed[cab] = len(level)
-                level.append(0)
-            slot = len(unmet)
-            unmet.append(len(big))
-            for size, mult in big:
-                bucket = watch[size]
-                if bucket is None:
-                    bucket = watch[size] = []
-                bucket.append((mult, slot, cls))
-        sides.append((base, len(level), tuple(mixed), tuple(small.items()), len(patterns)))
+    level = [0]
+    mixed: dict[tuple[int, int, int], int] = {}
+    small: Counter[tuple[int, int, int]] = Counter()
+    for items in patterns:
+        need = dict(items)
+        cab = (need.get(3, 0), need.get(2, 0), need.get(1, 0))
+        big = [(size, mult) for size, mult in items if size >= 4]
+        if not big:
+            small[cab] += 1
+            continue
+        cls = 0 if cab == (0, 0, 0) else mixed.get(cab)
+        if cls is None:
+            cls = mixed[cab] = len(level)
+            level.append(0)
+        slot = len(unmet)
+        unmet.append(len(big))
+        for size, mult in big:
+            bucket = watch[size]
+            if bucket is None:
+                bucket = watch[size] = []
+            bucket.append((mult, slot, cls))
     for bucket in watch:
         if bucket:
             bucket.sort()
@@ -173,8 +166,6 @@ def _tally_walk(
                         level[cls] -= 1
                     unmet[slot] += 1
 
-    # One tuple per group for all sides; each side's states are read off
-    # the counts after the walk.
     walked: Counter[tuple[int, ...]] = Counter()
     for _, rest in partition_walk(n_to, watch, on_change):
         walked[(rest, *level)] += 1
@@ -185,36 +176,33 @@ def _tally_walk(
             for u in range(s, n_to + 1):
                 unwatched[u] += unwatched[u - s]
     spread = [(u, ways) for u, ways in enumerate(unwatched) if ways]
+    # The walked states (rest, base level, *mixed levels), spread over the
+    # unwatched parts of the rest.
+    states: Counter[tuple[int, ...]] = Counter()
+    for (rest, *levels), groups in walked.items():
+        for u, ways in spread:
+            if u > rest:
+                break
+            states[(rest - u, *levels)] += groups * ways
 
-    tallies: list[list[dict[int, int]]] = [[] for _ in range(n_from, n_to + 1)]
-    for base, end, mixed, small_classes, size in sides:
-        # The side's walked states: (rest, base level, *mixed levels), then
-        # spread over the unwatched parts of the rest.
-        side: Counter[tuple[int, ...]] = Counter()
-        for (rest, *levels), groups in walked.items():
-            side[(rest, *levels[base:end])] += groups
-        states: Counter[tuple[int, ...]] = Counter()
-        for (rest, *levels), groups in side.items():
-            for u, ways in spread:
-                if u > rest:
-                    break
-                states[(rest - u, *levels)] += groups * ways
-        memo: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
-        for n, row in zip(range(n_from, n_to + 1), tallies):
-            drop = n_to - n
-            # At most every member is contained at once.
-            tally = [0] * (size + 1)
-            for (rest, hits, *levels), groups in states.items():
-                key = (rest - drop, *levels)
-                if key[0] < 0:
-                    continue
-                histogram = memo.get(key)
-                if histogram is None:
-                    classes = small_classes + tuple(zip(mixed, levels))
-                    histogram = memo[key] = tuple(_cover(classes, key[0]).items())
-                for c, tails in histogram:
-                    tally[hits + c] += groups * tails
-            row.append({j: c for j, c in enumerate(tally) if c})
+    small_classes = tuple(small.items())
+    memo: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
+    tallies = []
+    for n in range(n_from, n_to + 1):
+        drop = n_to - n
+        # At most every member is contained at once.
+        tally = [0] * (len(patterns) + 1)
+        for (rest, hits, *levels), groups in states.items():
+            key = (rest - drop, *levels)
+            if key[0] < 0:
+                continue
+            histogram = memo.get(key)
+            if histogram is None:
+                classes = small_classes + tuple(zip(mixed, levels))
+                histogram = memo[key] = tuple(_cover(classes, key[0]).items())
+            for c, tails in histogram:
+                tally[hits + c] += groups * tails
+        tallies.append({j: c for j, c in enumerate(tally) if c})
     return tallies
 
 
@@ -224,7 +212,7 @@ def distribution_bruteforce(stat: FamilyStatistic, n: int) -> DistributionTable:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    ((tally,),) = _tally_walk((stat,), n, n)
+    (tally,) = _tally_walk(stat.family.member_patterns(n), n, n)
     return DistributionTable(n, tally)
 
 
@@ -270,15 +258,17 @@ def compare(
 ) -> ComparisonReport:
     """Check Prob_n(X=j) = Prob_n(Y=j) for every n in [n_from, n_to].
 
-    Both sides are tallied at every n over one walk of P(n_to), as in
-    `distribution_bruteforce`, so equal count maps mean equal distributions
-    exactly. A divergent verdict carries the smallest j whose counts differ.
+    Each side is tallied at every n of the range over its own walk of
+    P(n_to), as in `distribution_bruteforce`, so equal count maps mean
+    equal distributions exactly. A divergent verdict carries the smallest j
+    whose counts differ.
     """
     if not 0 <= n_from <= n_to:
         raise ValueError(f"need 0 <= n_from <= n_to, got [{n_from}, {n_to}]")
     verdicts = []
-    tallies = _tally_walk((stat_x, stat_y), n_from, n_to)
-    for n, (tx, ty) in zip(range(n_from, n_to + 1), tallies):
+    tally_x = _tally_walk(stat_x.family.member_patterns(n_to), n_from, n_to)
+    tally_y = _tally_walk(stat_y.family.member_patterns(n_to), n_from, n_to)
+    for n, tx, ty in zip(range(n_from, n_to + 1), tally_x, tally_y):
         diff = first_count_difference(tx, ty)
         if diff is None:
             verdicts.append(ComparisonVerdict(n, True))

@@ -200,6 +200,11 @@ class MultisetFamily:
         found.sort()
         return [FamilyIndex(si, t) for _, si, t in found]
 
+    def member_patterns(self, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The (size, multiplicity) items of every member of weight <= n,
+        in `relevant_indices` order."""
+        return tuple(self.member(idx).items() for idx in self.relevant_indices(n))
+
 
 @dataclass(frozen=True)
 class FamilyPair:

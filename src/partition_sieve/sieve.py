@@ -39,7 +39,7 @@ restrict a frontier with the same rule (`_restrict`).
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from math import comb
 from operator import itemgetter
@@ -168,7 +168,7 @@ def _grow(
 
 
 def _count_subsets(
-    patterns: list[tuple[tuple[int, int], ...]], n: int, subset_cap: int
+    patterns: Sequence[tuple[tuple[int, int], ...]], n: int, subset_cap: int
 ) -> tuple[dict[tuple[int, int], int], int]:
     """The frontier DP of `sieve_distribution` over the members' patterns,
     in order: ({(|S|, union weight): number of subsets S}, the number of
@@ -233,8 +233,7 @@ def sieve_distribution(
         raise ValueError(f"n must be >= 0, got {n}")
     if subset_cap <= 0:
         raise ValueError(f"subset_cap must be > 0, got {subset_cap}")
-    patterns = [family.member(idx).items() for idx in family.relevant_indices(n)]
-    cells, explored = _count_subsets(patterns, n, subset_cap)
+    cells, explored = _count_subsets(family.member_patterns(n), n, subset_cap)
     if explored > subset_cap:
         return SieveResult(DistributionTable(n, {}), explored, True)
     levels = [0] * (max(t for t, _ in cells) + 1)

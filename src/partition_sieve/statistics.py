@@ -32,24 +32,18 @@ class FamilyStatistic:
     """X(pi) = number of family members contained in pi.
 
     Only members of weight <= n can occur in a partition of n.
-    `member_patterns(n)` gives those members' items, which brute force
-    tallies; `counts_evaluator(n)` gives a rule that counts them in one
-    {size: multiplicity} map, the independent per-map form the tests check
-    the tally against.
+    `family.member_patterns(n)` gives those members' items, which brute
+    force tallies; `counts_evaluator(n)` gives a rule that counts them in
+    one {size: multiplicity} map, the independent per-map form the tests
+    check the tally against.
     """
 
     def __init__(self, family: MultisetFamily, label: str | None = None):
         self.family = family
         self.label = label if label is not None else family.name
 
-    def member_patterns(self, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The (size, multiplicity) items of every member of weight <= n."""
-        return tuple(
-            self.family.member(idx).items() for idx in self.family.relevant_indices(n)
-        )
-
     def counts_evaluator(self, n: int) -> CountsRule:
-        patterns = self.member_patterns(n)
+        patterns = self.family.member_patterns(n)
 
         def rule(counts: Mapping[int, int]) -> int:
             hits = 0

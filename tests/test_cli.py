@@ -7,7 +7,14 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from click.testing import CliRunner
 
-from partition_sieve import builtin_pair, cli, distribution, parse_family_pair, render_family_pair
+from partition_sieve import (
+    builtin_pair,
+    cli,
+    distribution,
+    families,
+    parse_family_pair,
+    render_family_pair,
+)
 from partition_sieve.cli import main
 from partition_sieve.partitions import count_partitions
 
@@ -211,6 +218,55 @@ class TestPartitionCap:
         result = invoke(runner, args)
         assert (result.exit_code, result.stdout) == (3, "")
         assert result.stderr == "partition cap exceeded: p(1000000) is over 100000000\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [["dist", "--side", "X", "--n", "1000000"], ["compare", "--n-max", "1000000"]],
+        ids=["dist", "compare"],
+    )
+    def test_andrews_strands_never_built_over_the_cap(
+        self, runner, no_walk, monkeypatch, tmp_path, args
+    ):
+        # 2^0 ... 2^24 is closed under doubling past 10^6, so the pair would
+        # hold one strand per size up to 10^6.
+        path = tmp_path / "m1.txt"
+        path.write_text("".join(f"{2**k}\n" for k in range(25)))
+        monkeypatch.setattr(families, "_andrews_pair", _boom)
+        result = invoke(runner, args + ["--pair", "andrews", "--m1-file", str(path)])
+        assert (result.exit_code, result.stdout) == (3, "")
+        assert result.stderr == "partition cap exceeded: p(1000000) is over 100000000\n"
+
+    @pytest.mark.parametrize("command", [["dist", "--side", "X", "--n"], ["compare", "--n-max"]])
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            (["--pair", "andrews"], "andrews requires --m1-file"),
+            (["--pair", "glaisher"], "glaisher requires --d"),
+            ([], "specify exactly one of --pair or --pair-file"),
+            (["--pair", "euler", "--pair-file", "LIST_FILE"], "specify exactly one of"),
+            (["--pair", "andrews", "--m1-file", "MISSING"], "cannot read"),
+            (["--pair-file", "MISSING"], "cannot read"),
+            (["--pair-file", "LIST_FILE"], "pair document must be a JSON object"),
+        ],
+        ids=[
+            "andrews-without-m1",
+            "glaisher-without-d",
+            "no-pair",
+            "both-pair-flags",
+            "unreadable-m1-file",
+            "unreadable-pair-file",
+            "bad-pair-document",
+        ],
+    )
+    def test_specification_errors_exit_2_over_the_cap(
+        self, runner, no_walk, tmp_path, command, args, error
+    ):
+        paths = {"LIST_FILE": tmp_path / "list.json", "MISSING": tmp_path / "missing.txt"}
+        paths["LIST_FILE"].write_text("[]")
+        argv = command + ["1000000"] + [str(paths[a]) if a in paths else a for a in args]
+        result = runner.invoke(main, argv)
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.splitlines()[-1].startswith("Error: " + error)
 
     def test_cap_passed_first_at_95(self, runner, no_walk):
         # p(94) = 92,669,720 and p(95) = 104,651,419.

@@ -55,6 +55,15 @@ def oracle_tallies(stat_x, stat_y, n_from, n_to):
     ]
 
 
+def walk_tallies(stat_x, stat_y, n_from, n_to):
+    """[X tally, Y tally] per n, each side from its own `_tally_walk`."""
+    sides = [
+        distribution._tally_walk(stat.family.member_patterns(n_to), n_from, n_to)
+        for stat in (stat_x, stat_y)
+    ]
+    return [list(pair) for pair in zip(*sides)]
+
+
 def oracle_verdicts(stat_x, stat_y, n_from, n_to, tallies=None):
     """(n, identical, j, count_x, count_y) per n from two separate oracle
     tallies (`oracle_tallies` unless given), the smallest differing j found
@@ -251,8 +260,7 @@ class TestIncrementalTally:
     @settings(max_examples=150, deadline=None)
     def test_compare_matches_oracle(self, family_x, family_y, n):
         x, y = FamilyStatistic(family_x), FamilyStatistic(family_y)
-        # The two sides share one walk and one watch list.
-        tallies = distribution._tally_walk((x, y), n, n)
+        tallies = walk_tallies(x, y, n, n)
         assert tallies == oracle_tallies(x, y, n, n)
         assert report_verdicts(compare(x, y, n, n)) == oracle_verdicts(x, y, n, n, tallies)
 
@@ -264,7 +272,7 @@ class TestIncrementalTally:
     @settings(max_examples=150, deadline=None)
     def test_closed_form_tail_matches_oracle(self, family_x, family_y, n):
         x, y = FamilyStatistic(family_x), FamilyStatistic(family_y)
-        assert distribution._tally_walk((x, y), n, n) == oracle_tallies(x, y, n, n)
+        assert walk_tallies(x, y, n, n) == oracle_tallies(x, y, n, n)
 
     @given(tail_families(), tail_families(), st.integers(0, 22), st.integers(0, 22))
     # remmel's mixed members: {3: 2, 4: 2} weighs 14, inside the range.
@@ -276,7 +284,7 @@ class TestIncrementalTally:
         n_from, n_to = sorted((a, b))
         x, y = FamilyStatistic(family_x), FamilyStatistic(family_y)
         expected = oracle_tallies(x, y, n_from, n_to)
-        assert distribution._tally_walk((x, y), n_from, n_to) == expected
+        assert walk_tallies(x, y, n_from, n_to) == expected
         report = compare(x, y, n_from, n_to)
         assert report_verdicts(report) == oracle_verdicts(x, y, n_from, n_to, expected)
 
@@ -291,14 +299,18 @@ class TestIncrementalTally:
         n_from, n_to = sorted((a, b))
         x, y = FamilyStatistic(family_x), FamilyStatistic(family_y)
         with counting_walks() as walks:
-            tallies = distribution._tally_walk((x, y), n_from, n_to)
+            tallies = walk_tallies(x, y, n_from, n_to)
         expected = oracle_tallies(x, y, n_from, n_to)
         assert tallies == expected
         report = compare(x, y, n_from, n_to)
         assert report_verdicts(report) == oracle_verdicts(x, y, n_from, n_to, expected)
-        # One group per partition of each m <= n_to into the used sizes >= 4.
-        used = {s for stat in (x, y) for items in stat.member_patterns(n_to) for s, _ in items}
-        assert walks == [[n_to, sum(partition_counts_into([s for s in used if s >= 4], n_to))]]
+        # Per side, one group per partition of each m <= n_to into the sizes
+        # >= 4 that side's members use.
+        groups = []
+        for stat in (x, y):
+            used = {s for items in stat.family.member_patterns(n_to) for s, _ in items if s >= 4}
+            groups.append([n_to, sum(partition_counts_into(sorted(used), n_to))])
+        assert walks == groups
 
     def test_copies_share_one_class(self, monkeypatch):
         # 1,500 copies of {1: 1}, as in the overlap workload's R1500 file,
@@ -388,11 +400,11 @@ class TestCompare:
         )
 
     def test_one_enumeration_per_n(self):
-        # One walk of n_to serves every n of the range.
+        # One walk of n_to per side serves every n of the range.
         x, y = pair_statistics(builtin_pair("euler"))
         with counting_walks() as walks:
             assert compare(x, y, 3, 9).identical_everywhere
-        assert [n for n, _ in walks] == [9]
+        assert [n for n, _ in walks] == [9, 9]
 
     @pytest.mark.parametrize(
         "name,n,groups",
@@ -413,27 +425,33 @@ class TestCompare:
         x, y = pair_statistics(builtin_pair("euler"))
         with counting_walks() as walks:
             assert compare(x, y, 1, 39).identical_everywhere
-        assert walks == [[39, 3_672]]
+        assert walks == [[39, 490], [39, 3_413]]
+
+    def test_compare_walks_each_side_on_its_own_sizes(self):
+        x, y = pair_statistics(builtin_pair("squares"))
+        with counting_walks() as walks:
+            assert compare(x, y, 1, 39).identical_everywhere
+        assert walks == [[39, 50], [39, 142]]
 
     def test_one_enumeration_per_n_prose_y(self):
         x, _ = pair_statistics(builtin_pair("mod6"))
         prose = FamilyStatistic(mod6_prose_family())
         with counting_walks() as walks:
             assert not compare(x, prose, 3, 9).identical_everywhere
-        assert [n for n, _ in walks] == [9]
+        assert [n for n, _ in walks] == [9, 9]
 
     def test_members_built_once_per_side(self, monkeypatch):
         calls = []
-        patterns = FamilyStatistic.member_patterns
+        patterns = MultisetFamily.member_patterns
 
         def counted(self, n):
-            calls.append((self.label, n))
+            calls.append((self.name, n))
             return patterns(self, n)
 
-        monkeypatch.setattr(FamilyStatistic, "member_patterns", counted)
+        monkeypatch.setattr(MultisetFamily, "member_patterns", counted)
         x, y = pair_statistics(builtin_pair("euler"))
         assert compare(x, y, 1, 30).identical_everywhere
-        assert calls == [("euler.X", 30), ("euler.Y", 30)]
+        assert calls == [("euler.F", 30), ("euler.G", 30)]
 
     def test_rejects_bad_range(self):
         x, y = pair_statistics(builtin_pair("euler"))

@@ -76,6 +76,11 @@ class TestRelevantIndices:
         g_members = [pair.G.member(i) for i in pair.G.relevant_indices(5)]
         assert g_members == [Multiset({1: 2}), Multiset({2: 2})]
 
+    def test_member_patterns_in_index_order(self):
+        family = builtin_pair("euler").G
+        assert family.member_patterns(5) == (((1, 2),), ((2, 2),))
+        assert family.member_patterns(0) == ()
+
     @pytest.mark.parametrize("name,pair", catalog_pairs())
     def test_empty_at_zero(self, name, pair):
         assert pair.F.relevant_indices(0) == []

@@ -313,8 +313,7 @@ def sieve_fields(family, n, cap):
 
 
 def dfs_fields(family, n, cap):
-    patterns = [family.member(idx).items() for idx in family.relevant_indices(n)]
-    return sieve_dfs(patterns, n, cap)
+    return sieve_dfs(family.member_patterns(n), n, cap)
 
 
 def c_fields(pair, n_max, cap):
