@@ -6,12 +6,19 @@ recurrence), partitions from a recursive max-part enumerator (not the
 descending in-place stepper), distributions from direct tallies over
 that enumerator, and sieve level sums and theorem C verdicts from walks
 over the index subsets one by one (not the frontier states that the
-library's sieve and theorem C check share). A disagreement therefore
-localizes a bug to one of two unrelated code paths.
+library's sieve and theorem C check share). The native statistics
+(`native`) apply each theorem's closed-form rule, e.g. "number of even part
+sizes", to one {size: multiplicity} map, where the library only counts the
+family members a partition contains. A disagreement therefore localizes a
+bug to one of two unrelated code paths.
 """
 
+import math
 from collections import Counter
+from collections.abc import Callable, Iterable, Mapping
 from math import comb
+
+CountsRule = Callable[[Mapping[int, int]], int]
 
 
 def partitions_recursive(n, max_part=None):
@@ -77,6 +84,118 @@ def tally_distribution(rule, n):
     for parts in partitions_recursive(n):
         tally[rule(Counter(parts))] += 1
     return dict(tally)
+
+
+class NativeStatistic:
+    """A named closed-form rule on the {size: multiplicity} map, with the
+    library statistics' interface: `counts_evaluator(n)` gives the rule,
+    which is the same for every n."""
+
+    def __init__(self, label: str, rule: CountsRule):
+        self.label = label
+        self._rule = rule
+
+    def counts_evaluator(self, n: int) -> CountsRule:
+        return self._rule
+
+    def __repr__(self) -> str:
+        return f"NativeStatistic({self.label!r})"
+
+
+def _even_sizes(counts: Mapping[int, int]) -> int:
+    return sum(1 for s in counts if s % 2 == 0)
+
+
+def _repeated_sizes(counts: Mapping[int, int]) -> int:
+    return sum(1 for m in counts.values() if m >= 2)
+
+
+def _square_sizes(counts: Mapping[int, int]) -> int:
+    return sum(1 for s in counts if math.isqrt(s) ** 2 == s)
+
+
+def _mult_ge_size(counts: Mapping[int, int]) -> int:
+    return sum(1 for s, m in counts.items() if m >= s)
+
+
+def _mod6_x(counts: Mapping[int, int]) -> int:
+    return sum(1 for s in counts if s % 6 in (2, 3, 4))
+
+
+def _mod6_y_prose(counts: Mapping[int, int]) -> int:
+    # Literal reading: any multiple of 3 counts, repetition only matters for
+    # the rest. Diverges from the weight-matched mod6 family at n=6.
+    return sum(1 for s, m in counts.items() if s % 3 == 0 or m >= 2)
+
+
+def _consecutive_even(counts: Mapping[int, int]) -> int:
+    return sum(1 for s in counts if s % 2 == 0 and s + 2 in counts)
+
+
+def _consecutive_repeated(counts: Mapping[int, int]) -> int:
+    return sum(1 for s, m in counts.items() if m >= 2 and counts.get(s + 1, 0) >= 2)
+
+
+_SIMPLE_NATIVES: dict[str, CountsRule] = {
+    "even_sizes": _even_sizes,
+    "repeated_sizes": _repeated_sizes,
+    "square_sizes": _square_sizes,
+    "mult_ge_size": _mult_ge_size,
+    "mod6_X": _mod6_x,
+    "mod6_Y_prose": _mod6_y_prose,
+    "consecutive_even": _consecutive_even,
+    "consecutive_repeated": _consecutive_repeated,
+}
+
+NATIVE_NAMES = tuple(sorted(_SIMPLE_NATIVES)) + ("andrews_Y", "mult_ge", "not_in_M2")
+
+
+def native(
+    name: str,
+    *,
+    d: int | None = None,
+    m1: Iterable[int] | None = None,
+) -> NativeStatistic:
+    """Construct a native statistic by name.
+
+    mult_ge requires d >= 1; not_in_M2 and andrews_Y require the explicit
+    M1 list. The remaining names take no parameters: even_sizes,
+    repeated_sizes, square_sizes, mult_ge_size, mod6_X, mod6_Y_prose,
+    consecutive_even, consecutive_repeated.
+    """
+    if name == "mult_ge":
+        if d is None or d < 1:
+            raise ValueError(f"mult_ge requires an integer d >= 1, got {d!r}")
+        return NativeStatistic(
+            f"mult_ge({d})",
+            lambda counts, _d=d: sum(1 for m in counts.values() if m >= _d),
+        )
+    if name in ("not_in_M2", "andrews_Y"):
+        if m1 is None:
+            raise ValueError(f"{name} requires the M1 list")
+        m1set = frozenset(m1)
+        if name == "not_in_M2":
+            # M2 = M1 minus the doubles of M1's members.
+            m2 = frozenset(m for m in m1set if m % 2 or m // 2 not in m1set)
+            return NativeStatistic(
+                "not_in_M2",
+                lambda counts, _m2=m2: sum(1 for s in counts if s not in _m2),
+            )
+        return NativeStatistic(
+            "andrews_Y",
+            lambda counts, _m1=m1set: sum(
+                1 for s, m in counts.items() if s not in _m1 or m >= 2
+            ),
+        )
+    if d is not None or m1 is not None:
+        raise ValueError(f"native {name!r} takes no parameters")
+    try:
+        rule = _SIMPLE_NATIVES[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown native statistic {name!r}; known: {', '.join(NATIVE_NAMES)}"
+        ) from None
+    return NativeStatistic(name, rule)
 
 
 def contains(host_items, pattern_items):

@@ -21,14 +21,13 @@ from partition_sieve import (
     count_partitions,
     distribution,
     distribution_bruteforce,
-    native,
     pair_statistics,
 )
 from partition_sieve.cli import main as cli_main
 from partition_sieve.distribution import first_count_difference
 from partition_sieve.families import mod6_prose_family
 
-from oracles import partition_counts_into, tally_distribution
+from oracles import native, partition_counts_into, tally_distribution
 
 # Brute force and compare are pinned against the recursive enumerator up to here.
 N_ORACLE = 22

@@ -7,14 +7,12 @@ from partition_sieve import (
     FamilyStatistic,
     MultisetFamily,
     builtin_pair,
-    native,
     pair_statistics,
     sieve_distribution,
 )
 from partition_sieve.families import mod6_prose_family
-from partition_sieve.partitions import descending_part_sequences
 
-from oracles import tally_distribution
+from oracles import native, partitions_recursive, tally_distribution
 
 PI_4221 = (4, 2, 2, 1)
 
@@ -36,8 +34,9 @@ def assert_statistics_agree(stat_a, stat_b, n_hi=25):
     for n in range(n_hi + 1):
         rule_a = stat_a.counts_evaluator(n)
         rule_b = stat_b.counts_evaluator(n)
-        for counts in descending_part_sequences(n):
-            assert rule_a(counts) == rule_b(counts), (stat_a.label, stat_b.label, dict(counts))
+        for parts in partitions_recursive(n):
+            counts = Counter(parts)
+            assert rule_a(counts) == rule_b(counts), (stat_a.label, stat_b.label, parts)
 
 
 class TestEvaluate:
@@ -60,7 +59,8 @@ class TestEvaluate:
         for n in range(16):
             rule_a = a.counts_evaluator(n)
             rule_b = b.counts_evaluator(n)
-            for counts in descending_part_sequences(n):
+            for parts in partitions_recursive(n):
+                counts = Counter(parts)
                 assert rule_a(counts) == rule_b(counts)
 
     def test_bounded_by_relevant_indices(self):
@@ -69,8 +69,8 @@ class TestEvaluate:
         for n in range(20):
             cap = len(pair.G.relevant_indices(n))
             rule = stat.counts_evaluator(n)
-            for counts in descending_part_sequences(n):
-                assert 0 <= rule(counts) <= cap
+            for parts in partitions_recursive(n):
+                assert 0 <= rule(Counter(parts)) <= cap
 
 
 class TestNatives:
