@@ -55,7 +55,8 @@ FORMATS = click.Choice(["table", "csv", "json"])
 
 # The largest p(n) that brute force may tally: above p(94) = 92,669,720,
 # below p(95) = 104,651,419. The cap is on p(n), although each side walks
-# far fewer groups: the partitions into the sizes >= 4 its members use.
+# far fewer groups: the partitions into the sizes >= 4 that its members
+# with two or more entries use, so one group where every member has one.
 # dist and compare check it before building andrews' strands, one per size.
 DEFAULT_PARTITION_CAP = 100_000_000
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
-from .partitions import partition_walk
+from .partitions import count_partitions, partition_walk
 from .statistics import FamilyStatistic
 
 __all__ = [
@@ -84,6 +84,61 @@ def _cover(classes: Iterable[tuple[tuple[int, int, int], int]], rest: int) -> Co
     return Counter(hits)
 
 
+def _hit_rows(needs: Mapping[int, Sequence[int]], n: int) -> list[list[tuple[int, int]]]:
+    """The product over the sizes s of `needs` of sum_k q^(sk) y^(h_s(k)),
+    h_s(k) the number of needs[s] that are <= k, to q^n: row h lists the
+    (u, coefficient of q^u y^h) with a nonzero coefficient, by u.
+
+    Each row is packed into one int, coefficient u in digit u of base 2^b.
+    A coefficient counts partitions of u, so it is at most p(u) <= p(n) <
+    2^(b - 1) and no carry reaches a digit <= n. Per size s, pre sums the
+    row along stride s (digit u of pre is the sum of the row's digits
+    u - ks, k >= 0); the k in [a, c), a range with the same number of
+    needs <= k, give (pre << b s a) - (pre << b s c). pre never falls along
+    stride s, so that difference never borrows.
+    """
+    b = count_partitions(n).bit_length() + 1
+    top = b * n
+    mask = (1 << top + b) - 1
+
+    def stride_sums(row: int, s: int) -> int:
+        # Each pass doubles the number of k summed.
+        shift = b * s
+        while shift <= top:
+            row += row << shift & mask
+            shift <<= 1
+        return row
+
+    # The sizes that no member needs first, while there is one row.
+    row = 1
+    for s, mults in needs.items():
+        if not mults:
+            row = stride_sums(row, s)
+    rows = [row]
+    for s, mults in needs.items():
+        if not mults:
+            continue
+        stride = b * s
+        mults = sorted(mults)
+        product = [0] * (len(rows) + len(mults))
+        for h, row in enumerate(rows):
+            if not row:
+                continue
+            pre = stride_sums(row, s)
+            low = pre
+            for m in mults:
+                high = pre << stride * m & mask
+                product[h] += low - high
+                low = high
+                h += 1
+            product[h] += low
+        while not product[-1]:
+            product.pop()
+        rows = product
+    digit = (1 << b) - 1
+    return [[(u, w) for u in range(n + 1) if (w := row >> b * u & digit)] for row in rows]
+
+
 def _tally_walk(
     patterns: Sequence[tuple[tuple[int, int], ...]], n_from: int, n_to: int
 ) -> list[dict[int, int]]:
@@ -91,29 +146,36 @@ def _tally_walk(
     multiplicity) patterns at every n in [n_from, n_to], over one walk of
     the partitions of n_to: one {j: count} per n, in order.
 
-    No member is checked per partition. `partition_walk` walks only the
-    watched sizes, the sizes >= 4 some member uses, and yields groups: a
-    map nu of the parts at those sizes and a rest r, standing for the
-    partitions nu + mu + 3^t 2^k 1^(r - u - 3t - 2k), mu a partition of
-    some u <= r into the unwatched sizes >= 4. Each member (see
+    No member is checked per partition. `partition_walk` walks only W, the
+    sizes >= 4 that some member with two or more entries uses, and yields
+    groups: a map nu of the parts at those sizes and a rest r, standing for
+    the partitions nu + mu + 3^t 2^k 1^(r - u - 3t - 2k), mu a partition of
+    some u <= r into the other sizes >= 4. Each member (see
     `MultisetFamily.member_patterns`) needs some (c, a, b) at sizes 3, 2
     and 1 (0 where it has no entry); such a partition contains it iff its
-    entries at sizes >= 4 are met in nu, t >= c, k >= a and
+    entries at sizes >= 4 are met in nu + mu, t >= c, k >= a and
     r - u - 3t - 2k >= b.
 
-    A member with entries at sizes >= 4 is a slot holding its number of
-    unmet such entries, and watch[s] lists the (needed multiplicity, slot,
-    class) entries of every member that uses size s, by need. The walk
-    reports each change of a watched multiplicity, so a step touches only
-    the members at the few sizes it changed, and level[class] counts the
-    class's members whose entries >= 4 are all met. The members with no
-    entry below 4 form the base class, level[0], contained in the whole
-    group; the others are classed by (c, a, b), and a class is mixed when
-    its members also have entries >= 4. The walk only counts its groups by
-    state: the rest and every level. mu changes no level, so after the
-    walk a state of rest r stands for unwatched[u] states of rest r - u,
-    unwatched[u] the partitions of u into the unwatched sizes >= 4 (the
-    coefficient of q^u in their prod 1 / (1 - q^s)), and is spread so.
+    A member with one entry, at a size s >= 4 outside W, is met iff mu
+    holds at least its need at s, so it only adds a hit to the mu that do.
+    Per size s, h_s(k) counts those members at s that need at most k, and
+    the mu of u that meet h of them are counted by the coefficient of
+    q^u y^h in the product over the sizes s >= 4 outside W of
+    sum_k q^(sk) y^(h_s(k)) (`_hit_rows`).
+
+    Every other member with entries at sizes >= 4 has them all in W. It is
+    a slot holding its number of unmet such entries, and watch[s] lists the
+    (needed multiplicity, slot, class) entries of every member that uses
+    size s, by need. The walk reports each change of a watched
+    multiplicity, so a step touches only the members at the few sizes it
+    changed, and level[class] counts the class's members whose entries >= 4
+    are all met. The members with no entry below 4 form the base class,
+    level[0], contained in the whole group; the others are classed by
+    (c, a, b), and a class is mixed when its members also have entries >= 4.
+    The walk only counts its groups by state: the rest and every level.
+    mu changes no level, so after the walk a state (rest r, hits, *mixed
+    levels) stands for by_hits[h][u] states (r - u, hits + h, *mixed
+    levels), and is spread so.
 
     The same nu + mu with rest r - d is a group of n_to - d, so each spread
     state serves every n with r - (n_to - n) >= 0. Its histogram of hit
@@ -121,6 +183,9 @@ def _tally_walk(
     and is made once for them. The members are those of n_to for every n:
     a member heavier than n is never met at n.
     """
+    walked_sizes = {s for items in patterns if len(items) > 1 for s, _ in items if s >= 4}
+    # needs[s]: what each one-entry member at the unwalked size s needs.
+    needs: dict[int, list[int]] = {s: [] for s in range(4, n_to + 1) if s not in walked_sizes}
     watch: list[list[tuple[int, int, int]] | None] = [None] * (n_to + 1)
     unmet: list[int] = []
     level = [0]
@@ -132,6 +197,10 @@ def _tally_walk(
         big = [(size, mult) for size, mult in items if size >= 4]
         if not big:
             small[cab] += 1
+            continue
+        if len(items) == 1 and big[0][0] in needs:
+            size, mult = big[0]
+            needs[size].append(mult)
             continue
         cls = 0 if cab == (0, 0, 0) else mixed.get(cab)
         if cls is None:
@@ -169,21 +238,16 @@ def _tally_walk(
     walked: Counter[tuple[int, ...]] = Counter()
     for _, rest in partition_walk(n_to, watch, on_change):
         walked[(rest, *level)] += 1
-    # unwatched[u]: the partitions of u into the sizes >= 4 no member uses.
-    unwatched = [1] + [0] * n_to
-    for s in range(4, n_to + 1):
-        if watch[s] is None:
-            for u in range(s, n_to + 1):
-                unwatched[u] += unwatched[u - s]
-    spread = [(u, ways) for u, ways in enumerate(unwatched) if ways]
+    by_hits = _hit_rows(needs, n_to)
     # The walked states (rest, base level, *mixed levels), spread over the
-    # unwatched parts of the rest.
+    # parts of the rest at the unwalked sizes >= 4.
     states: Counter[tuple[int, ...]] = Counter()
-    for (rest, *levels), groups in walked.items():
-        for u, ways in spread:
-            if u > rest:
-                break
-            states[(rest - u, *levels)] += groups * ways
+    for (rest, base, *levels), groups in walked.items():
+        for hits, spread in enumerate(by_hits, base):
+            for u, ways in spread:
+                if u > rest:
+                    break
+                states[(rest - u, hits, *levels)] += groups * ways
 
     small_classes = tuple(small.items())
     memo: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}

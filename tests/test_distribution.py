@@ -22,6 +22,7 @@ from partition_sieve import (
     distribution,
     distribution_bruteforce,
     pair_statistics,
+    sieve_distribution,
 )
 from partition_sieve.cli import main as cli_main
 from partition_sieve.distribution import first_count_difference
@@ -31,6 +32,8 @@ from oracles import native, partition_counts_into, tally_distribution
 
 # Brute force and compare are pinned against the recursive enumerator up to here.
 N_ORACLE = 22
+# The benchmark's andrews M1: k * 2^b <= 2048 for k in {1, 3, 5}.
+BENCH_M1 = sorted(k << b for k in (1, 3, 5) for b in range(12) if k << b <= 2048)
 
 
 def builtin_pairs():
@@ -141,6 +144,28 @@ def sparse_families(draw):
     strands = draw(st.lists(member, min_size=1, max_size=4))
     repeats = draw(st.lists(st.sampled_from(strands), max_size=4))
     return explicit_family(*strands, *repeats)
+
+
+@st.composite
+def one_size_families(draw):
+    """Members with one entry, at sizes 1-12 (often 4-6) with needs 1-4,
+    often repeated and often several at one size; the heavier ones weigh
+    more than n."""
+    size = st.one_of(st.integers(4, 6), st.integers(1, 12))
+    strands = draw(st.lists(st.tuples(size, st.integers(1, 4)), min_size=1, max_size=8))
+    repeats = draw(st.lists(st.sampled_from(strands), max_size=6))
+    return explicit_family(*({s: m} for s, m in strands + repeats))
+
+
+@st.composite
+def mixed_families(draw):
+    """One-entry members at sizes 4-9 next to members with two or three
+    entries at sizes 1-9, so a one-entry member often shares a walked size."""
+    one = st.tuples(st.integers(4, 9), st.integers(1, 3)).map(lambda sm: {sm[0]: sm[1]})
+    many = st.dictionaries(st.integers(1, 9), st.integers(1, 2), min_size=2, max_size=3)
+    members = draw(st.lists(st.one_of(one, many), min_size=1, max_size=6))
+    repeats = draw(st.lists(st.sampled_from(members), max_size=4))
+    return explicit_family(*members, *repeats)
 
 
 @contextmanager
@@ -294,7 +319,8 @@ class TestIncrementalTally:
     @example(TOO_HEAVY, explicit_family({4: 1, 7: 1}), 10, 16)
     @settings(max_examples=60, deadline=None)
     def test_unwatched_sizes_match_oracle(self, family_x, family_y, a, b):
-        # The sizes >= 4 that no member uses are counted in closed form.
+        # The sizes >= 4 that no member with two or more entries uses are
+        # counted in closed form.
         n_from, n_to = sorted((a, b))
         x, y = FamilyStatistic(family_x), FamilyStatistic(family_y)
         with counting_walks() as walks:
@@ -304,12 +330,54 @@ class TestIncrementalTally:
         report = compare(x, y, n_from, n_to)
         assert report_verdicts(report) == oracle_verdicts(x, y, n_from, n_to, expected)
         # Per side, one group per partition of each m <= n_to into the sizes
-        # >= 4 that side's members use.
+        # >= 4 that side's members with two or more entries use.
         groups = []
         for stat in (x, y):
-            used = {s for items in stat.family.member_patterns(n_to) for s, _ in items if s >= 4}
+            patterns = stat.family.member_patterns(n_to)
+            used = {s for items in patterns if len(items) > 1 for s, _ in items if s >= 4}
             groups.append([n_to, sum(partition_counts_into(sorted(used), n_to))])
         assert walks == groups
+
+    @given(one_size_families(), st.integers(0, 20))
+    @example(explicit_family({5: 1}, {5: 1}, {5: 3}, {4: 2}), 20)  # equal needs at 5
+    @example(explicit_family({12: 3}, {6: 4}, {4: 1}), 16)  # members heavier than n
+    @settings(max_examples=150, deadline=None)
+    def test_one_size_members_match_oracle(self, family, n):
+        # Every size >= 4 is counted by the product, so nothing is walked.
+        stat = FamilyStatistic(family)
+        with counting_walks() as walks:
+            table = distribution_bruteforce(stat, n)
+        assert table.counts == tally_distribution(stat.counts_evaluator(n), n)
+        assert walks == [[n, 1]]
+
+    @given(mixed_families(), st.integers(0, 18), st.integers(0, 18))
+    # {4: 2} is walked with {4: 1, 2: 1}; {5: 1} and {5: 2} are not.
+    @example(explicit_family({4: 2}, {4: 1, 2: 1}, {5: 1}, {5: 2}), 0, 18)
+    @settings(max_examples=100, deadline=None)
+    def test_mixed_families_match_oracle(self, family, a, b):
+        n_from, n_to = sorted((a, b))
+        stat = FamilyStatistic(family)
+        expected = [tally_distribution(stat.counts_evaluator(n), n) for n in range(n_from, n_to + 1)]
+        patterns = stat.family.member_patterns(n_to)
+        assert distribution._tally_walk(patterns, n_from, n_to) == expected
+        assert distribution_bruteforce(stat, n_to).counts == expected[-1]
+
+    @given(one_size_families(), mixed_families(), st.integers(0, 18), st.integers(0, 18))
+    # 4 is one-size for X, walked for Y; 5 the other way round.
+    @example(
+        explicit_family({4: 1}, {4: 2}, {5: 1, 6: 1}),
+        explicit_family({4: 1, 6: 1}, {5: 1}, {5: 2}),
+        0,
+        18,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_compare_one_size_against_walked(self, family_x, family_y, a, b):
+        n_from, n_to = sorted((a, b))
+        x, y = FamilyStatistic(family_x), FamilyStatistic(family_y)
+        expected = oracle_tallies(x, y, n_from, n_to)
+        assert walk_tallies(x, y, n_from, n_to) == expected
+        report = compare(x, y, n_from, n_to)
+        assert report_verdicts(report) == oracle_verdicts(x, y, n_from, n_to, expected)
 
     def test_copies_share_one_class(self, monkeypatch):
         # 1,500 copies of {1: 1}, as in the overlap workload's R1500 file,
@@ -407,8 +475,9 @@ class TestCompare:
 
     @pytest.mark.parametrize(
         "name,n,groups",
-        # 3,881 and 1,995 groups with every size >= 4 walked.
-        [("euler", 39, 490), ("squares", 35, 38)],
+        # Every member has one entry, so the product counts every size >= 4
+        # and the walk yields one group (3,881 and 1,995 with all walked).
+        [("euler", 39, 1), ("squares", 35, 1)],
         ids=["euler", "squares"],
     )
     def test_walks_only_the_sizes_members_use(self, name, n, groups):
@@ -416,7 +485,6 @@ class TestCompare:
         with counting_walks() as walks:
             table = distribution_bruteforce(x, n)
         assert walks == [[n, groups]]
-        # Y uses more sizes, so its walk counts fewer of them in closed form.
         assert table == distribution_bruteforce(y, n)
         assert table.total == count_partitions(n)
 
@@ -424,13 +492,27 @@ class TestCompare:
         x, y = pair_statistics(builtin_pair("euler"))
         with counting_walks() as walks:
             assert compare(x, y, 1, 39).identical_everywhere
-        assert walks == [[39, 490], [39, 3_413]]
+        assert walks == [[39, 1], [39, 1]]
 
     def test_compare_walks_each_side_on_its_own_sizes(self):
         x, y = pair_statistics(builtin_pair("squares"))
         with counting_walks() as walks:
             assert compare(x, y, 1, 39).identical_everywhere
-        assert walks == [[39, 50], [39, 142]]
+        assert walks == [[39, 1], [39, 1]]
+
+    def test_compare_walks_the_sizes_of_two_size_members(self):
+        # remmel's members have two sizes each, so both sides walk nearly
+        # every size, as they did before the product counted any size.
+        x, y = pair_statistics(builtin_pair("remmel_consecutive"))
+        with counting_walks() as walks:
+            assert compare(x, y, 1, 39).identical_everywhere
+        assert walks == [[39, 423], [39, 1_221]]
+
+    def test_compare_andrews_walks_one_group_per_side(self):
+        x, y = pair_statistics(builtin_pair("andrews", m1=list(BENCH_M1), bound=60))
+        with counting_walks() as walks:
+            assert compare(x, y, 59, 60).identical_everywhere
+        assert walks == [[60, 1], [60, 1]]
 
     def test_one_enumeration_per_n_prose_y(self):
         x, _ = pair_statistics(builtin_pair("mod6"))
@@ -463,3 +545,62 @@ class TestCompare:
         assert first_count_difference({0: 1, 2: 5}, {0: 1, 1: 3, 2: 2}) == (1, 0, 3)
         assert first_count_difference({}, {}) is None
 
+
+
+class TestHitRows:
+    """The packed per-size product against a plain list DP of the same
+    coefficients."""
+
+    @staticmethod
+    def plain_rows(needs, n):
+        rows = [[1] + [0] * n]
+        for s, mults in needs.items():
+            product = [[0] * (n + 1) for _ in range(len(rows) + len(mults))]
+            for h, row in enumerate(rows):
+                for u, ways in enumerate(row):
+                    for k in range((n - u) // s + 1):
+                        product[h + sum(m <= k for m in mults)][u + s * k] += ways
+            rows = product
+        rows = [[(u, ways) for u, ways in enumerate(row) if ways] for row in rows]
+        while not rows[-1]:
+            rows.pop()
+        return rows
+
+    @given(
+        st.dictionaries(
+            st.integers(4, 70), st.lists(st.integers(1, 8), max_size=5), max_size=8
+        ),
+        st.integers(0, 60),
+    )
+    @example({4: [1, 1, 2], 5: [], 9: [3]}, 0)
+    @example({4: [1, 1, 2], 5: [], 9: [3]}, 1)
+    @example({s: [1, 2] for s in range(4, 61)}, 60)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_plain_product(self, needs, n):
+        assert distribution._hit_rows(needs, n) == self.plain_rows(needs, n)
+
+
+# The largest n under the CLI's partition cap.
+N_CAP_EDGE = 94
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        builtin_pair("euler"),
+        builtin_pair("squares"),
+        builtin_pair("mod6"),
+        builtin_pair("glaisher", d=2),
+        builtin_pair("glaisher", d=3),
+        builtin_pair("glaisher", d=4),
+        builtin_pair("andrews", m1=BENCH_M1, bound=N_CAP_EDGE),
+    ],
+    ids=["euler", "squares", "mod6", "glaisher2", "glaisher3", "glaisher4", "andrews"],
+)
+def test_bruteforce_matches_sieve_at_the_cap_edge(pair):
+    for family in (pair.F, pair.G):
+        sieved = sieve_distribution(family, N_CAP_EDGE)
+        assert not sieved.truncated
+        table = distribution_bruteforce(FamilyStatistic(family), N_CAP_EDGE)
+        assert table == sieved.table
+        assert table.total == count_partitions(N_CAP_EDGE)
