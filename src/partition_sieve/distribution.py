@@ -68,7 +68,9 @@ def _cover(classes: Iterable[tuple[tuple[int, int, int], int]], rest: int) -> Co
     of members of the given classes: {hits: tails}. A class is the (c, a, b)
     that its members need at sizes 3, 2 and 1, given with its number of
     members; a tail contains them iff t >= c, k >= a and rest - 3t - 2k >= b,
-    so for each t >= c for k in [a, (rest - 3t - b) // 2].
+    so for each t >= c for k in [a, (rest - 3t - b) // 2]. Only a tail that
+    some member with two or more entries couples to the others needs this;
+    `_tally_walk` counts any other tail in the product of `_hit_rows`.
     """
     hits: list[int] = []
     for t in range(rest // 3 + 1):
@@ -84,12 +86,11 @@ def _cover(classes: Iterable[tuple[tuple[int, int, int], int]], rest: int) -> Co
     return Counter(hits)
 
 
-def _hit_rows(needs: Mapping[int, Sequence[int]], n: int) -> list[list[tuple[int, int]]]:
+def _hit_rows(needs: Mapping[int, Sequence[int]], n: int) -> tuple[int, list[int]]:
     """The product over the sizes s of `needs` of sum_k q^(sk) y^(h_s(k)),
-    h_s(k) the number of needs[s] that are <= k, to q^n: row h lists the
-    (u, coefficient of q^u y^h) with a nonzero coefficient, by u.
+    h_s(k) the number of needs[s] that are <= k, to q^n, as (b, rows): row
+    h holds the coefficient of q^u y^h in digit u of base 2^b, for u <= n.
 
-    Each row is packed into one int, coefficient u in digit u of base 2^b.
     A coefficient counts partitions of u, so it is at most p(u) <= p(n) <
     2^(b - 1) and no carry reaches a digit <= n. Per size s, pre sums the
     row along stride s (digit u of pre is the sum of the row's digits
@@ -135,8 +136,7 @@ def _hit_rows(needs: Mapping[int, Sequence[int]], n: int) -> list[list[tuple[int
         while not product[-1]:
             product.pop()
         rows = product
-    digit = (1 << b) - 1
-    return [[(u, w) for u in range(n + 1) if (w := row >> b * u & digit)] for row in rows]
+    return b, rows
 
 
 def _tally_walk(
@@ -149,19 +149,21 @@ def _tally_walk(
     No member is checked per partition. `partition_walk` walks only W, the
     sizes >= 4 that some member with two or more entries uses, and yields
     groups: a map nu of the parts at those sizes and a rest r, standing for
-    the partitions nu + mu + 3^t 2^k 1^(r - u - 3t - 2k), mu a partition of
-    some u <= r into the other sizes >= 4. Each member (see
-    `MultisetFamily.member_patterns`) needs some (c, a, b) at sizes 3, 2
-    and 1 (0 where it has no entry); such a partition contains it iff its
-    entries at sizes >= 4 are met in nu + mu, t >= c, k >= a and
-    r - u - 3t - 2k >= b.
-
-    A member with one entry, at a size s >= 4 outside W, is met iff mu
-    holds at least its need at s, so it only adds a hit to the mu that do.
-    Per size s, h_s(k) counts those members at s that need at most k, and
-    the mu of u that meet h of them are counted by the coefficient of
-    q^u y^h in the product over the sizes s >= 4 outside W of
+    the partitions nu + mu of n_to, mu a partition of r into the sizes
+    outside W. A member with one entry, at a size s outside W, is met iff
+    mu holds at least its need at s, so it only adds a hit to the mu that
+    do. Per size s, h_s(k) counts those members at s that need at most k,
+    and the mu of u that meet h of them are counted by the coefficient of
+    q^u y^h in the product over the sizes s outside W of
     sum_k q^(sk) y^(h_s(k)) (`_hit_rows`).
+
+    The tail at sizes 3, 2 and 1 is coupled when some member with two or
+    more entries uses one of them. Then the product runs over the sizes
+    >= 4 outside W only, and each member (see
+    `MultisetFamily.member_patterns`) with an entry below 4 needs some
+    (c, a, b) at sizes 3, 2 and 1 (0 where it has no entry); nu + mu +
+    3^t 2^k 1^j contains it iff its entries at sizes >= 4 are met in
+    nu + mu, t >= c, k >= a and j >= b.
 
     Every other member with entries at sizes >= 4 has them all in W. It is
     a slot holding its number of unmet such entries, and watch[s] lists the
@@ -173,34 +175,39 @@ def _tally_walk(
     level[0], contained in the whole group; the others are classed by
     (c, a, b), and a class is mixed when its members also have entries >= 4.
     The walk only counts its groups by state: the rest and every level.
-    mu changes no level, so after the walk a state (rest r, hits, *mixed
-    levels) stands for by_hits[h][u] states (r - u, hits + h, *mixed
-    levels), and is spread so.
 
-    The same nu + mu with rest r - d is a group of n_to - d, so each spread
-    state serves every n with r - (n_to - n) >= 0. Its histogram of hit
-    counts over the tails depends only on that rest and the mixed levels,
-    and is made once for them. The members are those of n_to for every n:
-    a member heavier than n is never met at n.
+    Per mixed levels L, series_L is the product rows times the tail rows:
+    tail row c holds, in digit r, the tails of r that meet c members of
+    the classes (`_cover`); with no coupled tail the tail rows are [1].
+    Digit r <= n_to of series_L row h counts partitions of r, so it stays
+    below 2^(b - 1): the carries of the multiply from the digits above n_to
+    move only up, and are masked off. The same nu with rest r - d is a
+    group of n_to - d, so a state (rest r, base, L) adds, at each n with
+    r - (n_to - n) >= 0, its groups times digit r - (n_to - n) of series_L
+    row h to the count of base + h. The members are those of n_to for
+    every n: a member heavier than n is never met at n.
     """
     walked_sizes = {s for items in patterns if len(items) > 1 for s, _ in items if s >= 4}
+    coupled = any(len(items) > 1 and items[0][0] <= 3 for items in patterns)
     # needs[s]: what each one-entry member at the unwalked size s needs.
-    needs: dict[int, list[int]] = {s: [] for s in range(4, n_to + 1) if s not in walked_sizes}
+    needs: dict[int, list[int]] = {
+        s: [] for s in range(4 if coupled else 1, n_to + 1) if s not in walked_sizes
+    }
     watch: list[list[tuple[int, int, int]] | None] = [None] * (n_to + 1)
     unmet: list[int] = []
     level = [0]
     mixed: dict[tuple[int, int, int], int] = {}
     small: Counter[tuple[int, int, int]] = Counter()
     for items in patterns:
+        if len(items) == 1 and items[0][0] in needs:
+            size, mult = items[0]
+            needs[size].append(mult)
+            continue
         need = dict(items)
         cab = (need.get(3, 0), need.get(2, 0), need.get(1, 0))
         big = [(size, mult) for size, mult in items if size >= 4]
         if not big:
             small[cab] += 1
-            continue
-        if len(items) == 1 and big[0][0] in needs:
-            size, mult = big[0]
-            needs[size].append(mult)
             continue
         cls = 0 if cab == (0, 0, 0) else mixed.get(cab)
         if cls is None:
@@ -238,41 +245,43 @@ def _tally_walk(
     walked: Counter[tuple[int, ...]] = Counter()
     for _, rest in partition_walk(n_to, watch, on_change):
         walked[(rest, *level)] += 1
-    by_hits = _hit_rows(needs, n_to)
-    # The walked states (rest, base level, *mixed levels), spread over the
-    # parts of the rest at the unwalked sizes >= 4.
-    states: Counter[tuple[int, ...]] = Counter()
+    b, rows = _hit_rows(needs, n_to)
+    by_levels: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
     for (rest, base, *levels), groups in walked.items():
-        for hits, spread in enumerate(by_hits, base):
-            for u, ways in spread:
-                if u > rest:
-                    break
-                states[(rest - u, hits, *levels)] += groups * ways
+        by_levels.setdefault(tuple(levels), []).append((rest, base, groups))
 
-    small_classes = tuple(small.items())
-    memo: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
-    tallies = []
-    for n in range(n_from, n_to + 1):
-        drop = n_to - n
-        # At most every member is contained at once.
-        tally = [0] * (len(patterns) + 1)
-        for (rest, hits, *levels), groups in states.items():
-            key = (rest - drop, *levels)
-            if key[0] < 0:
-                continue
-            histogram = memo.get(key)
-            if histogram is None:
-                classes = small_classes + tuple(zip(mixed, levels))
-                histogram = memo[key] = tuple(_cover(classes, key[0]).items())
-            for c, tails in histogram:
-                tally[hits + c] += groups * tails
-        tallies.append({j: c for j, c in enumerate(tally) if c})
-    return tallies
+    digit = (1 << b) - 1
+    mask = (1 << b * (n_to + 1)) - 1
+    # At most every member is contained at once.
+    tallies = [[0] * (len(patterns) + 1) for _ in range(n_from, n_to + 1)]
+    for levels, states in by_levels.items():
+        series = rows
+        if coupled:
+            classes = tuple(small.items()) + tuple(zip(mixed, levels))
+            tail: list[int] = []
+            for r in range(max(rest for rest, _, _ in states) + 1):
+                for c, tails in _cover(classes, r).items():
+                    tail += [0] * (c + 1 - len(tail))
+                    tail[c] += tails << b * r
+            series = [0] * (len(rows) + len(tail) - 1)
+            for h, row in enumerate(rows):
+                for hc, tail_row in enumerate(tail, h):
+                    series[hc] += row * tail_row
+            series = [row & mask for row in series]
+        for rest, base, groups in states:
+            # At n, the rest is rest - (n_to - n): read where it is >= 0.
+            first = rest - (n_to - n_from)
+            reads = list(zip(tallies[max(0, -first) :], range(b * max(0, first), b * rest + 1, b)))
+            for h, row in enumerate(series, base):
+                for tally, shift in reads:
+                    tally[h] += groups * (row >> shift & digit)
+    return [{j: c for j, c in enumerate(tally) if c} for tally in tallies]
 
 
 def distribution_bruteforce(stat: FamilyStatistic, n: int) -> DistributionTable:
-    """Tally the statistic over every partition of n by full enumeration,
-    from hit counts that the walk keeps up to date as multiplicities change.
+    """Tally the statistic over every partition of n: one walk of the
+    partitions into the sizes that members with two or more entries use,
+    and every other size counted in closed form (`_tally_walk`).
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")

@@ -168,6 +168,32 @@ def mixed_families(draw):
     return explicit_family(*members, *repeats)
 
 
+@st.composite
+def product_families(draw, walked=False, coupled=False):
+    """One-entry members at sizes 1-8 (often 1-3) needing 1-4, often
+    several and equal at one size; the heavier ones weigh more than n.
+    `walked` adds members with two or three entries at sizes 4-9 only, and
+    `coupled` one member with two entries, one of them at a size <= 3."""
+    one = st.tuples(st.one_of(st.integers(1, 3), st.integers(1, 8)), st.integers(1, 4))
+    members = [{s: m} for s, m in draw(st.lists(one, min_size=1, max_size=6))]
+    if walked:
+        many = st.dictionaries(st.integers(4, 9), st.integers(1, 2), min_size=2, max_size=3)
+        members += draw(st.lists(many, min_size=1, max_size=3))
+    if coupled:
+        low = draw(st.integers(1, 3))
+        other = draw(st.integers(1, 6).filter(lambda s: s != low))
+        members.append({low: draw(st.integers(1, 2)), other: 1})
+    repeats = draw(st.lists(st.sampled_from(members), max_size=6))
+    return explicit_family(*members, *repeats)
+
+
+@st.composite
+def tally_ranges(draw):
+    """(n_from, n_to), n_to often 0 or 1 and n_from often 0."""
+    n_to = draw(st.one_of(st.integers(0, 1), st.integers(0, 20)))
+    return draw(st.one_of(st.just(0), st.integers(0, n_to))), n_to
+
+
 @contextmanager
 def counting_walks():
     """Record every walk made inside the block as [n, groups yielded]."""
@@ -182,6 +208,24 @@ def counting_walks():
 
     with patch.object(distribution, "partition_walk", counted):
         yield walks
+
+
+@contextmanager
+def counting_covers():
+    """Record the rest of every `_cover` call made inside the block."""
+    rests = []
+    cover = distribution._cover
+
+    def counted(classes, rest):
+        rests.append(rest)
+        return cover(classes, rest)
+
+    with patch.object(distribution, "_cover", counted):
+        yield rests
+
+
+def refuse_cover(classes, rest):
+    raise AssertionError("the tail went to _cover")
 
 
 def explicit_family(*members):
@@ -546,6 +590,80 @@ class TestCompare:
         assert first_count_difference({}, {}) is None
 
 
+class TestTailPaths:
+    """Sizes 1, 2 and 3 join the per-size product unless a member with two
+    or more entries uses one of them; only then does `_cover` count the
+    tail."""
+
+    # The benchmark's pairs at its largest dist n.
+    PRODUCT_PAIRS = [
+        ("euler", builtin_pair("euler")),
+        ("squares", builtin_pair("squares")),
+        ("mod6", builtin_pair("mod6")),
+        ("glaisher2", builtin_pair("glaisher", d=2)),
+        ("glaisher3", builtin_pair("glaisher", d=3)),
+        ("glaisher4", builtin_pair("glaisher", d=4)),
+        ("andrews", builtin_pair("andrews", m1=BENCH_M1, bound=39)),
+    ]
+
+    @pytest.mark.parametrize("name,pair", PRODUCT_PAIRS, ids=[name for name, _ in PRODUCT_PAIRS])
+    def test_builtin_sides_skip_cover(self, name, pair, monkeypatch):
+        x, y = pair_statistics(pair)
+        monkeypatch.setattr(distribution, "_cover", refuse_cover)
+        for stat in (x, y):
+            expected = tally_distribution(stat.counts_evaluator(39), 39)
+            assert distribution_bruteforce(stat, 39).counts == expected, stat.label
+        assert report_verdicts(compare(x, y, 28, 29)) == oracle_verdicts(x, y, 28, 29)
+
+    def test_mod6_prose_skips_cover(self, monkeypatch):
+        x, _ = pair_statistics(builtin_pair("mod6"))
+        prose = FamilyStatistic(mod6_prose_family())
+        monkeypatch.setattr(distribution, "_cover", refuse_cover)
+        report = compare(x, prose, 28, 29)
+        assert report_verdicts(report) == oracle_verdicts(x, prose, 28, 29)
+
+    def test_remmel_couples_the_tail(self):
+        # {2, 4} and {1, 1, 2, 2} are members with two entries below 4.
+        x, y = pair_statistics(builtin_pair("remmel_consecutive"))
+        for stat in (x, y):
+            with counting_covers() as rests:
+                table = distribution_bruteforce(stat, 20)
+            assert rests
+            assert table.counts == tally_distribution(stat.counts_evaluator(20), 20)
+
+    @given(product_families(), product_families(walked=True), tally_ranges())
+    @example(explicit_family({1: 2}, {1: 2}, {3: 4}), explicit_family({2: 1}), (0, 0))
+    @example(explicit_family({1: 1}, {2: 3}), explicit_family({4: 1, 5: 1}, {1: 1}), (0, 1))
+    @settings(max_examples=100, deadline=None)
+    def test_product_tail_matches_oracle(self, family_x, family_y, n_range):
+        n_from, n_to = n_range
+        x, y = FamilyStatistic(family_x), FamilyStatistic(family_y)
+        with patch.object(distribution, "_cover", refuse_cover):
+            tallies = walk_tallies(x, y, n_from, n_to)
+            report = compare(x, y, n_from, n_to)
+        expected = oracle_tallies(x, y, n_from, n_to)
+        assert tallies == expected
+        assert report_verdicts(report) == oracle_verdicts(x, y, n_from, n_to, expected)
+
+    @given(
+        product_families(walked=True, coupled=True), product_families(walked=True), tally_ranges()
+    )
+    @example(explicit_family({1: 1}, {2: 1, 4: 1}), explicit_family({3: 1}), (0, 1))
+    @example(explicit_family({3: 2}, {1: 1, 2: 1}, {4: 1, 6: 1}), explicit_family({1: 3}), (0, 20))
+    @settings(max_examples=100, deadline=None)
+    def test_coupled_tail_matches_oracle(self, family_x, family_y, n_range):
+        n_from, n_to = n_range
+        x, y = FamilyStatistic(family_x), FamilyStatistic(family_y)
+        with counting_covers() as rests:
+            tallies = walk_tallies(x, y, n_from, n_to)
+        # Y never couples its tail; X does unless its coupling member is heavier than n_to.
+        patterns = family_x.member_patterns(n_to)
+        assert bool(rests) == any(len(items) > 1 and items[0][0] <= 3 for items in patterns)
+        expected = oracle_tallies(x, y, n_from, n_to)
+        assert tallies == expected
+        report = compare(x, y, n_from, n_to)
+        assert report_verdicts(report) == oracle_verdicts(x, y, n_from, n_to, expected)
+
 
 class TestHitRows:
     """The packed per-size product against a plain list DP of the same
@@ -568,16 +686,24 @@ class TestHitRows:
 
     @given(
         st.dictionaries(
-            st.integers(4, 70), st.lists(st.integers(1, 8), max_size=5), max_size=8
+            st.one_of(st.integers(1, 3), st.integers(4, 70)),
+            st.lists(st.integers(1, 8), max_size=5),
+            max_size=8,
         ),
         st.integers(0, 60),
     )
     @example({4: [1, 1, 2], 5: [], 9: [3]}, 0)
     @example({4: [1, 1, 2], 5: [], 9: [3]}, 1)
-    @example({s: [1, 2] for s in range(4, 61)}, 60)
+    @example({1: [1, 2], 2: [], 3: [1, 1]}, 1)
+    @example({s: [1, 2] for s in range(1, 61)}, 60)
     @settings(max_examples=150, deadline=None)
     def test_matches_plain_product(self, needs, n):
-        assert distribution._hit_rows(needs, n) == self.plain_rows(needs, n)
+        # Row h holds its coefficient of q^u in digit u, and no digit above n.
+        b, rows = distribution._hit_rows(needs, n)
+        digit = (1 << b) - 1
+        assert all(row >> b * (n + 1) == 0 for row in rows)
+        unpacked = [[(u, w) for u in range(n + 1) if (w := row >> b * u & digit)] for row in rows]
+        assert unpacked == self.plain_rows(needs, n)
 
 
 # The largest n under the CLI's partition cap.
@@ -604,3 +730,14 @@ def test_bruteforce_matches_sieve_at_the_cap_edge(pair):
         table = distribution_bruteforce(FamilyStatistic(family), N_CAP_EDGE)
         assert table == sieved.table
         assert table.total == count_partitions(N_CAP_EDGE)
+
+
+def test_bruteforce_matches_sieve_on_a_coupled_tail():
+    # remmel's members with two entries below 4 keep its tail with `_cover`.
+    pair = builtin_pair("remmel_consecutive")
+    for family in (pair.F, pair.G):
+        sieved = sieve_distribution(family, 60)
+        assert not sieved.truncated
+        table = distribution_bruteforce(FamilyStatistic(family), 60)
+        assert table == sieved.table
+        assert table.total == count_partitions(60)
