@@ -146,16 +146,16 @@ def _tally_walk(
     multiplicity) patterns at every n in [n_from, n_to], over one walk of
     the partitions of n_to: one {j: count} per n, in order.
 
-    No member is checked per partition. `partition_walk` walks only W, the
-    sizes >= 4 that some member with two or more entries uses, and yields
-    groups: a map nu of the parts at those sizes and a rest r, standing for
-    the partitions nu + mu of n_to, mu a partition of r into the sizes
-    outside W. A member with one entry, at a size s outside W, is met iff
-    mu holds at least its need at s, so it only adds a hit to the mu that
-    do. Per size s, h_s(k) counts those members at s that need at most k,
-    and the mu of u that meet h of them are counted by the coefficient of
-    q^u y^h in the product over the sizes s outside W of
-    sum_k q^(sk) y^(h_s(k)) (`_hit_rows`).
+    No member is checked per partition. W is the set of sizes >= 4 that
+    some member with two or more entries uses, and only W is watched, so
+    `partition_walk` yields groups: a map nu of the parts at those sizes
+    and a rest r, standing for the partitions nu + mu of n_to, mu a
+    partition of r into the sizes outside W. A member with one entry, at a
+    size s outside W, is met iff mu holds at least its need at s, so it
+    only adds a hit to the mu that do. Per size s, h_s(k) counts those
+    members at s that need at most k, and the mu of u that meet h of them
+    are counted by the coefficient of q^u y^h in the product over the
+    sizes s outside W of sum_k q^(sk) y^(h_s(k)) (`_hit_rows`).
 
     The tail at sizes 3, 2 and 1 is coupled when some member with two or
     more entries uses one of them. Then the product runs over the sizes
@@ -165,20 +165,20 @@ def _tally_walk(
     3^t 2^k 1^j contains it iff its entries at sizes >= 4 are met in
     nu + mu, t >= c, k >= a and j >= b.
 
-    Every other member with entries at sizes >= 4 has them all in W. It is
-    a slot holding its number of unmet such entries, and watch[s] lists the
-    (needed multiplicity, slot, class) entries of every member that uses
-    size s, by need. The walk reports each change of a watched
-    multiplicity, so a step touches only the members at the few sizes it
-    changed, and level[class] counts the class's members whose entries >= 4
-    are all met. The members with no entry below 4 form the base class,
-    level[0], contained in the whole group; the others are classed by
-    (c, a, b), and a class is mixed when its members also have entries >= 4.
-    The walk only counts its groups by state: the rest and every level.
+    Every other member is classed by its (c, a, b): class 0, (0, 0, 0),
+    is met by the whole group. level[class] counts the class's members
+    whose entries >= 4, all in W, are met; a member with none is counted at
+    set-up, any other is a slot holding its number of unmet such entries,
+    and watch[s] lists the (needed multiplicity, slot, class) entries of
+    every member that uses size s, by need. The walk reports each change
+    of a watched multiplicity, so a step touches only the members at the
+    few sizes it changed, and counts its groups by state: the rest and
+    every level.
 
-    Per mixed levels L, series_L is the product rows times the tail rows:
-    tail row c holds, in digit r, the tails of r that meet c members of
-    the classes (`_cover`); with no coupled tail the tail rows are [1].
+    Per levels L of the classes other than 0, series_L is the product rows
+    times the tail rows: tail row c holds, in digit r, the tails of r that
+    meet c members of the classes (`_cover`); with no coupled tail the
+    tail rows are [1].
     Digit r <= n_to of series_L row h counts partitions of r, so it stays
     below 2^(b - 1): the carries of the multiply from the digits above n_to
     move only up, and are masked off. The same nu with rest r - d is a
@@ -196,8 +196,7 @@ def _tally_walk(
     watch: list[list[tuple[int, int, int]] | None] = [None] * (n_to + 1)
     unmet: list[int] = []
     level = [0]
-    mixed: dict[tuple[int, int, int], int] = {}
-    small: Counter[tuple[int, int, int]] = Counter()
+    classes: dict[tuple[int, int, int], int] = {}
     for items in patterns:
         if len(items) == 1 and items[0][0] in needs:
             size, mult = items[0]
@@ -205,14 +204,14 @@ def _tally_walk(
             continue
         need = dict(items)
         cab = (need.get(3, 0), need.get(2, 0), need.get(1, 0))
+        cls = 0 if cab == (0, 0, 0) else classes.get(cab)
+        if cls is None:
+            cls = classes[cab] = len(level)
+            level.append(0)
         big = [(size, mult) for size, mult in items if size >= 4]
         if not big:
-            small[cab] += 1
+            level[cls] += 1
             continue
-        cls = 0 if cab == (0, 0, 0) else mixed.get(cab)
-        if cls is None:
-            cls = mixed[cab] = len(level)
-            level.append(0)
         slot = len(unmet)
         unmet.append(len(big))
         for size, mult in big:
@@ -257,10 +256,10 @@ def _tally_walk(
     for levels, states in by_levels.items():
         series = rows
         if coupled:
-            classes = tuple(small.items()) + tuple(zip(mixed, levels))
+            met = tuple(zip(classes, levels))
             tail: list[int] = []
             for r in range(max(rest for rest, _, _ in states) + 1):
-                for c, tails in _cover(classes, r).items():
+                for c, tails in _cover(met, r).items():
                     tail += [0] * (c + 1 - len(tail))
                     tail[c] += tails << b * r
             series = [0] * (len(rows) + len(tail) - 1)

@@ -20,7 +20,7 @@ hypothesis checker relies on.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
@@ -456,22 +456,9 @@ def builtin_pair(
 
 
 def _require_int(value: Any, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is not int:
         raise FamilyError(f"{where}: expected an integer, got {value!r}")
     return value
-
-
-# The checks below test the exact JSON types (dict, list, int) first and fall
-# back to the general Mapping/Sequence/bool tests only when those fail, and
-# build a location string only to raise it: a pair file may hold thousands of
-# strands, and the ABC checks and strings would cost more than the JSON
-# decoding itself.
-
-
-def _is_array(value: Any) -> bool:
-    return type(value) is list or (
-        isinstance(value, Sequence) and not isinstance(value, (str, bytes))
-    )
 
 
 def _parse_strand(
@@ -484,20 +471,21 @@ def _parse_strand(
     built once. A key is made only from values that passed every check:
     True == 1 and their hashes match, so an unchecked key could stand for a
     bad strand."""
-    if type(raw) is not dict and not isinstance(raw, Mapping):
+    if type(raw) is not dict:
         raise FamilyError(f"{side} strand {i}: strand must be an object, got {type(raw).__name__}")
     if len(raw) == 1 and "explicit" in raw:
         pairs = raw["explicit"]
-        if not _is_array(pairs) or not pairs:
+        if type(pairs) is not list or not pairs:
             raise FamilyError(
                 f"{side} strand {i}: 'explicit' must be a nonempty array of [size, mult]"
             )
         elements = []
         for k, pair in enumerate(pairs):
-            if (type(pair) is not list and not isinstance(pair, Sequence)) or len(pair) != 2:
+            if type(pair) is not list or len(pair) != 2:
                 raise FamilyError(f"{side} strand {i} element {k}: expected [size, mult]")
             size = pair[0]
             mult = pair[1]
+            # Tested here too, so a location string is built only to raise it.
             if type(size) is not int:
                 _require_int(size, f"{side} strand {i} element {k} size")
             if type(mult) is not int:
@@ -512,22 +500,17 @@ def _parse_strand(
         return strand
     if len(raw) == 1 and "entries" in raw:
         entries = raw["entries"]
-        if not _is_array(entries) or not entries:
+        if type(entries) is not list or not entries:
             raise FamilyError(f"{side} strand {i}: 'entries' must be a nonempty array")
         parsed = []
         for k, entry in enumerate(entries):
-            if (
-                (type(entry) is not dict and not isinstance(entry, Mapping))
-                or len(entry) != 2
-                or "size" not in entry
-                or "mult" not in entry
-            ):
+            if type(entry) is not dict or entry.keys() != {"size", "mult"}:
                 raise FamilyError(f"{side} strand {i} entry {k}: expected keys 'size' and 'mult'")
             size = entry["size"]
             mult = entry["mult"]
-            if (type(size) is not list and not isinstance(size, Sequence)) or len(size) != 3:
+            if type(size) is not list or len(size) != 3:
                 raise FamilyError(f"{side} strand {i} entry {k}: 'size' must be [c2, c1, c0]")
-            if (type(mult) is not list and not isinstance(mult, Sequence)) or len(mult) != 2:
+            if type(mult) is not list or len(mult) != 2:
                 raise FamilyError(f"{side} strand {i} entry {k}: 'mult' must be [m1, m0]")
             for name, coeffs in (("size", size), ("mult", mult)):
                 for c in coeffs:
@@ -550,8 +533,9 @@ def _parse_strand(
     )
 
 
-def parse_family_pair(document: str | bytes | Mapping[str, Any]) -> FamilyPair:
-    """Build a validated FamilyPair from a JSON document (text or parsed).
+def parse_family_pair(document: str | bytes | dict) -> FamilyPair:
+    """Build a validated FamilyPair from a JSON document: its text, or the
+    dict that `json.loads` makes of it.
 
     Violations are reported with their strand/entry location. A template
     strand is accepted only if, for every t >= tmin, its sizes and
@@ -570,7 +554,7 @@ def parse_family_pair(document: str | bytes | Mapping[str, Any]) -> FamilyPair:
             raise FamilyError(f"invalid JSON: {exc}") from None
     else:
         data = document
-    if not isinstance(data, Mapping):
+    if type(data) is not dict:
         raise FamilyError("pair document must be a JSON object")
     unknown = set(data) - {"name", "tmin", "F", "G"}
     if unknown:
@@ -586,7 +570,7 @@ def parse_family_pair(document: str | bytes | Mapping[str, Any]) -> FamilyPair:
     built: dict[tuple, Strand] = {}
     for side in ("F", "G"):
         raw_strands = data[side]
-        if not isinstance(raw_strands, Sequence) or isinstance(raw_strands, (str, bytes)):
+        if type(raw_strands) is not list:
             raise FamilyError(f"'{side}' must be an array of strands")
         if not raw_strands:
             raise FamilyError(f"'{side}' must contain at least one strand")

@@ -95,16 +95,12 @@ def descending_part_sequences(n: int) -> Iterator[dict[int, int]]:
     {4: 1}, {3: 1, 1: 1}, {2: 2}, {2: 1, 1: 2}, {1: 4}. No size is stored
     with multiplicity 0, and the keys run in strictly decreasing order.
 
-    It is `partition_walk` with every size watched, each group expanded:
-    the walk's map of parts >= 4 with 3^t 2^k 1^(rest - 3t - 2k) added, for
-    t = rest // 3 down to 0 and, within each t, for k = (rest - 3t) // 2
-    down to 0.
+    It is `partition_walk` with every size watched, keeping the groups
+    whose rest is 0.
     """
     for counts, rest in partition_walk(n, [True] * (n + 1), lambda *change: None):
-        for threes in range(rest // 3, -1, -1):
-            for twos in range((rest - 3 * threes) // 2, -1, -1):
-                tail = {3: threes, 2: twos, 1: rest - 3 * threes - 2 * twos}
-                yield {**counts, **{s: m for s, m in tail.items() if m}}
+        if not rest:
+            yield dict(counts)
 
 
 def partition_walk(
@@ -115,18 +111,15 @@ def partition_walk(
     """Walk the partitions of n in groups, reporting the sizes it changes.
 
     ``watch[s]`` (0 <= s <= n) is a caller's bucket for size s, or None (or
-    anything falsy) when s is not watched; 1, 2 and 3 are never walked.
-    Yields ``(counts, rest)`` for every partition nu of some m <= n into
-    W, the watched sizes >= 4, in reverse lexicographic order of the part
-    sequences (a sequence before its own prefixes), with rest = n - m.
-    ``counts`` is nu as one {size: multiplicity} dict, updated in place
-    between yields, keys in decreasing order. The group of nu is nu plus
-    each partition of rest into sizes outside W; there are
-    sum_{m <= n} p_W(m) groups, p_W(m) the partitions of m into W. With
-    every size watched, the groups in order, each expanded as in
-    `descending_part_sequences`, are every partition of n in its order,
-    and there are p(n) - p(n - 2) - p(n - 3) + p(n - 5) of them, the
-    coefficient of q^n in P(q)(1 - q^2)(1 - q^3).
+    anything falsy) when s is not watched. Yields ``(counts, rest)`` for
+    every partition nu of some m <= n into W, the watched sizes, in reverse
+    lexicographic order of the part sequences (a sequence before its own
+    prefixes), with rest = n - m. ``counts`` is nu as one {size:
+    multiplicity} dict, updated in place between yields, keys in decreasing
+    order. The group of nu is nu plus each partition of rest into sizes
+    outside W; there are sum_{m <= n} p_W(m) groups, p_W(m) the partitions
+    of m into W. With every size watched, the groups whose rest is 0 are
+    every partition of n in its order.
 
     Before each yield, ``on_change(watch[s], old, new)`` is called once for
     every size s whose multiplicity in ``counts`` differs from the one at
@@ -139,9 +132,9 @@ def partition_walk(
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    # floor[v]: the largest watched size in 4..v, or 0 if there is none.
+    # floor[v]: the largest watched size in 1..v, or 0 if there is none.
     floor = [0] * (n + 1)
-    for v in range(4, n + 1):
+    for v in range(1, n + 1):
         floor[v] = v if watch[v] else floor[v - 1]
     counts: dict[int, int] = {}
     rest = n

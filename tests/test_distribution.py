@@ -615,6 +615,26 @@ class TestTailPaths:
             assert distribution_bruteforce(stat, 39).counts == expected, stat.label
         assert report_verdicts(compare(x, y, 28, 29)) == oracle_verdicts(x, y, 28, 29)
 
+    WATCH_PAIRS = PRODUCT_PAIRS + [("remmel", builtin_pair("remmel_consecutive"))]
+
+    @pytest.mark.parametrize("name,pair", WATCH_PAIRS, ids=[name for name, _ in WATCH_PAIRS])
+    def test_walk_watches_no_size_below_4(self, name, pair, monkeypatch):
+        # The walk walks every size it is given; `_tally_walk` never gives 1, 2 or 3.
+        watched = []
+        walk = distribution.partition_walk
+
+        def recorded(n, watch, on_change):
+            watched.append([s for s, bucket in enumerate(watch) if bucket])
+            return walk(n, watch, on_change)
+
+        monkeypatch.setattr(distribution, "partition_walk", recorded)
+        x, y = pair_statistics(pair)
+        compare(x, y, 1, 39)
+        assert len(watched) == 2
+        assert all(s >= 4 for sizes in watched for s in sizes), watched
+        if name == "remmel":
+            assert all(watched)
+
     def test_mod6_prose_skips_cover(self, monkeypatch):
         x, _ = pair_statistics(builtin_pair("mod6"))
         prose = FamilyStatistic(mod6_prose_family())

@@ -400,8 +400,7 @@ class TestStrandErrorTexts:
             ({"explicit": [[1, 1], {"1": 1}]}, "F strand 1 element 1: expected [size, mult]"),
             ({"explicit": [[1, 1, 1]]}, "F strand 1 element 0: expected [size, mult]"),
             ({"explicit": [[1]]}, "F strand 1 element 0: expected [size, mult]"),
-            # A two-character string is a sequence of length 2; its characters fail.
-            ({"explicit": ["ab"]}, "F strand 1 element 0 size: expected an integer, got 'a'"),
+            ({"explicit": ["ab"]}, "F strand 1 element 0: expected [size, mult]"),
             (
                 {"explicit": [[True, 1]]},
                 "F strand 1 element 0 size: expected an integer, got True",
@@ -569,32 +568,12 @@ class TestValidationErrorTexts:
 
 
 class TestNonJsonDocuments:
-    def test_read_only_mappings_and_tuples_parse_like_json(self):
-        # Neither dict nor list anywhere: every check takes its general
-        # Mapping/Sequence branch.
-        doc = {
-            "name": "mixed",
-            "tmin": 1,
-            "F": [
-                {"explicit": [[2, 1], [4, 1]]},
-                {"entries": [{"size": [0, 2, 0], "mult": [0, 1]}]},
-                {"explicit": [[2, 1], [4, 1]]},
-            ],
-            "G": [
-                {"explicit": [[1, 2], [2, 2]]},
-                {"entries": [{"size": [0, 1, 0], "mult": [0, 2]}]},
-                {"explicit": [[1, 2], [2, 2]]},
-            ],
-        }
+    """A parsed document holds only what `json.loads` makes: dict, list,
+    str, int. Other mappings and sequences are refused."""
 
-        def frozen(value):
-            if isinstance(value, dict):
-                return MappingProxyType({k: frozen(v) for k, v in value.items()})
-            if isinstance(value, list):
-                return tuple(frozen(v) for v in value)
-            return value
-
-        proxy = frozen(doc)
-        assert isinstance(proxy, MappingProxyType)
-        assert isinstance(proxy["F"], tuple) and isinstance(proxy["F"][0], MappingProxyType)
-        assert parse_family_pair(proxy) == parse_family_pair(json.dumps(doc))
+    def test_read_only_mapping_and_tuple_are_refused(self):
+        proxy = MappingProxyType(strand_doc([VALID_EXPLICIT], [VALID_EXPLICIT]))
+        with pytest.raises(FamilyError, match="pair document must be a JSON object"):
+            parse_family_pair(proxy)
+        with pytest.raises(FamilyError, match="'F' must be an array of strands"):
+            parse_family_pair(strand_doc((VALID_EXPLICIT,), [VALID_EXPLICIT]))

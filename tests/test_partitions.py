@@ -106,7 +106,6 @@ class TestEnumeration:
                 assert all(s >= 1 and m >= 1 for s, m in counts.items()), counts
 
     def test_keys_strictly_decreasing(self):
-        # Each map lists its 3s, 2s and 1s after the walk's sizes >= 4.
         for n in range(26):
             for counts in descending_part_sequences(n):
                 keys = list(counts)
@@ -152,9 +151,9 @@ class TestEnumeration:
 
 class TestWalkChanges:
     """partition_walk yields groups: the map of the parts at the watched
-    sizes >= 4 and the rest left for every other size. Before each yield it
+    sizes and the rest left for every other size. Before each yield it
     reports every size whose multiplicity changed since the previous map
-    (the empty map at first), never the sizes 1, 2 or 3."""
+    (the empty map at first), and only watched sizes."""
 
     @staticmethod
     def replay(n, watched):
@@ -166,7 +165,7 @@ class TestWalkChanges:
 
         def on_change(bucket, old, new):
             reports.append(bucket)
-            assert bucket in watched and bucket >= 4
+            assert bucket in watched
             assert shadow.get(bucket, 0) == old != new
             if new:
                 shadow[bucket] = new
@@ -176,27 +175,13 @@ class TestWalkChanges:
         watch = [s if s in watched else None for s in range(n + 1)]
         steps = []
         for counts, rest in partition_walk(n, watch, on_change):
-            assert all(4 <= s <= n and s in watched for s in counts), counts
+            assert all(1 <= s <= n and s in watched for s in counts), counts
             assert sum(s * m for s, m in counts.items()) + rest == n
             steps.append((dict(shadow), dict(counts), rest, len(reports)))
         return steps
 
-    @staticmethod
-    def expand(counts, rest):
-        """The partitions of a group in reverse-lex order: the tails of rest
-        into 3s, 2s and 1s, most 3s first and, for each number of 3s, most
-        2s first."""
-        for threes in range(rest // 3, -1, -1):
-            for twos in range((rest - 3 * threes) // 2, -1, -1):
-                partition = dict(counts)
-                for size, mult in ((3, threes), (2, twos), (1, rest - 3 * threes - 2 * twos)):
-                    if mult:
-                        partition[size] = mult
-                yield partition
-
     @pytest.mark.parametrize("n", range(21))
     def test_replay_rebuilds_every_map(self, n):
-        # Sizes 1, 2 and 3 are watched too; replay() asserts they never report.
         steps = self.replay(n, set(range(1, n + 1)))
         previous = 0
         for shadow, live, _, reported in steps:
@@ -204,33 +189,33 @@ class TestWalkChanges:
             # With every size watched: s, s - 1 and the remainder.
             assert reported - previous <= 3
             previous = reported
-        # The groups, expanded in order, are the partitions of n in order.
-        expanded = [p for _, live, rest, _ in steps for p in self.expand(live, rest)]
-        assert expanded == [dict(c) for c in descending_part_sequences(n)]
+        # The groups with rest 0, in order, are the partitions of n in order.
+        whole = [live for _, live, rest, _ in steps if not rest]
+        assert whole == [dict(Counter(parts)) for parts in partitions_recursive(n)]
 
     @given(st.integers(0, 30), st.sets(st.integers(1, 30)))
     @example(19, {4, 5, 10, 19})  # 19 is refilled as 10 + 5 + 4: four reports
     @example(30, set())
+    @example(12, {1, 2, 3})
+    @example(17, {1, 5})
     @settings(max_examples=100, deadline=None)
     def test_unwatched_sizes_never_reported(self, n, watched):
         # replay() asserts that every reported bucket and every map key is a
-        # watched size in [4, n], and that the parts and the rest sum to n.
+        # watched size in [1, n], and that the parts and the rest sum to n.
         steps = self.replay(n, watched)
         for shadow, live, _, _ in steps:
             assert shadow == live
-        # One group per partition of each m <= n into the watched sizes >= 4.
-        walked = [s for s in watched if s >= 4]
-        assert len(steps) == sum(partition_counts_into(walked, n))
+        # One group per partition of each m <= n into the watched sizes.
+        assert len(steps) == sum(partition_counts_into(watched, n))
         # Strictly reverse-lexicographic: a sequence before its own prefixes.
         seqs = [part_sequence(live) for _, live, _, _ in steps]
         assert all(a > b for a, b in zip(seqs, seqs[1:]))
 
     @pytest.mark.parametrize("n", range(41))
     def test_group_count(self, n):
-        # Every size watched: the coefficient of q^n in P(q)(1 - q^2)(1 - q^3).
+        # Every size watched: one group per partition of each m <= n.
         groups = sum(1 for _ in partition_walk(n, [True] * (n + 1), lambda *change: None))
-        p = count_partitions_dp
-        assert groups == p(n) - p(n - 2) - p(n - 3) + p(n - 5)
+        assert groups == sum(count_partitions_dp(m) for m in range(n + 1))
 
 
 class TestCountPartitions:
