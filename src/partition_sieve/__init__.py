@@ -1,8 +1,8 @@
 """Exact-arithmetic verification of identically distributed partition statistics.
 
-Distributions Prob_n(X = j) are computed two independent ways -- brute-force
-enumeration of all partitions of n, and an inclusion-exclusion sieve over
-multiset-family indices -- and compared exactly. Mechanical checkers certify
+Distributions Prob_n(X = j) are computed two independent ways -- brute force
+over all partitions of n as a transfer DP over the part sizes, and an
+inclusion-exclusion sieve over multiset-family indices -- and compared exactly. Mechanical checkers certify
 the two sufficient hypotheses (pairwise-disjoint weight-matched families;
 equal union weights for every index set) on finite truncations.
 """

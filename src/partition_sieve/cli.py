@@ -73,8 +73,8 @@ def _over_partition_cap(n: int) -> bool:
 
 
 def _exit_over_partition_cap(n: int) -> None:
-    """Exit 3 with one stderr line, before any enumeration, if p(n) is over
-    the partition cap."""
+    """Exit 3 with one stderr line, before brute force starts, if p(n) is
+    over the partition cap."""
     if _over_partition_cap(n):
         click.echo(
             f"partition cap exceeded: p({n}) is over {DEFAULT_PARTITION_CAP}", file=sys.stderr

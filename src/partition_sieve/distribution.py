@@ -1,7 +1,8 @@
 """Exact distribution tables for partition statistics, and pairwise
 identical-distribution verification over a range of n.
 
-A table holds the numerators |{pi in P(n) : X(pi) = j}|. Comparison
+A table holds the numerators |{pi in P(n) : X(pi) = j}|, counted by a
+transfer DP over the part sizes, not partition by partition. Comparison
 verdicts are computed from exact counts only, never from floating point.
 """
 
@@ -9,10 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .partitions import count_partitions, partition_walk
+from .partitions import count_partitions
 from .statistics import FamilyStatistic
 
 __all__ = [
@@ -63,27 +63,17 @@ class DistributionTable:
         return f"DistributionTable(n={self.n}, counts={{{body}}}, total={self.total})"
 
 
-def _cover(classes: Iterable[tuple[tuple[int, int, int], int]], rest: int) -> Counter[int]:
-    """How many tails 3^t 2^k 1^(rest - 3t - 2k) of rest contain each number
-    of members of the given classes: {hits: tails}. A class is the (c, a, b)
-    that its members need at sizes 3, 2 and 1, given with its number of
-    members; a tail contains them iff t >= c, k >= a and rest - 3t - 2k >= b,
-    so for each t >= c for k in [a, (rest - 3t - b) // 2]. Only a tail that
-    some member with two or more entries couples to the others needs this;
-    `_tally_walk` counts any other tail in the product of `_hit_rows`.
+def _stride_sums(row: int, stride: int, mask: int) -> int:
+    """Digit u of the result sums the row's digits u - ks, k >= 0, for
+    stride = b s, to the digits of mask: each pass doubles the k summed.
+    It never falls along stride s, so (sums << b s a) - (sums << b s c),
+    the k in [a, c), never borrows.
     """
-    hits: list[int] = []
-    for t in range(rest // 3 + 1):
-        left = rest - 3 * t
-        top = left >> 1
-        diff = [0] * (top + 2)
-        for (c, a, b), mult in classes:
-            hi = (left - b) >> 1
-            if c <= t and a <= hi:
-                diff[a] += mult
-                diff[hi + 1] -= mult
-        hits += accumulate(diff[: top + 1])
-    return Counter(hits)
+    width = mask.bit_length()
+    while stride < width:
+        row += row << stride & mask
+        stride <<= 1
+    return row
 
 
 def _hit_rows(needs: Mapping[int, Sequence[int]], n: int) -> tuple[int, list[int]]:
@@ -92,29 +82,16 @@ def _hit_rows(needs: Mapping[int, Sequence[int]], n: int) -> tuple[int, list[int
     h holds the coefficient of q^u y^h in digit u of base 2^b, for u <= n.
 
     A coefficient counts partitions of u, so it is at most p(u) <= p(n) <
-    2^(b - 1) and no carry reaches a digit <= n. Per size s, pre sums the
-    row along stride s (digit u of pre is the sum of the row's digits
-    u - ks, k >= 0); the k in [a, c), a range with the same number of
-    needs <= k, give (pre << b s a) - (pre << b s c). pre never falls along
-    stride s, so that difference never borrows.
+    2^(b - 1) and no carry reaches a digit <= n. The k in a range with the
+    same number of needs <= k are one difference of `_stride_sums`.
     """
     b = count_partitions(n).bit_length() + 1
-    top = b * n
-    mask = (1 << top + b) - 1
-
-    def stride_sums(row: int, s: int) -> int:
-        # Each pass doubles the number of k summed.
-        shift = b * s
-        while shift <= top:
-            row += row << shift & mask
-            shift <<= 1
-        return row
-
+    mask = (1 << b * (n + 1)) - 1
     # The sizes that no member needs first, while there is one row.
     row = 1
     for s, mults in needs.items():
         if not mults:
-            row = stride_sums(row, s)
+            row = _stride_sums(row, b * s, mask)
     rows = [row]
     for s, mults in needs.items():
         if not mults:
@@ -125,7 +102,7 @@ def _hit_rows(needs: Mapping[int, Sequence[int]], n: int) -> tuple[int, list[int
         for h, row in enumerate(rows):
             if not row:
                 continue
-            pre = stride_sums(row, s)
+            pre = _stride_sums(row, stride, mask)
             low = pre
             for m in mults:
                 high = pre << stride * m & mask
@@ -139,152 +116,110 @@ def _hit_rows(needs: Mapping[int, Sequence[int]], n: int) -> tuple[int, list[int
     return b, rows
 
 
-def _tally_walk(
+def _sweep(
+    patterns: Sequence[tuple[tuple[int, int], ...]], n: int
+) -> Iterator[tuple[int, dict[frozenset[int], dict[int, int]]]]:
+    """The transfer DP over the part sizes (Stanley, EC I 4.7) for the
+    members with these (size, multiplicity) patterns: yields (b, states) at
+    the start and after each size it sweeps, rows packed as in `_hit_rows`.
+
+    The factors 1/(1 - q^s) of P(q) commute. W holds the sizes that members
+    with two or more entries use, and identical such members are one class.
+    The start is one state, no class pending, whose rows are `_hit_rows`
+    over the sizes outside W; then W is swept in increasing order. A state
+    is the set of pending classes (first size swept, last not, every swept
+    entry met) and maps each number of hits h to a row whose digit u counts
+    partitions of u into the swept sizes.
+
+    At size s the needs there of the one-entry members, of the classes that
+    start at s and of the pending ones cut k into ranges, and each range
+    sends the state to one next state with the same added hits; a class
+    hits at its last size. A class whose unswept entries weigh more than n
+    minus the lowest nonzero digit of its state is met at no u <= n, so it
+    leaves the pending set, and equal states merge. No row is zero.
+    """
+    classes = Counter(items for items in patterns if len(items) > 1)
+    swept = sorted({s for items in classes for s, _ in items})
+    needs: dict[int, list[int]] = {s: [] for s in range(1, n + 1)}
+    for items in patterns:
+        if len(items) == 1:
+            size, mult = items[0]
+            needs[size].append(mult)
+    ones = {s: needs.pop(s) for s in swept}
+    b, rows = _hit_rows(needs, n)
+    mask = (1 << b * (n + 1)) - 1
+    # at[s]: (need at s, class, whether it starts at s, its copies if it
+    # ends at s, else 0) per class entry at s; left[c]: c's unswept weight.
+    at: dict[int, list[tuple[int, int, bool, int]]] = {s: [] for s in swept}
+    left = []
+    for c, (items, copies) in enumerate(classes.items()):
+        for i, (size, mult) in enumerate(items):
+            at[size].append((mult, c, i == 0, copies if i == len(items) - 1 else 0))
+        left.append(sum(size * mult for size, mult in items))
+    states = {frozenset(): {h: row for h, row in enumerate(rows) if row}}
+    yield b, states
+    for s in swept:
+        for mult, c, _, _ in at[s]:
+            left[c] -= s * mult
+        stepped: dict[frozenset[int], dict[int, int]] = {}
+        for pending, hit_rows in states.items():
+            met = [(m, c, hit) for m, c, first, hit in at[s] if first or c in pending]
+            cuts = sorted({*ones[s], *(m for m, _, _ in met)})
+            stay = pending.difference(c for _, c, _ in met)
+            targets = []
+            for k in (0, *cuts):
+                target = stay.union(c for m, c, hit in met if m <= k and not hit)
+                hits = sum(m <= k for m in ones[s]) + sum(hit for m, _, hit in met if m <= k)
+                targets.append((target, hits))
+            for h, row in hit_rows.items():
+                pre = _stride_sums(row, b * s, mask)
+                highs = [pre << b * s * k & mask for k in (0, *cuts)] + [0]
+                for (target, hits), low, high in zip(targets, highs, highs[1:]):
+                    if piece := low - high:
+                        into = stepped.setdefault(target, {})
+                        into[h + hits] = into.get(h + hits, 0) + piece
+        states = {}
+        for pending, hit_rows in stepped.items():
+            lowest = min((row & -row).bit_length() - 1 for row in hit_rows.values()) // b
+            pending = frozenset(c for c in pending if left[c] <= n - lowest)
+            into = states.setdefault(pending, {})
+            for h, row in hit_rows.items():
+                into[h] = into.get(h, 0) + row
+        yield b, states
+
+
+def _tally_sweep(
     patterns: Sequence[tuple[tuple[int, int], ...]], n_from: int, n_to: int
 ) -> list[dict[int, int]]:
     """Tally the statistic that counts the members with these (size,
-    multiplicity) patterns at every n in [n_from, n_to], over one walk of
-    the partitions of n_to: one {j: count} per n, in order.
+    multiplicity) patterns at every n in [n_from, n_to], over one `_sweep`
+    to n_to: one {j: count} per n, in order.
 
-    No member is checked per partition. W is the set of sizes >= 4 that
-    some member with two or more entries uses, and only W is watched, so
-    `partition_walk` yields groups: a map nu of the parts at those sizes
-    and a rest r, standing for the partitions nu + mu of n_to, mu a
-    partition of r into the sizes outside W. A member with one entry, at a
-    size s outside W, is met iff mu holds at least its need at s, so it
-    only adds a hit to the mu that do. Per size s, h_s(k) counts those
-    members at s that need at most k, and the mu of u that meet h of them
-    are counted by the coefficient of q^u y^h in the product over the
-    sizes s outside W of sum_k q^(sk) y^(h_s(k)) (`_hit_rows`).
-
-    The tail at sizes 3, 2 and 1 is coupled when some member with two or
-    more entries uses one of them. Then the product runs over the sizes
-    >= 4 outside W only, and each member (see
-    `MultisetFamily.member_patterns`) with an entry below 4 needs some
-    (c, a, b) at sizes 3, 2 and 1 (0 where it has no entry); nu + mu +
-    3^t 2^k 1^j contains it iff its entries at sizes >= 4 are met in
-    nu + mu, t >= c, k >= a and j >= b.
-
-    Every other member is classed by its (c, a, b): class 0, (0, 0, 0),
-    is met by the whole group. level[class] counts the class's members
-    whose entries >= 4, all in W, are met; a member with none is counted at
-    set-up, any other is a slot holding its number of unmet such entries,
-    and watch[s] lists the (needed multiplicity, slot, class) entries of
-    every member that uses size s, by need. The walk reports each change
-    of a watched multiplicity, so a step touches only the members at the
-    few sizes it changed, and counts its groups by state: the rest and
-    every level.
-
-    Per levels L of the classes other than 0, series_L is the product rows
-    times the tail rows: tail row c holds, in digit r, the tails of r that
-    meet c members of the classes (`_cover`); with no coupled tail the
-    tail rows are [1].
-    Digit r <= n_to of series_L row h counts partitions of r, so it stays
-    below 2^(b - 1): the carries of the multiply from the digits above n_to
-    move only up, and are masked off. The same nu with rest r - d is a
-    group of n_to - d, so a state (rest r, base, L) adds, at each n with
-    r - (n_to - n) >= 0, its groups times digit r - (n_to - n) of series_L
-    row h to the count of base + h. The members are those of n_to for
-    every n: a member heavier than n is never met at n.
+    After the last size every class has met its last size, so one state is
+    left, with no pending class; digit n of its row h counts the
+    partitions of n with h hits. The members are those of n_to for every
+    n: a member heavier than n is never met at n.
     """
-    walked_sizes = {s for items in patterns if len(items) > 1 for s, _ in items if s >= 4}
-    coupled = any(len(items) > 1 and items[0][0] <= 3 for items in patterns)
-    # needs[s]: what each one-entry member at the unwalked size s needs.
-    needs: dict[int, list[int]] = {
-        s: [] for s in range(4 if coupled else 1, n_to + 1) if s not in walked_sizes
-    }
-    watch: list[list[tuple[int, int, int]] | None] = [None] * (n_to + 1)
-    unmet: list[int] = []
-    level = [0]
-    classes: dict[tuple[int, int, int], int] = {}
-    for items in patterns:
-        if len(items) == 1 and items[0][0] in needs:
-            size, mult = items[0]
-            needs[size].append(mult)
-            continue
-        need = dict(items)
-        cab = (need.get(3, 0), need.get(2, 0), need.get(1, 0))
-        cls = 0 if cab == (0, 0, 0) else classes.get(cab)
-        if cls is None:
-            cls = classes[cab] = len(level)
-            level.append(0)
-        big = [(size, mult) for size, mult in items if size >= 4]
-        if not big:
-            level[cls] += 1
-            continue
-        slot = len(unmet)
-        unmet.append(len(big))
-        for size, mult in big:
-            bucket = watch[size]
-            if bucket is None:
-                bucket = watch[size] = []
-            bucket.append((mult, slot, cls))
-    for bucket in watch:
-        if bucket:
-            bucket.sort()
-
-    def on_change(bucket, old, new):
-        if old < new:
-            for need, slot, cls in bucket:
-                if need > new:
-                    break
-                if need > old:
-                    unmet[slot] -= 1
-                    if not unmet[slot]:
-                        level[cls] += 1
-        else:
-            for need, slot, cls in bucket:
-                if need > old:
-                    break
-                if need > new:
-                    if not unmet[slot]:
-                        level[cls] -= 1
-                    unmet[slot] += 1
-
-    walked: Counter[tuple[int, ...]] = Counter()
-    for _, rest in partition_walk(n_to, watch, on_change):
-        walked[(rest, *level)] += 1
-    b, rows = _hit_rows(needs, n_to)
-    by_levels: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
-    for (rest, base, *levels), groups in walked.items():
-        by_levels.setdefault(tuple(levels), []).append((rest, base, groups))
-
+    for b, states in _sweep(patterns, n_to):
+        pass
+    (hit_rows,) = states.values()
     digit = (1 << b) - 1
-    mask = (1 << b * (n_to + 1)) - 1
     # At most every member is contained at once.
     tallies = [[0] * (len(patterns) + 1) for _ in range(n_from, n_to + 1)]
-    for levels, states in by_levels.items():
-        series = rows
-        if coupled:
-            met = tuple(zip(classes, levels))
-            tail: list[int] = []
-            for r in range(max(rest for rest, _, _ in states) + 1):
-                for c, tails in _cover(met, r).items():
-                    tail += [0] * (c + 1 - len(tail))
-                    tail[c] += tails << b * r
-            series = [0] * (len(rows) + len(tail) - 1)
-            for h, row in enumerate(rows):
-                for hc, tail_row in enumerate(tail, h):
-                    series[hc] += row * tail_row
-            series = [row & mask for row in series]
-        for rest, base, groups in states:
-            # At n, the rest is rest - (n_to - n): read where it is >= 0.
-            first = rest - (n_to - n_from)
-            reads = list(zip(tallies[max(0, -first) :], range(b * max(0, first), b * rest + 1, b)))
-            for h, row in enumerate(series, base):
-                for tally, shift in reads:
-                    tally[h] += groups * (row >> shift & digit)
+    for h, row in hit_rows.items():
+        for tally, n in zip(tallies, range(n_from, n_to + 1)):
+            tally[h] += row >> b * n & digit
     return [{j: c for j, c in enumerate(tally) if c} for tally in tallies]
 
 
 def distribution_bruteforce(stat: FamilyStatistic, n: int) -> DistributionTable:
-    """Tally the statistic over every partition of n: one walk of the
-    partitions into the sizes that members with two or more entries use,
-    and every other size counted in closed form (`_tally_walk`).
+    """Tally the statistic over every partition of n: the sizes that only
+    one-entry members use in closed form, the others by the transfer DP
+    (`_tally_sweep`).
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    (tally,) = _tally_walk(stat.family.member_patterns(n), n, n)
+    (tally,) = _tally_sweep(stat.family.member_patterns(n), n, n)
     return DistributionTable(n, tally)
 
 
@@ -330,16 +265,16 @@ def compare(
 ) -> ComparisonReport:
     """Check Prob_n(X=j) = Prob_n(Y=j) for every n in [n_from, n_to].
 
-    Each side is tallied at every n of the range over its own walk of
-    P(n_to), as in `distribution_bruteforce`, so equal count maps mean
+    Each side is tallied at every n of the range by its own sweep to n_to,
+    as in `distribution_bruteforce`, so equal count maps mean
     equal distributions exactly. A divergent verdict carries the smallest j
     whose counts differ.
     """
     if not 0 <= n_from <= n_to:
         raise ValueError(f"need 0 <= n_from <= n_to, got [{n_from}, {n_to}]")
     verdicts = []
-    tally_x = _tally_walk(stat_x.family.member_patterns(n_to), n_from, n_to)
-    tally_y = _tally_walk(stat_y.family.member_patterns(n_to), n_from, n_to)
+    tally_x = _tally_sweep(stat_x.family.member_patterns(n_to), n_from, n_to)
+    tally_y = _tally_sweep(stat_y.family.member_patterns(n_to), n_from, n_to)
     for n, tx, ty in zip(range(n_from, n_to + 1), tally_x, tally_y):
         diff = first_count_difference(tx, ty)
         if diff is None:

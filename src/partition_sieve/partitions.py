@@ -7,7 +7,7 @@ point anywhere in a counting path. Multisets are immutable value objects.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping
 
 __all__ = [
     "Multiset",
@@ -95,57 +95,17 @@ def descending_part_sequences(n: int) -> Iterator[dict[int, int]]:
     {4: 1}, {3: 1, 1: 1}, {2: 2}, {2: 1, 1: 2}, {1: 4}. No size is stored
     with multiplicity 0, and the keys run in strictly decreasing order.
 
-    It is `partition_walk` with every size watched, keeping the groups
-    whose rest is 0.
-    """
-    for counts, rest in partition_walk(n, [True] * (n + 1), lambda *change: None):
-        if not rest:
-            yield dict(counts)
-
-
-def partition_walk(
-    n: int,
-    watch: Sequence[object],
-    on_change: Callable[[object, int, int], object],
-) -> Iterator[tuple[dict[int, int], int]]:
-    """Walk the partitions of n in groups, reporting the sizes it changes.
-
-    ``watch[s]`` (0 <= s <= n) is a caller's bucket for size s, or None (or
-    anything falsy) when s is not watched. Yields ``(counts, rest)`` for
-    every partition nu of some m <= n into W, the watched sizes, in reverse
-    lexicographic order of the part sequences (a sequence before its own
-    prefixes), with rest = n - m. ``counts`` is nu as one {size:
-    multiplicity} dict, updated in place between yields, keys in decreasing
-    order. The group of nu is nu plus each partition of rest into sizes
-    outside W; there are sum_{m <= n} p_W(m) groups, p_W(m) the partitions
-    of m into W. With every size watched, the groups whose rest is 0 are
-    every partition of n in its order.
-
-    Before each yield, ``on_change(watch[s], old, new)`` is called once for
-    every size s whose multiplicity in ``counts`` differs from the one at
-    the previous yield, the empty map before the first; replaying these
-    changes on an empty dict therefore rebuilds ``counts``. A step pops one
-    part of the smallest size s into rest, then refills rest greedily from
-    the largest size of W below s. It reports s and every size it refills:
-    at most three (s, s - 1 and the remainder) with every size watched,
-    more where gaps in W leave remainders that smaller sizes of W fit.
+    One map is updated in place and copied at each yield. A step drops the
+    1s, takes one part of the smallest size s left, and refills s plus the
+    1s greedily with parts of size s - 1 and one remainder part, so it
+    changes at most four sizes, all at most s.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    # floor[v]: the largest watched size in 1..v, or 0 if there is none.
-    floor = [0] * (n + 1)
-    for v in range(1, n + 1):
-        floor[v] = v if watch[v] else floor[v - 1]
-    counts: dict[int, int] = {}
-    rest = n
-    t = floor[n]
+    counts = {n: 1} if n else {}
     while True:
-        while t:
-            q, rest = divmod(rest, t)
-            counts[t] = q
-            on_change(watch[t], 0, q)
-            t = floor[rest]
-        yield counts, rest
+        yield dict(counts)
+        ones = counts.pop(1, 0)
         if not counts:
             return
         # Every size is inserted below all sizes already present, so the
@@ -153,9 +113,10 @@ def partition_walk(
         s, m = counts.popitem()
         if m > 1:
             counts[s] = m - 1
-        on_change(watch[s], m, m - 1)
-        rest += s
-        t = floor[s - 1]
+        q, r = divmod(s + ones, s - 1)
+        counts[s - 1] = q
+        if r:
+            counts[r] = 1
 
 
 # Memo for count_partitions: append-only, p(0) .. p(len - 1).

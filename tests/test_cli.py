@@ -175,16 +175,16 @@ class TestSieve:
 
 
 class TestPartitionCap:
-    """p(n) is known before any walk: dist and compare exit 3 over the cap
-    with one stderr line, and sieve keeps its exact table but skips the
-    brute-force crosscheck."""
+    """p(n) is known before brute force starts: dist and compare exit 3
+    over the cap with one stderr line, and sieve keeps its exact table but
+    skips the brute-force crosscheck."""
 
     P100 = "partition cap exceeded: p(100) is over 100000000\n"
     SKIPPED = "crosscheck: skipped: p(n) is over 100000000"
 
     @pytest.fixture
     def no_walk(self, monkeypatch):
-        monkeypatch.setattr(distribution, "partition_walk", _boom)
+        monkeypatch.setattr(distribution, "_tally_sweep", _boom)
 
     @pytest.mark.parametrize(
         "args",

@@ -28,7 +28,7 @@ from partition_sieve.cli import main as cli_main
 from partition_sieve.distribution import first_count_difference
 from partition_sieve.families import mod6_prose_family
 
-from oracles import native, partition_counts_into, tally_distribution
+from oracles import native, tally_distribution
 
 # Brute force and compare are pinned against the recursive enumerator up to here.
 N_ORACLE = 22
@@ -57,10 +57,10 @@ def oracle_tallies(stat_x, stat_y, n_from, n_to):
     ]
 
 
-def walk_tallies(stat_x, stat_y, n_from, n_to):
-    """[X tally, Y tally] per n, each side from its own `_tally_walk`."""
+def sweep_tallies(stat_x, stat_y, n_from, n_to):
+    """[X tally, Y tally] per n, each side from its own `_tally_sweep`."""
     sides = [
-        distribution._tally_walk(stat.family.member_patterns(n_to), n_from, n_to)
+        distribution._tally_sweep(stat.family.member_patterns(n_to), n_from, n_to)
         for stat in (stat_x, stat_y)
     ]
     return [list(pair) for pair in zip(*sides)]
@@ -137,7 +137,7 @@ def tail_families(draw):
 def sparse_families(draw):
     """Explicit members whose entries >= 4 lie on the far-apart sizes 4, 7,
     11, 16 and 22, with optional needs at 1, 2 and 3, often repeated: the
-    walk skips every other size >= 4."""
+    sweep skips every other size >= 4."""
     small = st.dictionaries(st.sampled_from([1, 2, 3]), st.integers(1, 3), max_size=2)
     big = st.dictionaries(st.sampled_from([4, 7, 11, 16, 22]), st.integers(1, 2), max_size=2)
     member = st.tuples(small, big).filter(any).map(lambda sb: {**sb[0], **sb[1]})
@@ -160,7 +160,7 @@ def one_size_families(draw):
 @st.composite
 def mixed_families(draw):
     """One-entry members at sizes 4-9 next to members with two or three
-    entries at sizes 1-9, so a one-entry member often shares a walked size."""
+    entries at sizes 1-9, so a one-entry member often shares a swept size."""
     one = st.tuples(st.integers(4, 9), st.integers(1, 3)).map(lambda sm: {sm[0]: sm[1]})
     many = st.dictionaries(st.integers(1, 9), st.integers(1, 2), min_size=2, max_size=3)
     members = draw(st.lists(st.one_of(one, many), min_size=1, max_size=6))
@@ -188,44 +188,44 @@ def product_families(draw, walked=False, coupled=False):
 
 
 @st.composite
-def tally_ranges(draw):
-    """(n_from, n_to), n_to often 0 or 1 and n_from often 0."""
-    n_to = draw(st.one_of(st.integers(0, 1), st.integers(0, 20)))
+def tally_ranges(draw, top=20):
+    """(n_from, n_to), n_to <= top, often 0 or 1, and n_from often 0."""
+    n_to = draw(st.one_of(st.integers(0, 1), st.integers(0, top)))
     return draw(st.one_of(st.just(0), st.integers(0, n_to))), n_to
 
 
-@contextmanager
-def counting_walks():
-    """Record every walk made inside the block as [n, groups yielded]."""
-    walks = []
-    walk = distribution.partition_walk
-
-    def counted(n, watch, on_change):
-        walks.append([n, 0])
-        for group in walk(n, watch, on_change):
-            walks[-1][1] += 1
-            yield group
-
-    with patch.object(distribution, "partition_walk", counted):
-        yield walks
+@st.composite
+def sweep_families(draw):
+    """1-8 explicit members with 1-3 entries at sizes 1-12, drawn often from
+    a few shared sizes, so one-entry and multi-entry members meet there."""
+    shared = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True))
+    size = st.one_of(st.sampled_from(shared), st.integers(1, 12))
+    member = st.dictionaries(size, st.integers(1, 3), min_size=1, max_size=3)
+    return explicit_family(*draw(st.lists(member, min_size=1, max_size=8)))
 
 
 @contextmanager
-def counting_covers():
-    """Record the rest of every `_cover` call made inside the block."""
-    rests = []
-    cover = distribution._cover
+def counting_sweeps():
+    """Record every sweep made inside the block as [n, sizes swept, peak
+    states], the states counted at the start and after each size."""
+    sweeps = []
+    sweep = distribution._sweep
 
-    def counted(classes, rest):
-        rests.append(rest)
-        return cover(classes, rest)
+    def counted(patterns, n):
+        sweeps.append([n, -1, 0])
+        for b, states in sweep(patterns, n):
+            sweeps[-1][1] += 1
+            sweeps[-1][2] = max(sweeps[-1][2], len(states))
+            yield b, states
 
-    with patch.object(distribution, "_cover", counted):
-        yield rests
+    with patch.object(distribution, "_sweep", counted):
+        yield sweeps
 
 
-def refuse_cover(classes, rest):
-    raise AssertionError("the tail went to _cover")
+def straddling_family(h, n):
+    """The members {i: 1, h + i: 1} of weight <= n: each one is pending at
+    every swept size from i to h + i."""
+    return explicit_family(*({i: 1, h + i: 1} for i in range(1, (n - h) // 2 + 1)))
 
 
 def explicit_family(*members):
@@ -307,7 +307,7 @@ class TestBruteForce:
 
 
 class TestIncrementalTally:
-    """Family sides are tallied from hit counts the walk keeps up to date; the
+    """Family sides are tallied from the hit counts the sweep carries; the
     per-map rule over the recursive enumerator is the oracle."""
 
     DUPLICATES = MultisetFamily("dup", (Strand(explicit=Multiset({1: 1})),) * 20)
@@ -328,7 +328,7 @@ class TestIncrementalTally:
     @settings(max_examples=150, deadline=None)
     def test_compare_matches_oracle(self, family_x, family_y, n):
         x, y = FamilyStatistic(family_x), FamilyStatistic(family_y)
-        tallies = walk_tallies(x, y, n, n)
+        tallies = sweep_tallies(x, y, n, n)
         assert tallies == oracle_tallies(x, y, n, n)
         assert report_verdicts(compare(x, y, n, n)) == oracle_verdicts(x, y, n, n, tallies)
 
@@ -340,7 +340,7 @@ class TestIncrementalTally:
     @settings(max_examples=150, deadline=None)
     def test_closed_form_tail_matches_oracle(self, family_x, family_y, n):
         x, y = FamilyStatistic(family_x), FamilyStatistic(family_y)
-        assert walk_tallies(x, y, n, n) == oracle_tallies(x, y, n, n)
+        assert sweep_tallies(x, y, n, n) == oracle_tallies(x, y, n, n)
 
     @given(tail_families(), tail_families(), st.integers(0, 22), st.integers(0, 22))
     # remmel's mixed members: {3: 2, 4: 2} weighs 14, inside the range.
@@ -348,54 +348,53 @@ class TestIncrementalTally:
     @example(explicit_family({3: 2, 4: 2}, {1: 1}), explicit_family({2: 1, 4: 1}, {3: 3}), 9, 16)
     @settings(max_examples=60, deadline=None)
     def test_range_matches_per_n_oracle(self, family_x, family_y, a, b):
-        # One walk of n_to tallies every n of the range with n_to's members.
+        # One sweep to n_to tallies every n of the range with n_to's members.
         n_from, n_to = sorted((a, b))
         x, y = FamilyStatistic(family_x), FamilyStatistic(family_y)
         expected = oracle_tallies(x, y, n_from, n_to)
-        assert walk_tallies(x, y, n_from, n_to) == expected
+        assert sweep_tallies(x, y, n_from, n_to) == expected
         report = compare(x, y, n_from, n_to)
         assert report_verdicts(report) == oracle_verdicts(x, y, n_from, n_to, expected)
 
     @given(sparse_families(), sparse_families(), st.integers(0, 26), st.integers(0, 26))
     @example(explicit_family({23: 1}, {1: 2}), explicit_family({2: 1, 4: 1}), 20, 26)
-    # Sizes <= 3 only: one group, the empty map with rest n_to.
+    # Sizes <= 3 only.
     @example(explicit_family({1: 2}, {2: 1, 3: 1}), explicit_family({3: 2}), 0, 26)
     @example(TOO_HEAVY, explicit_family({4: 1, 7: 1}), 10, 16)
     @settings(max_examples=60, deadline=None)
     def test_unwatched_sizes_match_oracle(self, family_x, family_y, a, b):
-        # The sizes >= 4 that no member with two or more entries uses are
-        # counted in closed form.
+        # The sizes that no member with two or more entries uses are counted
+        # in closed form.
         n_from, n_to = sorted((a, b))
         x, y = FamilyStatistic(family_x), FamilyStatistic(family_y)
-        with counting_walks() as walks:
-            tallies = walk_tallies(x, y, n_from, n_to)
+        with counting_sweeps() as sweeps:
+            tallies = sweep_tallies(x, y, n_from, n_to)
         expected = oracle_tallies(x, y, n_from, n_to)
         assert tallies == expected
         report = compare(x, y, n_from, n_to)
         assert report_verdicts(report) == oracle_verdicts(x, y, n_from, n_to, expected)
-        # Per side, one group per partition of each m <= n_to into the sizes
-        # >= 4 that side's members with two or more entries use.
-        groups = []
+        # Per side, one step per size that its members with two or more
+        # entries use.
+        steps = []
         for stat in (x, y):
             patterns = stat.family.member_patterns(n_to)
-            used = {s for items in patterns if len(items) > 1 for s, _ in items if s >= 4}
-            groups.append([n_to, sum(partition_counts_into(sorted(used), n_to))])
-        assert walks == groups
+            steps.append(len({s for items in patterns if len(items) > 1 for s, _ in items}))
+        assert [swept for _, swept, _ in sweeps] == steps
 
     @given(one_size_families(), st.integers(0, 20))
     @example(explicit_family({5: 1}, {5: 1}, {5: 3}, {4: 2}), 20)  # equal needs at 5
     @example(explicit_family({12: 3}, {6: 4}, {4: 1}), 16)  # members heavier than n
     @settings(max_examples=150, deadline=None)
     def test_one_size_members_match_oracle(self, family, n):
-        # Every size >= 4 is counted by the product, so nothing is walked.
+        # Every size is counted by the product, so nothing is swept.
         stat = FamilyStatistic(family)
-        with counting_walks() as walks:
+        with counting_sweeps() as sweeps:
             table = distribution_bruteforce(stat, n)
         assert table.counts == tally_distribution(stat.counts_evaluator(n), n)
-        assert walks == [[n, 1]]
+        assert sweeps == [[n, 0, 1]]
 
     @given(mixed_families(), st.integers(0, 18), st.integers(0, 18))
-    # {4: 2} is walked with {4: 1, 2: 1}; {5: 1} and {5: 2} are not.
+    # {4: 2} is swept with {4: 1, 2: 1}; {5: 1} and {5: 2} are not.
     @example(explicit_family({4: 2}, {4: 1, 2: 1}, {5: 1}, {5: 2}), 0, 18)
     @settings(max_examples=100, deadline=None)
     def test_mixed_families_match_oracle(self, family, a, b):
@@ -403,11 +402,11 @@ class TestIncrementalTally:
         stat = FamilyStatistic(family)
         expected = [tally_distribution(stat.counts_evaluator(n), n) for n in range(n_from, n_to + 1)]
         patterns = stat.family.member_patterns(n_to)
-        assert distribution._tally_walk(patterns, n_from, n_to) == expected
+        assert distribution._tally_sweep(patterns, n_from, n_to) == expected
         assert distribution_bruteforce(stat, n_to).counts == expected[-1]
 
     @given(one_size_families(), mixed_families(), st.integers(0, 18), st.integers(0, 18))
-    # 4 is one-size for X, walked for Y; 5 the other way round.
+    # 4 is one-size for X, swept for Y; 5 the other way round.
     @example(
         explicit_family({4: 1}, {4: 2}, {5: 1, 6: 1}),
         explicit_family({4: 1, 6: 1}, {5: 1}, {5: 2}),
@@ -419,28 +418,37 @@ class TestIncrementalTally:
         n_from, n_to = sorted((a, b))
         x, y = FamilyStatistic(family_x), FamilyStatistic(family_y)
         expected = oracle_tallies(x, y, n_from, n_to)
-        assert walk_tallies(x, y, n_from, n_to) == expected
+        assert sweep_tallies(x, y, n_from, n_to) == expected
         report = compare(x, y, n_from, n_to)
         assert report_verdicts(report) == oracle_verdicts(x, y, n_from, n_to, expected)
 
-    def test_copies_share_one_class(self, monkeypatch):
+    def test_copies_share_one_class(self):
         # 1,500 copies of {1: 1}, as in the overlap workload's R1500 file,
-        # and one mixed member (entries at 2 and at 4, the walk's smallest
-        # size): a closed-form cover sees at most two classes.
-        family = explicit_family(*[{1: 1}] * 1500, {2: 1, 4: 1})
-        classes = []
-        cover = distribution._cover
-
-        def counted(pairs, rest):
-            pairs = list(pairs)
-            classes.append(len(pairs))
-            return cover(pairs, rest)
-
-        monkeypatch.setattr(distribution, "_cover", counted)
+        # and 300 of the mixed member {2: 1, 4: 1}: the copies are one class,
+        # pending together, so the sweep steps at 2 and 4 with two states.
+        family = explicit_family(*[{1: 1}] * 1500, *[{2: 1, 4: 1}] * 300)
         stat = FamilyStatistic(family)
-        table = distribution_bruteforce(stat, 20)
-        assert max(classes) == 2
+        with counting_sweeps() as sweeps:
+            table = distribution_bruteforce(stat, 20)
+        assert sweeps == [[20, 2, 2]]
         assert table.counts == tally_distribution(stat.counts_evaluator(20), 20)
+
+    @given(sweep_families(), tally_ranges(30))
+    @example(explicit_family({2: 1}, {2: 2, 5: 1}, {5: 1}, {2: 1, 5: 2}), (0, 30))
+    # From the state that holds {1: 6, 12: 1}, five 5s pass n = 30.
+    @example(explicit_family({1: 6, 12: 1}, {5: 1, 7: 1}, {5: 5}), (0, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_shared_sizes_match_oracle(self, family, n_range):
+        # One-entry and multi-entry members at the same sizes, every n of
+        # the range read off one sweep to n_to.
+        n_from, n_to = n_range
+        stat = FamilyStatistic(family)
+        patterns = family.member_patterns(n_to)
+        expected = [tally_distribution(stat.counts_evaluator(n), n) for n in range(n_from, n_to + 1)]
+        assert distribution._tally_sweep(patterns, n_from, n_to) == expected
+        # No state holds a zero row, even where a range of k passes n.
+        for _, states in distribution._sweep(patterns, n_to):
+            assert all(all(hit_rows.values()) for hit_rows in states.values())
 
     def test_hits_above_n_plus_one(self):
         stat = FamilyStatistic(self.DUPLICATES)
@@ -511,59 +519,63 @@ class TestCompare:
         )
 
     def test_one_enumeration_per_n(self):
-        # One walk of n_to per side serves every n of the range.
+        # One sweep to n_to per side serves every n of the range.
         x, y = pair_statistics(builtin_pair("euler"))
-        with counting_walks() as walks:
+        with counting_sweeps() as sweeps:
             assert compare(x, y, 3, 9).identical_everywhere
-        assert [n for n, _ in walks] == [9, 9]
+        assert [n for n, _, _ in sweeps] == [9, 9]
 
     @pytest.mark.parametrize(
-        "name,n,groups",
-        # Every member has one entry, so the product counts every size >= 4
-        # and the walk yields one group (3,881 and 1,995 with all walked).
-        [("euler", 39, 1), ("squares", 35, 1)],
+        "name,n",
+        # Every member has one entry, so the product counts every size: one
+        # state and no sweep step.
+        [("euler", 39), ("squares", 35)],
         ids=["euler", "squares"],
     )
-    def test_walks_only_the_sizes_members_use(self, name, n, groups):
+    def test_walks_only_the_sizes_members_use(self, name, n):
         x, y = pair_statistics(builtin_pair(name))
-        with counting_walks() as walks:
+        with counting_sweeps() as sweeps:
             table = distribution_bruteforce(x, n)
-        assert walks == [[n, groups]]
+        assert sweeps == [[n, 0, 1]]
         assert table == distribution_bruteforce(y, n)
         assert table.total == count_partitions(n)
 
     def test_compare_walks_only_the_sizes_members_use(self):
         x, y = pair_statistics(builtin_pair("euler"))
-        with counting_walks() as walks:
+        with counting_sweeps() as sweeps:
             assert compare(x, y, 1, 39).identical_everywhere
-        assert walks == [[39, 1], [39, 1]]
+        assert sweeps == [[39, 0, 1], [39, 0, 1]]
 
     def test_compare_walks_each_side_on_its_own_sizes(self):
         x, y = pair_statistics(builtin_pair("squares"))
-        with counting_walks() as walks:
+        with counting_sweeps() as sweeps:
             assert compare(x, y, 1, 39).identical_everywhere
-        assert walks == [[39, 1], [39, 1]]
+        assert sweeps == [[39, 0, 1], [39, 0, 1]]
 
     def test_compare_walks_the_sizes_of_two_size_members(self):
-        # remmel's members have two sizes each, so both sides walk nearly
-        # every size, as they did before the product counted any size.
+        # remmel's members have two sizes each, {2t: 1, 2t + 2: 1} and
+        # {t: 2, t + 1: 2}, so each side sweeps the sizes they use. Only
+        # adjacent members straddle a size: never more than two states.
         x, y = pair_statistics(builtin_pair("remmel_consecutive"))
-        with counting_walks() as walks:
+        with counting_sweeps() as sweeps:
             assert compare(x, y, 1, 39).identical_everywhere
-        assert walks == [[39, 423], [39, 1_221]]
+        assert sweeps == [[39, 10, 2], [39, 10, 2]]
+        with counting_sweeps() as sweeps:
+            assert compare(x, y, 300, 300).identical_everywhere
+        assert sweeps == [[300, 75, 2], [300, 75, 2]]
 
     def test_compare_andrews_walks_one_group_per_side(self):
         x, y = pair_statistics(builtin_pair("andrews", m1=list(BENCH_M1), bound=60))
-        with counting_walks() as walks:
+        with counting_sweeps() as sweeps:
             assert compare(x, y, 59, 60).identical_everywhere
-        assert walks == [[60, 1], [60, 1]]
+        assert sweeps == [[60, 0, 1], [60, 0, 1]]
 
     def test_one_enumeration_per_n_prose_y(self):
         x, _ = pair_statistics(builtin_pair("mod6"))
         prose = FamilyStatistic(mod6_prose_family())
-        with counting_walks() as walks:
+        with counting_sweeps() as sweeps:
             assert not compare(x, prose, 3, 9).identical_everywhere
-        assert [n for n, _ in walks] == [9, 9]
+        assert [n for n, _, _ in sweeps] == [9, 9]
 
     def test_members_built_once_per_side(self, monkeypatch):
         calls = []
@@ -591,9 +603,10 @@ class TestCompare:
 
 
 class TestTailPaths:
-    """Sizes 1, 2 and 3 join the per-size product unless a member with two
-    or more entries uses one of them; only then does `_cover` count the
-    tail."""
+    """Sizes 1, 2 and 3 are no special case: every size that no member with
+    two or more entries uses joins the per-size product, and the sweep
+    takes the others. A side whose members all have one entry skips the
+    sweep: one state, no step."""
 
     # The benchmark's pairs at its largest dist n.
     PRODUCT_PAIRS = [
@@ -607,48 +620,32 @@ class TestTailPaths:
     ]
 
     @pytest.mark.parametrize("name,pair", PRODUCT_PAIRS, ids=[name for name, _ in PRODUCT_PAIRS])
-    def test_builtin_sides_skip_cover(self, name, pair, monkeypatch):
+    def test_builtin_sides_skip_cover(self, name, pair):
         x, y = pair_statistics(pair)
-        monkeypatch.setattr(distribution, "_cover", refuse_cover)
         for stat in (x, y):
             expected = tally_distribution(stat.counts_evaluator(39), 39)
-            assert distribution_bruteforce(stat, 39).counts == expected, stat.label
+            with counting_sweeps() as sweeps:
+                assert distribution_bruteforce(stat, 39).counts == expected, stat.label
+            assert sweeps == [[39, 0, 1]]
         assert report_verdicts(compare(x, y, 28, 29)) == oracle_verdicts(x, y, 28, 29)
 
-    WATCH_PAIRS = PRODUCT_PAIRS + [("remmel", builtin_pair("remmel_consecutive"))]
-
-    @pytest.mark.parametrize("name,pair", WATCH_PAIRS, ids=[name for name, _ in WATCH_PAIRS])
-    def test_walk_watches_no_size_below_4(self, name, pair, monkeypatch):
-        # The walk walks every size it is given; `_tally_walk` never gives 1, 2 or 3.
-        watched = []
-        walk = distribution.partition_walk
-
-        def recorded(n, watch, on_change):
-            watched.append([s for s, bucket in enumerate(watch) if bucket])
-            return walk(n, watch, on_change)
-
-        monkeypatch.setattr(distribution, "partition_walk", recorded)
-        x, y = pair_statistics(pair)
-        compare(x, y, 1, 39)
-        assert len(watched) == 2
-        assert all(s >= 4 for sizes in watched for s in sizes), watched
-        if name == "remmel":
-            assert all(watched)
-
-    def test_mod6_prose_skips_cover(self, monkeypatch):
+    def test_mod6_prose_skips_cover(self):
         x, _ = pair_statistics(builtin_pair("mod6"))
         prose = FamilyStatistic(mod6_prose_family())
-        monkeypatch.setattr(distribution, "_cover", refuse_cover)
-        report = compare(x, prose, 28, 29)
+        with counting_sweeps() as sweeps:
+            report = compare(x, prose, 28, 29)
+        assert sweeps == [[29, 0, 1], [29, 0, 1]]
         assert report_verdicts(report) == oracle_verdicts(x, prose, 28, 29)
 
     def test_remmel_couples_the_tail(self):
-        # {2, 4} and {1, 1, 2, 2} are members with two entries below 4.
+        # {2: 1, 4: 1} and {1: 2, 2: 2} are members with two entries below 4,
+        # so the sweep takes sizes 1 and 2 too: sizes 2, 4, ..., 10 for X at
+        # n = 20, and 1, ..., 5 for Y.
         x, y = pair_statistics(builtin_pair("remmel_consecutive"))
         for stat in (x, y):
-            with counting_covers() as rests:
+            with counting_sweeps() as sweeps:
                 table = distribution_bruteforce(stat, 20)
-            assert rests
+            assert sweeps == [[20, 5, 2]]
             assert table.counts == tally_distribution(stat.counts_evaluator(20), 20)
 
     @given(product_families(), product_families(walked=True), tally_ranges())
@@ -658,9 +655,8 @@ class TestTailPaths:
     def test_product_tail_matches_oracle(self, family_x, family_y, n_range):
         n_from, n_to = n_range
         x, y = FamilyStatistic(family_x), FamilyStatistic(family_y)
-        with patch.object(distribution, "_cover", refuse_cover):
-            tallies = walk_tallies(x, y, n_from, n_to)
-            report = compare(x, y, n_from, n_to)
+        tallies = sweep_tallies(x, y, n_from, n_to)
+        report = compare(x, y, n_from, n_to)
         expected = oracle_tallies(x, y, n_from, n_to)
         assert tallies == expected
         assert report_verdicts(report) == oracle_verdicts(x, y, n_from, n_to, expected)
@@ -674,15 +670,31 @@ class TestTailPaths:
     def test_coupled_tail_matches_oracle(self, family_x, family_y, n_range):
         n_from, n_to = n_range
         x, y = FamilyStatistic(family_x), FamilyStatistic(family_y)
-        with counting_covers() as rests:
-            tallies = walk_tallies(x, y, n_from, n_to)
-        # Y never couples its tail; X does unless its coupling member is heavier than n_to.
-        patterns = family_x.member_patterns(n_to)
-        assert bool(rests) == any(len(items) > 1 and items[0][0] <= 3 for items in patterns)
+        tallies = sweep_tallies(x, y, n_from, n_to)
         expected = oracle_tallies(x, y, n_from, n_to)
         assert tallies == expected
         report = compare(x, y, n_from, n_to)
         assert report_verdicts(report) == oracle_verdicts(x, y, n_from, n_to, expected)
+
+
+class TestStraddlingMembers:
+    """The members {i: 1, h + i: 1} are pending together between the sizes
+    i and h + i: up to 2^k pending sets for k members. Two rules keep the
+    states few: no state holds a zero row, and a member heavier than n
+    minus its state's lightest partition leaves the pending set."""
+
+    def test_tables_match_oracle(self):
+        family = straddling_family(20, 40)
+        stat = FamilyStatistic(family)
+        expected = [tally_distribution(stat.counts_evaluator(n), n) for n in range(41)]
+        assert distribution._tally_sweep(family.member_patterns(40), 0, 40) == expected
+
+    @pytest.mark.parametrize("h,n,steps,peak", [(20, 40, 20, 76), (47, 94, 46, 2_910)])
+    def test_peak_states(self, h, n, steps, peak):
+        # The states are counted after each size's pruning.
+        with counting_sweeps() as sweeps:
+            distribution_bruteforce(FamilyStatistic(straddling_family(h, n)), n)
+        assert sweeps == [[n, steps, peak]]
 
 
 class TestHitRows:
@@ -753,7 +765,7 @@ def test_bruteforce_matches_sieve_at_the_cap_edge(pair):
 
 
 def test_bruteforce_matches_sieve_on_a_coupled_tail():
-    # remmel's members with two entries below 4 keep its tail with `_cover`.
+    # remmel's members with two entries, some below 4, are swept.
     pair = builtin_pair("remmel_consecutive")
     for family in (pair.F, pair.G):
         sieved = sieve_distribution(family, 60)

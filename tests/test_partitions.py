@@ -1,19 +1,16 @@
 from collections import Counter
-from types import MappingProxyType
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import partition_sieve.partitions as partitions_module
 from partition_sieve import Multiset, count_partitions
-from partition_sieve.partitions import descending_part_sequences, partition_walk
+from partition_sieve.partitions import descending_part_sequences
 
 from oracles import (
     contains,
     count_containing_bruteforce,
     count_partitions_dp,
-    partition_counts_into,
     partitions_recursive,
 )
 
@@ -75,8 +72,8 @@ def part_sequence(counts):
 
 
 class TestEnumeration:
-    """The enumeration yields a new map per partition, built from the
-    walk's group without writing to the walk's own map."""
+    """The enumeration yields a new map per partition, a copy of the one
+    map it steps."""
 
     def test_n0_single_empty(self):
         assert [dict(c) for c in descending_part_sequences(0)] == [{}]
@@ -122,16 +119,14 @@ class TestEnumeration:
             seqs = [part_sequence(c) for c in descending_part_sequences(n)]
             assert seqs == sorted(seqs, reverse=True)
 
-    def test_never_writes_to_the_walks_map(self, monkeypatch):
-        # A read-only walk map: any write to it raises.
-        walk = partitions_module.partition_walk
-
-        def read_only_walk(n, watch, on_change):
-            for counts, rest in walk(n, watch, on_change):
-                yield MappingProxyType(counts), rest
-
-        monkeypatch.setattr(partitions_module, "partition_walk", read_only_walk)
-        ours = [list(c.items()) for c in descending_part_sequences(30)]
+    def test_never_writes_to_the_walks_map(self):
+        # The generator steps its own map and yields a copy: a caller that
+        # rewrites every map it is given never changes what comes next.
+        ours = []
+        for counts in descending_part_sequences(30):
+            ours.append(list(counts.items()))
+            counts.clear()
+            counts[1] = 99
         reference = [list(Counter(parts).items()) for parts in partitions_recursive(30)]
         assert len(ours) == 5_604
         assert ours == reference
@@ -150,72 +145,40 @@ class TestEnumeration:
 
 
 class TestWalkChanges:
-    """partition_walk yields groups: the map of the parts at the watched
-    sizes and the rest left for every other size. Before each yield it
-    reports every size whose multiplicity changed since the previous map
-    (the empty map at first), and only watched sizes."""
+    """descending_part_sequences steps one map in place: a step drops the
+    1s, takes one part of the smallest size s left and refills below s, so
+    it keeps every part above s and changes at most four sizes."""
 
     @staticmethod
-    def replay(n, watched):
-        """Walk n watching the given sizes; after every step, the shadow map
-        rebuilt from the reported changes, the live map, the rest and the
-        running count of reports. Each bucket is its own size."""
-        shadow = {}
-        reports = []
-
-        def on_change(bucket, old, new):
-            reports.append(bucket)
-            assert bucket in watched
-            assert shadow.get(bucket, 0) == old != new
-            if new:
-                shadow[bucket] = new
-            else:
-                del shadow[bucket]
-
-        watch = [s if s in watched else None for s in range(n + 1)]
-        steps = []
-        for counts, rest in partition_walk(n, watch, on_change):
-            assert all(1 <= s <= n and s in watched for s in counts), counts
-            assert sum(s * m for s, m in counts.items()) + rest == n
-            steps.append((dict(shadow), dict(counts), rest, len(reports)))
-        return steps
+    def step(parts):
+        """The documented step on a weakly decreasing part sequence."""
+        ones = parts.count(1)
+        head = parts[: len(parts) - ones]
+        s = head[-1]
+        q, r = divmod(s + ones, s - 1)
+        return head[:-1] + (s - 1,) * q + ((r,) if r else ())
 
     @pytest.mark.parametrize("n", range(21))
     def test_replay_rebuilds_every_map(self, n):
-        steps = self.replay(n, set(range(1, n + 1)))
-        previous = 0
-        for shadow, live, _, reported in steps:
-            assert shadow == live
-            # With every size watched: s, s - 1 and the remainder.
-            assert reported - previous <= 3
-            previous = reported
-        # The groups with rest 0, in order, are the partitions of n in order.
-        whole = [live for _, live, rest, _ in steps if not rest]
-        assert whole == [dict(Counter(parts)) for parts in partitions_recursive(n)]
-
-    @given(st.integers(0, 30), st.sets(st.integers(1, 30)))
-    @example(19, {4, 5, 10, 19})  # 19 is refilled as 10 + 5 + 4: four reports
-    @example(30, set())
-    @example(12, {1, 2, 3})
-    @example(17, {1, 5})
-    @settings(max_examples=100, deadline=None)
-    def test_unwatched_sizes_never_reported(self, n, watched):
-        # replay() asserts that every reported bucket and every map key is a
-        # watched size in [1, n], and that the parts and the rest sum to n.
-        steps = self.replay(n, watched)
-        for shadow, live, _, _ in steps:
-            assert shadow == live
-        # One group per partition of each m <= n into the watched sizes.
-        assert len(steps) == sum(partition_counts_into(watched, n))
-        # Strictly reverse-lexicographic: a sequence before its own prefixes.
-        seqs = [part_sequence(live) for _, live, _, _ in steps]
-        assert all(a > b for a, b in zip(seqs, seqs[1:]))
+        # Replaying the step from (n,) rebuilds every map in order.
+        parts = (n,) if n else ()
+        maps = list(descending_part_sequences(n))
+        for before, after in zip(maps, maps[1:] + [None]):
+            assert part_sequence(before) == parts
+            if after is None:
+                assert parts == (1,) * n
+                break
+            parts = self.step(parts)
+            # Only s, s - 1, the remainder and the 1s change.
+            s = min(size for size in before if size > 1)
+            sizes = before.keys() | after.keys()
+            changed = {size for size in sizes if before.get(size) != after.get(size)}
+            assert len(changed) <= 4 and max(changed) == s, (before, after)
 
     @pytest.mark.parametrize("n", range(41))
     def test_group_count(self, n):
-        # Every size watched: one group per partition of each m <= n.
-        groups = sum(1 for _ in partition_walk(n, [True] * (n + 1), lambda *change: None))
-        assert groups == sum(count_partitions_dp(m) for m in range(n + 1))
+        # One map per partition of n, from the stepped map alone.
+        assert sum(1 for _ in descending_part_sequences(n)) == count_partitions_dp(n)
 
 
 class TestCountPartitions:
