@@ -201,9 +201,40 @@ class MultisetFamily:
         return [FamilyIndex(si, t) for _, si, t in found]
 
     def member_patterns(self, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The (size, multiplicity) items of every member of weight <= n,
-        in `relevant_indices` order."""
-        return tuple(self.member(idx).items() for idx in self.relevant_indices(n))
+        """`member(idx).items()` for every idx of `relevant_indices(n)`, in
+        that order, worked out in one pass per strand from the coefficients.
+        Entries whose sizes coincide add their multiplicities, as in
+        `Multiset`."""
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        weights: list[int] = []
+        patterns: list[tuple[tuple[int, int], ...]] = []
+        for strand in self.strands:
+            explicit = strand.explicit
+            if explicit is not None:
+                if explicit.weight <= n:
+                    weights.append(explicit.weight)
+                    patterns.append(explicit.items())
+                continue
+            coeffs = [(*e.size, *e.mult) for e in strand.entries]
+            t = strand.tmin
+            while True:
+                items = [((a * t + b) * t + c, m1 * t + m0) for a, b, c, m1, m0 in coeffs]
+                weight = sum(s * m for s, m in items)
+                if weight > n:
+                    break
+                if len(items) > 1:
+                    merged: dict[int, int] = {}
+                    for s, m in items:
+                        merged[s] = merged.get(s, 0) + m
+                    items = sorted(merged.items())
+                weights.append(weight)
+                patterns.append(tuple(items))
+                t += 1
+        # Found in (strand, t) order, so a stable sort by weight alone gives
+        # the (weight, strand, t) order.
+        order = sorted(range(len(weights)), key=weights.__getitem__)
+        return tuple(patterns[i] for i in order)
 
 
 @dataclass(frozen=True)

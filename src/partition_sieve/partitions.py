@@ -152,3 +152,10 @@ def count_partitions(n: int) -> int:
             k += 1
         _p_table.append(total)
     return _p_table[n]
+
+
+def partition_counts_down(n: int) -> list[int]:
+    """[p(n), p(n - 1), ..., p(0)]: at index w, the number of partitions of
+    n that contain a multiset of weight w."""
+    count_partitions(n)
+    return _p_table[n::-1]

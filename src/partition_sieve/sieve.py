@@ -22,7 +22,9 @@ factor through the individual members.
 
 Because only the union weights matter, the sieve never visits the sets S
 one by one: a DP over the members, whose state is the union restricted to
-the sizes that later members still use, counts them by (|S|, union weight).
+the sizes that later members still use, counts them by (|S|, union weight)
+in packed rows, one big integer per state and |S| with one digit per union
+weight, which it reads against p(n - w) with no loop per digit.
 
 The theorem C check runs the same DP on F and G at once, over twin classes
 (positions with equal F and G members): a state holds both frontiers, and
@@ -38,14 +40,14 @@ restrict a frontier with the same rule (`_restrict`).
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from math import comb
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .families import FamilyIndex, FamilyPair, MultisetFamily
-from .partitions import Multiset, count_partitions
+from .partitions import Multiset, partition_counts_down
 from .distribution import DistributionTable
 
 __all__ = [
@@ -167,45 +169,73 @@ def _grow(
     return _restrict(sorted(merged.items()), last, i)
 
 
+def _add_row(slot: tuple[int, int], base: int, row: int, b: int) -> tuple[int, int]:
+    """Rows as (base, packed): digit d, in base 2^b, counts the sets of union
+    weight base + d. The sum of two rows, on the lower base."""
+    low, acc = slot
+    if base >= low:
+        return low, acc + (row << b * (base - low))
+    return base, (acc << b * (low - base)) + row
+
+
 def _count_subsets(
     patterns: Sequence[tuple[tuple[int, int], ...]], n: int, subset_cap: int
-) -> tuple[dict[tuple[int, int], int], int]:
+) -> tuple[int, list[tuple[int, int]], int]:
     """The frontier DP of `sieve_distribution` over the members' patterns,
-    in order: ({(|S|, union weight): number of subsets S}, the number of
-    subsets with union weight <= n), or ({}, subset_cap + 1) once that
-    number passes subset_cap."""
+    in order: (limbs, rows, the number of subsets with union weight <= n),
+    or (limbs, [], subset_cap + 1) once that number passes subset_cap.
+
+    rows[t] = (base, packed): digit d of packed, in base 2^b with
+    b = 32 * limbs, counts the subsets S with |S| = t and union weight
+    base + d <= n. A row starts at its lightest set, so a state holding a
+    few sets far apart holds no long run of zero digits below them. The
+    count is the rows' digit sum, x % (2^b - 1), read whenever a bound on it
+    (a member at most doubles it) passes subset_cap, so no digit or digit
+    sum reaches 2 * subset_cap < 2^b - 1: none carries."""
     last = {size: i for i, pattern in enumerate(patterns) for size, _ in pattern}
-    # Frontier union, as sorted (size, mult) pairs -> {(|S|, union weight):
-    # number of subsets S of the members seen so far}.
-    states: dict[tuple[tuple[int, int], ...], dict[tuple[int, int], int]] = {(): {(0, 0): 1}}
-    explored = 1
+    limbs = -(-(2 * subset_cap).bit_length() // 32)
+    b = 32 * limbs
+    empty = (n + 1, 0)  # above every base a row can have
+    # Frontier union, as sorted (size, mult) pairs -> rows of the subsets S
+    # of the members seen so far.
+    states: dict[tuple[tuple[int, int], ...], list[tuple[int, int]]] = {(): [(0, 1)]}
+    # The subsets counted, the sum of the rows not counted yet, a bound on both.
+    explored = bound = 1
+    fresh = 0
     for i, pattern in enumerate(patterns):
-        grown_states: dict[tuple[tuple[int, int], ...], dict[tuple[int, int], int]] = {}
-        for frontier, cells in states.items():
-            kept = _restrict(frontier, last, i)
-            target = grown_states.get(kept)
-            if target is None:
-                grown_states[kept] = dict(cells)
-            else:
-                for cell, count in cells.items():
-                    target[cell] = target.get(cell, 0) + count
+        grown_states: dict[tuple[tuple[int, int], ...], list[tuple[int, int]]] = {}
+        for frontier, rows in states.items():
+            # Excluding the member shares the rows, which a state met later,
+            # or this one's include, adds to in place. An empty frontier, as
+            # on support-disjoint sides, stays empty.
+            target = grown_states.setdefault(frontier and _restrict(frontier, last, i), rows)
+            if target is not rows:
+                target.extend([empty] * (len(rows) - len(target)))
+                for t, (base, row) in enumerate(rows):
+                    target[t] = _add_row(target[t], base, row, b)
             added = _added_weight(pattern, dict(frontier))
-            limit = n - added
-            # The grown state is made at its first cell: no state is ever
-            # empty, so there are never more states than counted subsets.
             target = None
-            for (t, weight), count in cells.items():
-                if weight <= limit:
-                    if target is None:
-                        target = grown_states.setdefault(_grow(frontier, pattern, last, i), {})
-                    cell = (t + 1, weight + added)
-                    target[cell] = target.get(cell, 0) + count
-                    explored += count
+            # Walked down, so that an include into these rows reads each first.
+            for t in range(len(rows) - 1, -1, -1):
+                base, row = rows[t]
+                keep = b * (n + 1 - base - added)  # the digits that stay <= n
+                if row.bit_length() > keep:
+                    row = row & (1 << keep) - 1 if keep > 0 else 0
+                if row:
+                    if target is None:  # no state is empty: never more states than sets
+                        target = grown_states.setdefault(_grow(frontier, pattern, last, i), [])
+                        target.extend([empty] * (t + 2 - len(target)))
+                    target[t + 1] = _add_row(target[t + 1], base + added, row, b)
+                    fresh += row
+        bound *= 2
+        if bound > subset_cap:
+            explored += fresh % ((1 << b) - 1)
             if explored > subset_cap:
-                return {}, subset_cap + 1
+                return limbs, [], subset_cap + 1
+            bound, fresh = explored, 0
         states = grown_states
     # After the last member no size is still to come, so one state is left.
-    return states[()], explored
+    return limbs, states[()], explored + fresh % ((1 << b) - 1)
 
 
 def sieve_distribution(
@@ -215,15 +245,18 @@ def sieve_distribution(
 
     Counts the index subsets S of the members relevant to n by (|S|, union
     weight) with one frontier DP over the members in order -- the
-    coefficients of U(y,q) = sum_S y^|S| q^w(union_S) up to q^n -- then sums
-    N_t = sum_w [y^t q^w]U * p(n - w) and applies the inclusion-exclusion
-    transform. Before member i the state is the union restricted to the
-    frontier, the sizes that some earlier member and some member from i on
-    both use; every other size's weight is already committed. Including a
-    member adds its weight beyond the frontier union, and an inclusion that
-    takes the union weight past n is dropped (sound: union weight only grows
-    when sets are added). For support-disjoint families the frontier is
-    always empty and this is the subset-sum DP for prod_i (1 + y q^w_i).
+    coefficients of U(y,q) = sum_S y^|S| q^w(union_S) up to q^n, one packed
+    row per |S| = t -- then reads N_t = sum_w [y^t q^w]U * p(n - w) off row
+    t with no loop per digit (a memoryview unpacks it, and one
+    sum(map(mul, ...)) per 32-bit limb weighs it) and applies the
+    inclusion-exclusion transform. Before member i the state is the union
+    restricted to the frontier, the sizes that some earlier member and some
+    member from i on both use; every other size's weight is already
+    committed. Including a member raises its rows' weights by its weight
+    beyond the frontier union, and drops the digits past n (sound: union
+    weight only grows when sets are added). For support-disjoint families
+    the frontier is always empty and this is the subset-sum DP for
+    prod_i (1 + y q^w_i).
 
     subsets_explored is the number of index subsets with union weight <= n:
     counted, not visited. Independent of partition enumeration, which is the
@@ -233,18 +266,21 @@ def sieve_distribution(
         raise ValueError(f"n must be >= 0, got {n}")
     if subset_cap <= 0:
         raise ValueError(f"subset_cap must be > 0, got {subset_cap}")
-    cells, explored = _count_subsets(family.member_patterns(n), n, subset_cap)
+    limbs, rows, explored = _count_subsets(family.member_patterns(n), n, subset_cap)
     if explored > subset_cap:
         return SieveResult(DistributionTable(n, {}), explored, True)
-    levels = [0] * (max(t for t, _ in cells) + 1)
-    for (t, weight), count in cells.items():
-        levels[t] += count * count_partitions(n - weight)
-    counts: dict[int, int] = {}
-    top = len(levels) - 1
-    for j in range(top + 1):
-        e = sum((-1) ** (t - j) * comb(t, j) * levels[t] for t in range(j, top + 1))
-        if e:
-            counts[j] = e
+    weighed = partition_counts_down(n)
+    # e(x) = sum_t N_t (x - 1)^t, by Horner's rule from the top |S| down.
+    e: list[int] = []
+    for base, row in reversed(rows):
+        # The row's 32-bit limbs, lowest first, as native unsigned ints.
+        digits = memoryview(row.to_bytes(-(-row.bit_length() // 32) * 4, sys.byteorder)).cast("I")
+        if sys.byteorder == "big":
+            digits = digits[::-1]
+        e = [high - low for high, low in zip([0, *e], [*e, 0])]
+        for k in range(limbs):
+            e[0] += sum(map(mul, digits[k::limbs], weighed[base : base + len(digits)])) << 32 * k
+    counts = {j: e_j for j, e_j in enumerate(e) if e_j}
     return SieveResult(DistributionTable(n, counts), explored, False)
 
 

@@ -114,6 +114,69 @@ class TestRelevantIndices:
         assert weights == sorted(weights)
 
 
+class TestMemberPatterns:
+    """`member_patterns` works out the members from the coefficients in one
+    pass per strand; it must give `member(idx).items()` for every relevant
+    idx, in `relevant_indices` order."""
+
+    @staticmethod
+    def by_index(family, n):
+        return tuple(family.member(idx).items() for idx in family.relevant_indices(n))
+
+    @pytest.mark.parametrize(
+        "name,pair", catalog_pairs() + [("glaisher2", builtin_pair("glaisher", d=2))]
+    )
+    @pytest.mark.parametrize("n", [0, 1, 7, 30, 61])
+    def test_builtin_sides(self, name, pair, n):
+        for family in (pair.F, pair.G):
+            assert family.member_patterns(n) == self.by_index(family, n)
+
+    def test_entries_meeting_at_one_t_merge(self):
+        # Sizes t + 1 and 3 meet at t = 2, where the member is {3: 2}.
+        strand = Strand(
+            entries=(StrandEntry((0, 1, 1), (0, 1)), StrandEntry((0, 0, 3), (0, 1))), tmin=1
+        )
+        family = MultisetFamily("meet", (strand,))
+        assert family.member_patterns(7) == (((2, 1), (3, 1)), ((3, 2),), ((3, 1), (4, 1)))
+        assert family.member_patterns(9) == self.by_index(family, 9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_drawn_strands_whose_entries_meet(self, data):
+        draw = data.draw
+        tmin = draw(st.integers(0, 2))
+        strands = []
+        for _ in range(draw(st.integers(1, 4))):
+            if draw(st.integers(0, 3)) == 0:
+                sizes = st.dictionaries(
+                    st.integers(1, 8), st.integers(1, 3), min_size=1, max_size=3
+                )
+                strands.append(Strand(explicit=Multiset(draw(sizes)), tmin=tmin))
+                continue
+            # Later entries take coefficients at most the first entry's and
+            # a constant that makes their size meet the first's at a drawn
+            # t0: sizes stay >= 1 and coincide at t0, or at every t.
+            c2, c1, c0 = draw(st.integers(0, 1)), draw(st.integers(0, 3)), draw(st.integers(1, 4))
+            m1 = draw(st.integers(0, 1))
+            if not (c2 or c1 or m1):
+                c1 = 1
+            entries = [StrandEntry((c2, c1, c0), (m1, draw(st.integers(1, 2))))]
+            for _ in range(draw(st.integers(0, 2))):
+                t0 = draw(st.integers(tmin, tmin + 3))
+                d2, d1 = draw(st.integers(0, c2)), draw(st.integers(0, c1))
+                d0 = c0 + (c2 - d2) * t0 * t0 + (c1 - d1) * t0
+                mult = (draw(st.integers(0, 1)), draw(st.integers(1, 2)))
+                entries.append(StrandEntry((d2, d1, d0), mult))
+            strands.append(Strand(entries=tuple(entries), tmin=tmin))
+        family = MultisetFamily("drawn", tuple(strands))
+        n = draw(st.integers(0, 120))
+        assert family.member_patterns(n) == self.by_index(family, n)
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError):
+            builtin_pair("euler").F.member_patterns(-1)
+
+
 class TestBuiltinCatalog:
     @pytest.mark.parametrize(
         "name,pair",

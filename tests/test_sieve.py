@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -439,6 +440,95 @@ class TestSieveDistribution:
             sieve_distribution(family, -1)
         with pytest.raises(ValueError):
             sieve_distribution(family, 4, subset_cap=0)
+
+
+class TestPackedRows:
+    """The sieve's rows pack one count per union weight in digits sized
+    from the subset cap; no digit may carry, and the cap outcome must be
+    that of a subset-by-subset walk at every cap."""
+
+    def test_counts_past_64_bits_stay_exact(self):
+        # Every one of the 2^70 subsets has union {1: 1}, so one digit holds
+        # them all, at a cap that needs four 32-bit limbs per digit.
+        family = MultisetFamily("ones", (Strand(explicit=Multiset({1: 1})),) * 70)
+        at_1 = sieve_distribution(family, 1, subset_cap=10**30)
+        assert at_1.table.counts == {70: 1}
+        assert at_1.subsets_explored == 2**70
+        assert not at_1.truncated
+        at_3 = sieve_distribution(family, 3, subset_cap=10**30)
+        assert at_3.table.counts == {0: 1, 70: 2}
+        assert at_3.table == distribution_bruteforce(FamilyStatistic(family), 3)
+
+    @pytest.mark.parametrize("pair_name", ["euler", "mod6"])
+    def test_caps_around_the_count(self, pair_name):
+        family = builtin_pair(pair_name).F
+        count = sieve_distribution(family, 30, subset_cap=UNCAPPED).subsets_explored
+        for cap in (count - 1, count, count + 1):
+            assert sieve_fields(family, 30, cap) == dfs_fields(family, 30, cap), cap
+        assert sieve_distribution(family, 30, subset_cap=count - 1).truncated
+        assert not sieve_distribution(family, 30, subset_cap=count).truncated
+
+    @settings(max_examples=150, deadline=None)
+    @given(overlapping_families(), st.integers(0, 40))
+    def test_caps_around_the_count_on_overlapping_families(self, family, n):
+        count = sieve_distribution(family, n, subset_cap=UNCAPPED).subsets_explored
+        for cap in (count - 1, count, count + 1):
+            if cap > 0:
+                assert sieve_fields(family, n, cap) == dfs_fields(family, n, cap), cap
+
+    def test_stops_after_the_member_that_passes_the_cap(self, monkeypatch):
+        # 1500 copies of {1: 1}: after member k there are 2^k subsets, so a
+        # cap of 2000 is passed at member 11 (2^11 = 2048). Member 1 steps
+        # from one state, every later one from two (frontier empty or {1: 1}).
+        calls = 0
+        added_weight = sieve_module._added_weight
+
+        def counted(pattern, union):
+            nonlocal calls
+            calls += 1
+            return added_weight(pattern, union)
+
+        monkeypatch.setattr(sieve_module, "_added_weight", counted)
+        assert sieve_fields(DEEP_PAIR.F, 10, 2000) == ({}, 2001, True)
+        assert calls == 1 + 2 * 10
+
+    def test_rows_start_at_their_lightest_set(self):
+        # Members {1: 1, 10^6 + i: 1} share size 1, so every nonempty set
+        # lands in one frontier state, whose rows hold weights from 10^6 on.
+        # At most two members fit under n, and the 401st set comes with the
+        # 28th member. Rows packed from weight 0 would hold 10^6 zero digits
+        # below those sets, 4 MB a row.
+        family = MultisetFamily(
+            "far", tuple(Strand(explicit=Multiset({1: 1, 10**6 + i: 1})) for i in range(30))
+        )
+        tracemalloc.start()
+        try:
+            result = sieve_distribution(family, 2 * 10**6 + 100, subset_cap=400)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (result.truncated, result.subsets_explored) == (True, 401)
+        assert peak < 2**20
+
+    def test_memory_stays_with_the_reachable_weights(self):
+        # 24 members {2^i: 1} at n = 2^24: every subset has its own union
+        # weight, and the count passes the cap of 200,000 at the 18th member,
+        # when the rows reach weight 2^18 - 1. One row or mask as wide as n
+        # would take 64 MiB. The dict-of-cells DP that the rows replaced
+        # peaked at 37.0 MiB here (tracemalloc, Python 3.11); the bound is
+        # 1.5 times that.
+        family = MultisetFamily(
+            "powers", tuple(Strand(explicit=Multiset({2**i: 1})) for i in range(24))
+        )
+        tracemalloc.start()
+        try:
+            result = sieve_distribution(family, 2**24, subset_cap=200_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.truncated
+        assert result.subsets_explored == 200_001
+        assert peak <= 1.5 * 37.0 * 2**20
 
 
 class TestCheckTheoremB:
