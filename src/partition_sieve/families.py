@@ -20,8 +20,10 @@ hypothesis checker relies on.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import count
+from operator import itemgetter
 from typing import Any, NamedTuple
 
 from .partitions import Multiset
@@ -38,6 +40,10 @@ __all__ = [
     "parse_family_pair",
     "render_family_pair",
 ]
+
+# A member as (size, mult) pairs in increasing size order: `Multiset.items()`.
+Pattern = tuple[tuple[int, int], ...]
+
 
 class FamilyError(ValueError):
     """Schema or invariant violation in a family, strand, or pair document."""
@@ -200,41 +206,38 @@ class MultisetFamily:
         found.sort()
         return [FamilyIndex(si, t) for _, si, t in found]
 
-    def member_patterns(self, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    def member_patterns(self, n: int) -> tuple[Pattern, ...]:
         """`member(idx).items()` for every idx of `relevant_indices(n)`, in
-        that order, worked out in one pass per strand from the coefficients.
-        Entries whose sizes coincide add their multiplicities, as in
-        `Multiset`."""
+        that order, worked out from the coefficients (`template_patterns`)."""
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
-        weights: list[int] = []
-        patterns: list[tuple[tuple[int, int], ...]] = []
+        found: list[tuple[int, Pattern]] = []
         for strand in self.strands:
-            explicit = strand.explicit
-            if explicit is not None:
-                if explicit.weight <= n:
-                    weights.append(explicit.weight)
-                    patterns.append(explicit.items())
-                continue
-            coeffs = [(*e.size, *e.mult) for e in strand.entries]
-            t = strand.tmin
-            while True:
-                items = [((a * t + b) * t + c, m1 * t + m0) for a, b, c, m1, m0 in coeffs]
-                weight = sum(s * m for s, m in items)
-                if weight > n:
-                    break
-                if len(items) > 1:
-                    merged: dict[int, int] = {}
-                    for s, m in items:
-                        merged[s] = merged.get(s, 0) + m
-                    items = sorted(merged.items())
-                weights.append(weight)
-                patterns.append(tuple(items))
-                t += 1
+            if strand.explicit is None:
+                for member in template_patterns(strand):
+                    if member[0] > n:
+                        break
+                    found.append(member)
+            elif strand.explicit.weight <= n:
+                found.append((strand.explicit.weight, strand.explicit.items()))
         # Found in (strand, t) order, so a stable sort by weight alone gives
         # the (weight, strand, t) order.
-        order = sorted(range(len(weights)), key=weights.__getitem__)
-        return tuple(patterns[i] for i in order)
+        found.sort(key=itemgetter(0))
+        return tuple(pattern for _, pattern in found)
+
+
+def template_patterns(strand: Strand) -> Iterator[tuple[int, Pattern]]:
+    """(weight, `multiset_at(t).items()`) for t = tmin, tmin + 1, ... of a
+    template strand, without end, worked out from the coefficients. Entries
+    whose sizes coincide add their multiplicities, through `Multiset`."""
+    coeffs = [(*e.size, *e.mult) for e in strand.entries]
+    for t in count(strand.tmin):
+        items = [((a * t + b) * t + c, m1 * t + m0) for a, b, c, m1, m0 in coeffs]
+        if len(items) > 1:
+            items.sort()
+            if len({s for s, _ in items}) < len(items):
+                items = list(Multiset(items).items())
+        yield sum([s * m for s, m in items]), tuple(items)
 
 
 @dataclass(frozen=True)

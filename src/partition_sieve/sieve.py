@@ -26,16 +26,17 @@ the sizes that later members still use, counts them by (|S|, union weight)
 in packed rows, one big integer per state and |S| with one digit per union
 weight, which it reads against p(n - w) with no loop per digit.
 
-The theorem C check runs the same DP on F and G at once, over twin classes
-(positions with equal F and G members): a state holds both frontiers, and
-its cells the union weight that every set still agreeing has on both sides.
-The first include whose two added weights differ, for a cell within the
-truncation, is a difference. Only on a difference, or when the DP runs out
-of budget past the subset cap, does the check walk the (member index,
-frontier) states depth-first, each once, with two moves per state --
-include the member, then exclude it -- for the first failing S in preorder;
-it counts the sets below a state it meets again. The DPs and the walk
-restrict a frontier with the same rule (`_restrict`).
+Both checkers read one table of positions, each member as its pattern
+(`Multiset.items()`) and weight. The theorem C check runs the sieve's DP on
+F and G at once, over twin classes (equal F and G patterns), with one packed
+row per state of both frontiers, whose digits count the sets by the union
+weight, the same on both sides for every set still agreeing. A state whose
+lightest set takes a member within the truncation with unequal added
+weights is a difference. Only then, or when the DP runs out of budget past
+the subset cap, does the check walk the (member index, frontier) states
+depth-first, each once, include before exclude, for the first failing S in
+preorder, counting the sets below a state it meets again. The DPs and the
+walk restrict a frontier with the same rule (`_restrict`).
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ import sys
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from operator import itemgetter, mul
+from operator import mul
 
-from .families import FamilyIndex, FamilyPair, MultisetFamily
+from .families import FamilyIndex, FamilyPair, MultisetFamily, Pattern, template_patterns
 from .partitions import Multiset, partition_counts_down
 from .distribution import DistributionTable
 
@@ -136,7 +137,7 @@ class HypothesisReport:
     inconclusive: bool = False
 
 
-def _added_weight(pattern: tuple[tuple[int, int], ...], union: dict[int, int]) -> int:
+def _added_weight(pattern: Pattern, union: dict[int, int]) -> int:
     get = union.get
     return sum((m - get(s, 0)) * s for s, m in pattern if m > get(s, 0))
 
@@ -145,19 +146,12 @@ def _weight(frontier: Iterable[tuple[int, int]]) -> int:
     return sum(s * m for s, m in frontier)
 
 
-def _restrict(
-    frontier: Iterable[tuple[int, int]], last: dict[int, int], i: int
-) -> tuple[tuple[int, int], ...]:
+def _restrict(frontier: Iterable[tuple[int, int]], last: dict[int, int], i: int) -> Pattern:
     """The frontier restricted to the sizes that a member after i still uses."""
     return tuple(entry for entry in frontier if last[entry[0]] > i)
 
 
-def _grow(
-    frontier: tuple[tuple[int, int], ...],
-    pattern: tuple[tuple[int, int], ...],
-    last: dict[int, int],
-    i: int,
-) -> tuple[tuple[int, int], ...]:
+def _grow(frontier: Pattern, pattern: Pattern, last: dict[int, int], i: int) -> Pattern:
     """The frontier once member i joins the union: the union of frontier and
     pattern, restricted to the sizes that a member after i still uses."""
     if not frontier:
@@ -179,7 +173,7 @@ def _add_row(slot: tuple[int, int], base: int, row: int, b: int) -> tuple[int, i
 
 
 def _count_subsets(
-    patterns: Sequence[tuple[tuple[int, int], ...]], n: int, subset_cap: int
+    patterns: Sequence[Pattern], n: int, subset_cap: int
 ) -> tuple[int, list[tuple[int, int]], int]:
     """The frontier DP of `sieve_distribution` over the members' patterns,
     in order: (limbs, rows, the number of subsets with union weight <= n),
@@ -198,12 +192,12 @@ def _count_subsets(
     empty = (n + 1, 0)  # above every base a row can have
     # Frontier union, as sorted (size, mult) pairs -> rows of the subsets S
     # of the members seen so far.
-    states: dict[tuple[tuple[int, int], ...], list[tuple[int, int]]] = {(): [(0, 1)]}
+    states: dict[Pattern, list[tuple[int, int]]] = {(): [(0, 1)]}
     # The subsets counted, the sum of the rows not counted yet, a bound on both.
     explored = bound = 1
     fresh = 0
     for i, pattern in enumerate(patterns):
-        grown_states: dict[tuple[tuple[int, int], ...], list[tuple[int, int]]] = {}
+        grown_states: dict[Pattern, list[tuple[int, int]]] = {}
         for frontier, rows in states.items():
             # Excluding the member shares the rows, which a state met later,
             # or this one's include, adds to in place. An empty frontier, as
@@ -284,32 +278,34 @@ def sieve_distribution(
     return SieveResult(DistributionTable(n, counts), explored, False)
 
 
-def _annotated_positions(
-    pair: FamilyPair, n_max: int
-) -> list[tuple[FamilyIndex, Multiset, Multiset]]:
-    """Positions relevant to n_max on either side, with both members built
-    once, sorted by (min weight, strand, t) for deterministic witnesses.
+def _annotated_positions(pair: FamilyPair, n_max: int) -> list[tuple]:
+    """Positions relevant to n_max on either side, as rows (idx, F pattern,
+    F weight, G pattern, G weight), a pattern being a member's `items()`,
+    sorted by (min weight, strand, t) for deterministic witnesses.
 
-    One pass over the aligned strands: a position is relevant when its
-    lighter member weighs <= n_max. Strand weights never decrease (checked
-    when a strand is built), so neither does the lighter weight along a
-    strand, and a strand's relevant positions end at the first t whose two
-    members are both too heavy."""
+    A position is relevant when its lighter member weighs <= n_max. Strand
+    weights never decrease, so `template_patterns` works out a template
+    strand pair's patterns from the coefficients up to the first t whose
+    two members are both too heavy; an explicit strand is read directly."""
     keyed = []
     for si, (strand_f, strand_g) in enumerate(zip(pair.F.strands, pair.G.strands)):
-        t = strand_f.tmin
-        while True:
-            member_f = strand_f.multiset_at(t)
-            member_g = strand_g.multiset_at(t)
-            lightest = min(member_f.weight, member_g.weight)
-            if lightest > n_max:
-                break
-            keyed.append(((lightest, si, t), FamilyIndex(si, t), member_f, member_g))
-            if strand_f.is_explicit():
-                break
-            t += 1
-    keyed.sort(key=itemgetter(0))
-    return [(idx, member_f, member_g) for _, idx, member_f, member_g in keyed]
+        explicit_f, explicit_g = strand_f.explicit, strand_g.explicit
+        if explicit_f is None:
+            members = zip(template_patterns(strand_f), template_patterns(strand_g))
+            for t, ((w_f, p_f), (w_g, p_g)) in enumerate(members, strand_f.tmin):
+                lightest = w_f if w_f < w_g else w_g
+                if lightest > n_max:
+                    break
+                keyed.append((lightest, si, t, p_f, w_f, p_g, w_g))
+        else:
+            w_f, w_g = explicit_f.weight, explicit_g.weight
+            lightest = w_f if w_f < w_g else w_g
+            if lightest <= n_max:
+                p_f, p_g = explicit_f.items(), explicit_g.items()
+                keyed.append((lightest, si, strand_f.tmin, p_f, w_f, p_g, w_g))
+    # (min weight, strand, t) is unique, so no two patterns are compared.
+    keyed.sort()
+    return [(FamilyIndex(si, t), p_f, w_f, p_g, w_g) for _, si, t, p_f, w_f, p_g, w_g in keyed]
 
 
 def _revalidate_disjointness(family: MultisetFamily, w: DisjointnessWitness) -> None:
@@ -358,90 +354,95 @@ def check_theorem_b(pair: FamilyPair, n_max: int) -> HypothesisReport:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     table = _annotated_positions(pair, n_max)
-    for side, family, col in (("F", pair.F, 1), ("G", pair.G, 2)):
+    for side, family, col in (("F", pair.F, 1), ("G", pair.G, 3)):
         # a is the first owner of every size it shares with b (an earlier
         # owner would clash with a first), so min() also gives the element.
         first_owner: dict[int, int] = {}
         clashes = []
         for pos, row in enumerate(table):
-            for size in row[col].sizes():
+            for size, _ in row[col]:
                 owner = first_owner.setdefault(size, pos)
                 if owner != pos:
                     clashes.append((owner, pos, size))
         if clashes:
             a, b, element = min(clashes)
-            witness = DisjointnessWitness(
-                side, table[a][0], table[b][0], element, table[a][col], table[b][col]
-            )
+            ms_a, ms_b = Multiset(table[a][col]), Multiset(table[b][col])
+            witness = DisjointnessWitness(side, table[a][0], table[b][0], element, ms_a, ms_b)
             _revalidate_disjointness(family, witness)
             return HypothesisReport("B", n_max, False, witness)
-    for idx, member_f, member_g in table:
-        if member_f.weight != member_g.weight:
-            witness = WeightWitness(idx, member_f.weight, member_g.weight, member_f, member_g)
+    for idx, pat_f, weight_f, pat_g, weight_g in table:
+        if weight_f != weight_g:
+            witness = WeightWitness(idx, weight_f, weight_g, Multiset(pat_f), Multiset(pat_g))
             _revalidate_weights(pair, witness)
             return HypothesisReport("B", n_max, False, witness)
     return HypothesisReport("B", n_max, True)
 
 
-def _agreeing_sets(
-    table: list[tuple[FamilyIndex, Multiset, Multiset]], n_max: int, subset_cap: int
-) -> int | None:
+def _agreeing_sets(table: list[tuple], n_max: int, subset_cap: int) -> int | None:
     """The number of sets S of positions with min(w(union F_S), w(union
     G_S)) <= n_max, or subset_cap + 1 once it passes subset_cap, when every
     one of them has equal union weights. None on a difference, or once more
     than subset_cap states have been examined past the cap (undecided).
 
-    The sieve's frontier DP, run on both sides at once over twin classes
-    (positions with equal (F member, G member)) in table order. A state is
-    the pair of frontiers; its cells map a union weight, the same on both
-    sides for every set that still agrees, to the number of sets. A class of
-    c twins joins a set in 2^c - 1 ways, all with the same unions. Past the
-    cap a state keeps only its lightest cell: its extensions add the same
-    weights to any set in that state, so a heavier set's extension fits
-    within n_max, and differs, only if the lightest set's does too.
-    """
-    classes = Counter((member_f, member_g) for _, member_f, member_g in table)
-    pats_f = [member_f.items() for member_f, _ in classes]
-    pats_g = [member_g.items() for _, member_g in classes]
+    The sieve's frontier DP on both sides at once, over twin classes (equal
+    F and G patterns) in table order. A state is the pair of frontiers with
+    one `_add_row` row: digit d counts the sets of union weight base + d,
+    the same on both sides for every set still agreeing. A class of c twins
+    joins a set in 2^c - 1 ways, saturated at subset_cap + 1. A difference
+    is a state whose lightest set, at base, takes the class within n_max
+    with unequal added weights. The count is read from the digit sums, as
+    in `_count_subsets`, whenever a bound on it passes subset_cap: it is at
+    most subset_cap before a class, so no digit or digit sum reaches
+    (subset_cap + 1)(subset_cap + 2) < 2^b. Past the cap a state keeps only
+    its lightest set, base: the extensions of any set in it add the same
+    weights, so one fits within n_max, and differs, only if base's does."""
+    classes = Counter((pattern_f, pattern_g) for _, pattern_f, _, pattern_g, _ in table)
+    pats_f = [pattern_f for pattern_f, _ in classes]
+    pats_g = [pattern_g for _, pattern_g in classes]
     last_f = {size: i for i, pattern in enumerate(pats_f) for size, _ in pattern}
     last_g = {size: i for i, pattern in enumerate(pats_g) for size, _ in pattern}
-    # (F frontier, G frontier) -> {union weight: number of sets}.
-    states: dict[tuple, dict[int, int]] = {((), ()): {0: 1}}
-    explored = 1
-    examined = 0
+    b = ((subset_cap + 1) * (subset_cap + 2)).bit_length()
+    saturated = (subset_cap + 1).bit_length()  # 2^c - 1 > subset_cap from c on
+    empty = (n_max + 1, 0)  # above every base a row can have
+    # (F frontier, G frontier) -> (base, packed) row of the sets S.
+    states: dict[tuple, tuple[int, int]] = {((), ()): (0, 1)}
+    explored = bound = 1
+    fresh = examined = 0
     for i, twins in enumerate(classes.values()):
         if explored > subset_cap:
             examined += len(states)
             if examined > subset_cap:
                 return None
-            states = {fronts: {min(cells): 1} for fronts, cells in states.items()}
         pat_f, pat_g = pats_f[i], pats_g[i]
-        ways = 2**twins - 1
-        grown_states: dict[tuple, dict[int, int]] = {}
-        for (front_f, front_g), cells in states.items():
-            kept = (_restrict(front_f, last_f, i), _restrict(front_g, last_g, i))
-            target = grown_states.get(kept)
-            if target is None:
-                grown_states[kept] = dict(cells)
-            else:
-                for weight, count in cells.items():
-                    target[weight] = target.get(weight, 0) + count
+        ways = min((1 << min(twins, saturated)) - 1, subset_cap + 1)
+        grown_states: dict[tuple, tuple[int, int]] = {}
+        for (front_f, front_g), (base, row) in states.items():
+            # An empty frontier, as on support-disjoint sides, stays empty.
+            kept = (front_f and _restrict(front_f, last_f, i),
+                    front_g and _restrict(front_g, last_g, i))
+            grown_states[kept] = _add_row(grown_states.get(kept, empty), base, row, b)
             added_f = _added_weight(pat_f, dict(front_f))
             added_g = _added_weight(pat_g, dict(front_g))
-            limit = n_max - min(added_f, added_g)
-            target = None
-            for weight, count in cells.items():
-                if weight <= limit:
-                    if added_f != added_g:
-                        return None
-                    if target is None:
-                        grown = (_grow(front_f, pat_f, last_f, i), _grow(front_g, pat_g, last_g, i))
-                        target = grown_states.setdefault(grown, {})
-                    weight += added_f
-                    target[weight] = target.get(weight, 0) + count * ways
-                    explored += count * ways
+            if base + min(added_f, added_g) > n_max:
+                continue
+            if added_f != added_g:
+                return None
+            keep = b * (n_max + 1 - base - added_f)  # the digits that stay <= n_max
+            if row.bit_length() > keep:
+                row &= (1 << keep) - 1
+            row *= ways
+            fresh += row
+            grown = (_grow(front_f, pat_f, last_f, i), _grow(front_g, pat_g, last_g, i))
+            grown_states[grown] = _add_row(grown_states.get(grown, empty), base + added_f, row, b)
         states = grown_states
-    return min(explored, subset_cap + 1)
+        if explored <= subset_cap:
+            bound *= ways + 1
+            if bound > subset_cap:
+                explored += fresh % ((1 << b) - 1)
+                bound, fresh = explored, 0
+                if explored > subset_cap:
+                    states = {fronts: (base, 0) for fronts, (base, _) in states.items()}
+    return min(explored + fresh % ((1 << b) - 1), subset_cap + 1)
 
 
 def check_theorem_c(
@@ -457,9 +458,8 @@ def check_theorem_c(
     DP on both sides at once; it decides whether every set in D agrees and
     counts D, up to subset_cap, in one pass. For a holding pair, whose sets
     weigh the same on both sides, D is the set of subsets of F's relevant
-    members with union weight <= n_max, so
-    subsets_explored and the cap outcome are those of
-    `sieve_distribution(pair.F, n_max, subset_cap)`.
+    members with union weight <= n_max, so subsets_explored and the cap
+    outcome are those of `sieve_distribution(pair.F, n_max, subset_cap)`.
 
     Only on a difference, or when the DP examines more than subset_cap
     states past the cap, does `_walk_sets` walk the sets one state at a time
@@ -474,18 +474,13 @@ def check_theorem_c(
         raise ValueError(f"subset_cap must be > 0, got {subset_cap}")
     table = _annotated_positions(pair, n_max)
     explored = _agreeing_sets(table, n_max, subset_cap)
-    if explored is not None:
-        return HypothesisReport(
-            "C", n_max, True, None, explored, inconclusive=explored > subset_cap
-        )
-    return _walk_sets(pair, table, n_max, subset_cap)
+    if explored is None:
+        return _walk_sets(pair, table, n_max, subset_cap)
+    return HypothesisReport("C", n_max, True, None, explored, inconclusive=explored > subset_cap)
 
 
 def _walk_sets(
-    pair: FamilyPair,
-    table: list[tuple[FamilyIndex, Multiset, Multiset]],
-    n_max: int,
-    subset_cap: int,
+    pair: FamilyPair, table: list[tuple], n_max: int, subset_cap: int
 ) -> HypothesisReport:
     """Theorem C by walking the sets S of `check_theorem_c` in preorder.
 
@@ -506,11 +501,11 @@ def _walk_sets(
     than subset_cap sets, so it never reports that the theorem holds: ending
     within the cap without a witness contradicts the DP and raises.
     """
-    pats_f = [member_f.items() for _, member_f, _ in table]
-    pats_g = [member_g.items() for _, _, member_g in table]
+    pats_f = [row[1] for row in table]
+    pats_g = [row[3] for row in table]
     last_f = {size: i for i, pattern in enumerate(pats_f) for size, _ in pattern}
     last_g = {size: i for i, pattern in enumerate(pats_g) for size, _ in pattern}
-    lightest = [min(member_f.weight, member_g.weight) for _, member_f, member_g in table]
+    lightest = [min(row[2], row[4]) for row in table]
     k = len(table)
     # Sets strictly below each state whose walk has ended.
     below: dict[tuple, int] = {}
@@ -537,7 +532,8 @@ def _walk_sets(
                 chosen = [f[0][0] for f in path if f[1] == 1]
                 union_f = union_g = Multiset()
                 for p in chosen:
-                    union_f, union_g = union_f.union(table[p][1]), union_g.union(table[p][2])
+                    union_f = union_f.union(Multiset(pats_f[p]))
+                    union_g = union_g.union(Multiset(pats_g[p]))
                 found = UnionWeightWitness(
                     tuple(table[p][0] for p in chosen), weight_f, weight_g, union_f, union_g
                 )

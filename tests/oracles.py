@@ -253,12 +253,12 @@ def theorem_b_scan(pair, n_max):
 
 def annotated_positions(pair, n_max):
     """The checkers' position table from the set union of both sides'
-    relevant indices: rows (idx, F member, G member), sorted by (min weight,
-    strand, t)."""
+    relevant indices, each member built by `member(idx)`: rows (idx, F
+    items, F weight, G items, G weight), sorted by (min weight, strand, t)."""
     positions = set(pair.F.relevant_indices(n_max)) | set(pair.G.relevant_indices(n_max))
     table = [(idx, pair.F.member(idx), pair.G.member(idx)) for idx in positions]
     table.sort(key=lambda row: (min(row[1].weight, row[2].weight), row[0].strand, row[0].t))
-    return table
+    return [(idx, f.items(), f.weight, g.items(), g.weight) for idx, f, g in table]
 
 
 def _added_weight(pattern, union):

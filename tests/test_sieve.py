@@ -608,8 +608,9 @@ class TestCheckTheoremB:
 
 
 class TestAnnotatedPositions:
-    """The checkers' position table, built in one pass over the aligned
-    strands, against the set union of both sides' relevant indices."""
+    """The checkers' position table, worked out in one pass over the aligned
+    strands' coefficients, against rows built by `member(idx)` over the set
+    union of both sides' relevant indices."""
 
     @settings(max_examples=300, deadline=None)
     @given(aligned_strand_pairs())
@@ -943,6 +944,72 @@ class TestCheckTheoremC:
             check_theorem_c(pair, 0)
         with pytest.raises(ValueError):
             check_theorem_c(pair, 10, subset_cap=0)
+
+
+class TestJointPackedRows:
+    """The theorem C DP packs one count per union weight in digits sized
+    from the subset cap and saturates a twin class's ways past the cap: no
+    digit may carry, and the cap outcome must be that of a set-by-set walk
+    at every cap. Past the cap it keeps no rows."""
+
+    def test_counts_past_64_bits_stay_exact(self):
+        # 70 twins {1: 1} form one class that joins the empty set in
+        # 2^70 - 1 ways, at a cap whose digits need about 200 bits.
+        ones = explicit_pair("ones", [{1: 1}] * 70, [{1: 1}] * 70)
+        report = check_theorem_c(ones, 1, subset_cap=10**30)
+        assert (report.holds, report.inconclusive, report.subsets_explored) == (True, False, 2**70)
+
+    @pytest.mark.parametrize("pair_name", ["euler", "mod6", "remmel_consecutive"])
+    def test_caps_around_the_count(self, pair_name):
+        pair = builtin_pair(pair_name)
+        count = check_theorem_c(pair, 30, subset_cap=UNCAPPED).subsets_explored
+        for cap in (count - 1, count, count + 1):
+            assert c_fields(pair, 30, cap) == theorem_c_dfs(pair, 30, cap), cap
+        assert check_theorem_c(pair, 30, subset_cap=count - 1).inconclusive
+        assert not check_theorem_c(pair, 30, subset_cap=count).inconclusive
+
+    @settings(max_examples=150, deadline=None)
+    @given(theorem_c_pairs(), st.integers(1, 40))
+    def test_caps_around_the_count_on_overlapping_pairs(self, pair, n_max):
+        count = check_theorem_c(pair, n_max, subset_cap=UNCAPPED).subsets_explored
+        for cap in (count - 1, count, count + 1):
+            if cap > 0:
+                assert c_fields(pair, n_max, cap) == theorem_c_dfs(pair, n_max, cap), cap
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 4), st.integers(1, 14), st.integers(1, 4000))
+    def test_twin_class_after_distinct_members(self, distinct, twins, cap):
+        # The 2^distinct sets before the class each join it in up to
+        # cap + 1 ways, so its digits reach about cap^2: narrower digits
+        # would carry, and the count read from them would wrap.
+        members = [{2**i: 1} for i in range(distinct)] + [{2**distinct: 1}] * twins
+        pair = explicit_pair("twins", members, members)
+        n_max = 2 ** (distinct + 1)
+        assert c_fields(pair, n_max, cap) == theorem_c_dfs(pair, n_max, cap)
+
+    @pytest.mark.parametrize("cap", [1, 2000, 10**30])
+    def test_deep_family_saturates_its_ways(self, cap):
+        # 1,500 twins join the empty set in 2^1500 - 1 ways, saturated at
+        # cap + 1: one step passes the cap, as the set-by-set walk does.
+        assert c_fields(DEEP_PAIR, 10, cap) == (True, True, cap + 1, None)
+
+    def test_no_spread_past_the_cap(self):
+        # 24 members {2^i: 1} at n_max 2^24: every set has its own union
+        # weight, and the count passes the cap at the 16th member. Past it
+        # the one state keeps its lightest set, not a row that each include
+        # spreads across the member's weight. The dict-of-cells DP that
+        # the rows replaced peaked at 6.3 MiB here (133 B per set,
+        # tracemalloc, Python 3.11).
+        members = [{2**i: 1} for i in range(24)]
+        pair = explicit_pair("powers", members, members)
+        tracemalloc.start()
+        try:
+            report = check_theorem_c(pair, 2**24, subset_cap=50_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (report.holds, report.inconclusive, report.subsets_explored) == (True, True, 50_001)
+        assert peak < 3 * 2**20
 
 
 class TestWitnessRevalidation:
