@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
+from .families import Pattern
 from .partitions import count_partitions
 from .statistics import FamilyStatistic
 
@@ -117,40 +118,41 @@ def _hit_rows(needs: Mapping[int, Sequence[int]], n: int) -> tuple[int, list[int
 
 
 def _sweep(
-    patterns: Sequence[tuple[tuple[int, int], ...]], n: int
+    patterns: Sequence[Pattern], n: int
 ) -> Iterator[tuple[int, dict[frozenset[int], dict[int, int]]]]:
     """The transfer DP over the part sizes (Stanley, EC I 4.7) for the
     members with these (size, multiplicity) patterns: yields (b, states) at
     the start and after each size it sweeps, rows packed as in `_hit_rows`.
 
     The factors 1/(1 - q^s) of P(q) commute. W holds the sizes that members
-    with two or more entries use, and identical such members are one class.
-    The start is one state, no class pending, whose rows are `_hit_rows`
-    over the sizes outside W; then W is swept in increasing order. A state
-    is the set of pending classes (first size swept, last not, every swept
-    entry met) and maps each number of hits h to a row whose digit u counts
-    partitions of u into the swept sizes.
+    with two or more entries use. A member is a class iff its smallest size
+    is in W, one entry or more, and identical members are one class; every
+    other member has one entry, at a size outside W. The start is one
+    state, no class pending, whose rows are `_hit_rows` over the sizes
+    outside W; then W is swept in increasing order. A state is the set of
+    pending classes (first size swept, last not, every swept entry met) and
+    maps each number of hits h to a row whose digit u counts partitions of
+    u into the swept sizes.
 
-    At size s the needs there of the one-entry members, of the classes that
-    start at s and of the pending ones cut k into ranges, and each range
-    sends the state to one next state with the same added hits; a class
-    hits at its last size. A class whose unswept entries weigh more than n
-    minus the lowest nonzero digit of its state is met at no u <= n, so it
-    leaves the pending set, and equal states merge. No row is zero.
+    At size s the needs there of the classes that start at s and of the
+    pending ones cut k into ranges, and each range sends the state to one
+    next state with the same added hits; a class hits at its last size. A
+    class whose unswept entries weigh more than n minus the lowest nonzero
+    digit of its state is met at no u <= n, so it leaves the pending set,
+    and equal states merge. No row is zero.
     """
-    classes = Counter(items for items in patterns if len(items) > 1)
-    swept = sorted({s for items in classes for s, _ in items})
-    needs: dict[int, list[int]] = {s: [] for s in range(1, n + 1)}
-    for items in patterns:
-        if len(items) == 1:
-            size, mult = items[0]
-            needs[size].append(mult)
-    ones = {s: needs.pop(s) for s in swept}
-    b, rows = _hit_rows(needs, n)
-    mask = (1 << b * (n + 1)) - 1
+    swept = sorted({s for items in patterns if len(items) > 1 for s, _ in items})
     # at[s]: (need at s, class, whether it starts at s, its copies if it
     # ends at s, else 0) per class entry at s; left[c]: c's unswept weight.
     at: dict[int, list[tuple[int, int, bool, int]]] = {s: [] for s in swept}
+    classes = Counter(items for items in patterns if items[0][0] in at)
+    needs: dict[int, list[int]] = {s: [] for s in range(1, n + 1) if s not in at}
+    for items in patterns:
+        if items[0][0] not in at:
+            ((size, mult),) = items
+            needs[size].append(mult)
+    b, rows = _hit_rows(needs, n)
+    mask = (1 << b * (n + 1)) - 1
     left = []
     for c, (items, copies) in enumerate(classes.items()):
         for i, (size, mult) in enumerate(items):
@@ -164,12 +166,12 @@ def _sweep(
         stepped: dict[frozenset[int], dict[int, int]] = {}
         for pending, hit_rows in states.items():
             met = [(m, c, hit) for m, c, first, hit in at[s] if first or c in pending]
-            cuts = sorted({*ones[s], *(m for m, _, _ in met)})
+            cuts = sorted({m for m, _, _ in met})
             stay = pending.difference(c for _, c, _ in met)
             targets = []
             for k in (0, *cuts):
                 target = stay.union(c for m, c, hit in met if m <= k and not hit)
-                hits = sum(m <= k for m in ones[s]) + sum(hit for m, _, hit in met if m <= k)
+                hits = sum(hit for m, _, hit in met if m <= k)
                 targets.append((target, hits))
             for h, row in hit_rows.items():
                 pre = _stride_sums(row, b * s, mask)
@@ -188,9 +190,7 @@ def _sweep(
         yield b, states
 
 
-def _tally_sweep(
-    patterns: Sequence[tuple[tuple[int, int], ...]], n_from: int, n_to: int
-) -> list[dict[int, int]]:
+def _tally_sweep(patterns: Sequence[Pattern], n_from: int, n_to: int) -> list[dict[int, int]]:
     """Tally the statistic that counts the members with these (size,
     multiplicity) patterns at every n in [n_from, n_to], over one `_sweep`
     to n_to: one {j: count} per n, in order.

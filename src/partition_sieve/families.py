@@ -78,7 +78,7 @@ class StrandEntry:
 
     def __post_init__(self):
         for name, coeffs, arity in (("size", self.size, 3), ("mult", self.mult, 2)):
-            if len(coeffs) != arity or not all(isinstance(c, int) for c in coeffs):
+            if len(coeffs) != arity or not all(type(c) is int for c in coeffs):
                 raise FamilyError(
                     f"{name} must be {arity} integer coefficients, got {coeffs!r}"
                 )
@@ -106,6 +106,8 @@ class Strand:
     tmin: int = 1
 
     def __post_init__(self):
+        if type(self.tmin) is not int:
+            raise FamilyError(f"tmin must be an integer, got {self.tmin!r}")
         if (self.explicit is None) == (not self.entries):
             raise FamilyError("strand needs either template entries or an explicit multiset")
         if self.explicit is not None:

@@ -169,6 +169,20 @@ def mixed_families(draw):
 
 
 @st.composite
+def shared_size_families(draw):
+    """Members with two or three entries at sizes 1-9 next to one-entry
+    members drawn mostly at the sizes those use, needing 1-3, so several
+    often need the same at one size; both kinds are often repeated."""
+    many = st.dictionaries(st.integers(1, 9), st.integers(1, 2), min_size=2, max_size=3)
+    members = draw(st.lists(many, min_size=1, max_size=3))
+    used = sorted({s for member in members for s in member})
+    one = st.tuples(st.one_of(st.sampled_from(used), st.integers(1, 9)), st.integers(1, 3))
+    members += [{s: m} for s, m in draw(st.lists(one, min_size=1, max_size=6))]
+    repeats = draw(st.lists(st.sampled_from(members), max_size=5))
+    return explicit_family(*members, *repeats)
+
+
+@st.composite
 def product_families(draw, walked=False, coupled=False):
     """One-entry members at sizes 1-8 (often 1-3) needing 1-4, often
     several and equal at one size; the heavier ones weigh more than n.
@@ -675,6 +689,33 @@ class TestTailPaths:
         assert tallies == expected
         report = compare(x, y, n_from, n_to)
         assert report_verdicts(report) == oracle_verdicts(x, y, n_from, n_to, expected)
+
+    @given(shared_size_families(), tally_ranges())
+    @example(explicit_family({2: 1, 3: 1}, {2: 1}, {2: 1}, {3: 2}, {3: 2}, {5: 1}), (0, 12))
+    @example(explicit_family({1: 1, 4: 1}, {4: 3}, {4: 1}, {4: 1}, {1: 2}), (3, 20))
+    @settings(max_examples=100, deadline=None)
+    def test_smallest_size_decides_product_or_sweep(self, family, n_range):
+        # W is the sizes that members with two or more entries use. A member
+        # whose smallest size is in W is swept, one-entry or not; every
+        # other member is a need of the per-size product.
+        n_from, n_to = n_range
+        patterns = family.member_patterns(n_to)
+        swept = {s for pattern in patterns if len(pattern) > 1 for s, _ in pattern}
+        products = []
+        hit_rows = distribution._hit_rows
+
+        def checked(needs, n):
+            products.append(sorted((s, m) for s, mults in needs.items() for m in mults))
+            assert swept.isdisjoint(needs)
+            return hit_rows(needs, n)
+
+        with patch.object(distribution, "_hit_rows", checked), counting_sweeps() as sweeps:
+            tallies = distribution._tally_sweep(patterns, n_from, n_to)
+        assert products == [sorted(p[0] for p in patterns if p[0][0] not in swept)]
+        assert [sweep[:2] for sweep in sweeps] == [[n_to, len(swept)]]
+        stat = FamilyStatistic(family)
+        ns = range(n_from, n_to + 1)
+        assert tallies == [tally_distribution(stat.counts_evaluator(n), n) for n in ns]
 
 
 class TestStraddlingMembers:

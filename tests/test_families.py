@@ -409,6 +409,28 @@ class TestStrandInvariants:
         with pytest.raises(FamilyError, match="infinity"):
             Strand(entries=(StrandEntry((0, 0, 5), (0, 1)),))
 
+    @pytest.mark.parametrize(
+        "size,mult,name",
+        [
+            ((0, True, 0), (0, 1), "size"),
+            ((False, 2, 0), (0, 1), "size"),
+            ((0, 2, 0), (0, True), "mult"),
+            ((0, 2, 0), (1.0, 0), "mult"),
+        ],
+    )
+    def test_entry_coefficients_are_exact_ints(self, size, mult, name):
+        # bool is an int subclass; Multiset and the pair-file parser refuse it too.
+        with pytest.raises(FamilyError, match=f"^{name} must be [23] integer coefficients"):
+            StrandEntry(size, mult)
+
+    @pytest.mark.parametrize("tmin", [True, False, 1.0, "1", None])
+    def test_tmin_is_an_exact_int(self, tmin):
+        message = re.escape(f"tmin must be an integer, got {tmin!r}")
+        with pytest.raises(FamilyError, match=f"^{message}$"):
+            Strand(entries=(StrandEntry((0, 2, 0), (0, 1)),), tmin=tmin)
+        with pytest.raises(FamilyError, match=f"^{message}$"):
+            Strand(explicit=Multiset({1: 1}), tmin=tmin)
+
     def test_explicit_needs_nonempty(self):
         with pytest.raises(FamilyError):
             Strand(explicit=Multiset())

@@ -2,6 +2,7 @@ import tracemalloc
 from dataclasses import fields
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +37,7 @@ from partition_sieve import (
     pair_statistics,
     sieve_distribution,
 )
+from partition_sieve.cli import main as cli_main
 
 
 def single_entry_strand(size_poly, mult_poly):
@@ -1044,3 +1046,67 @@ class TestWitnessRevalidation:
             union_g = union_g.union(pair.G.member(idx))
         assert (union_f.weight, union_g.weight) == (w.weight_f, w.weight_g)
         assert union_f.weight != union_g.weight
+
+
+def corrupt_row(change):
+    """Corruption: row 1 of the checkers' table becomes change(table)."""
+
+    def install(monkeypatch):
+        annotated = sieve_module._annotated_positions
+
+        def corrupted(pair, n_max):
+            table = annotated(pair, n_max)
+            table[1] = change(table)
+            return table
+
+        monkeypatch.setattr(sieve_module, "_annotated_positions", corrupted)
+
+    return install
+
+
+def skew_added_weight(monkeypatch):
+    """Corruption: every added weight of an euler G member {t: 2} is one
+    too high, so the walk weighs a set's G union wrong."""
+    added = sieve_module._added_weight
+
+    def skewed(pattern, union):
+        return added(pattern, union) + (pattern[0][1] == 2)
+
+    monkeypatch.setattr(sieve_module, "_added_weight", skewed)
+
+
+# (theorem, corruption, the start of the RuntimeError's message). Each one
+# makes a checker find a witness on euler, whose hypotheses hold, and the
+# re-validation through `family.member` must refuse it.
+CORRUPTIONS = [
+    ("b", corrupt_row(lambda t: (t[1][0], t[0][1], *t[1][2:])), "disjointness witness"),
+    ("b", corrupt_row(lambda t: (*t[1][:2], t[1][2] + 1, *t[1][3:])), "weight witness"),
+    ("c", corrupt_row(lambda t: (*t[1][:3], t[0][3], t[1][4])), "union witness multisets"),
+    ("c", skew_added_weight, "union witness weights"),
+]
+CORRUPTION_IDS = ["f-pattern-of-another-member", "wrong-weight", "g-pattern", "added-weight"]
+
+
+class TestRevalidationFailures:
+    """A fast path that goes wrong raises RuntimeError, never reports a
+    divergence: the checkers re-validate every witness against the members
+    that `family.member` builds, which none of these corruptions touch."""
+
+    @pytest.mark.parametrize("theorem,corrupt,message", CORRUPTIONS, ids=CORRUPTION_IDS)
+    def test_library_raises(self, monkeypatch, theorem, corrupt, message):
+        corrupt(monkeypatch)
+        check = check_theorem_b if theorem == "b" else check_theorem_c
+        with pytest.raises(RuntimeError, match=f"^{message} failed re-validation: "):
+            check(builtin_pair("euler"), 30)
+
+    @pytest.mark.parametrize("theorem,corrupt,message", CORRUPTIONS, ids=CORRUPTION_IDS)
+    def test_check_exits_4(self, monkeypatch, theorem, corrupt, message):
+        # Exit 1 would claim a mathematical divergence.
+        corrupt(monkeypatch)
+        args = ["check", "--pair", "euler", "--theorem", theorem, "--n-max", "30"]
+        result = CliRunner().invoke(cli_main, args)
+        assert (result.exit_code, result.stdout) == (4, "")
+        assert result.stderr.startswith(
+            f"internal error: RuntimeError: {message} failed re-validation: "
+        )
+        assert result.stderr.count("\n") == 1
