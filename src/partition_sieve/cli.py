@@ -490,9 +490,10 @@ def sieve(pair, pair_file, d, m1_file, side, n, subset_cap, fmt):
     """Inclusion-exclusion table for one side, cross-checked against brute force.
 
     Prints the sieve's exact-j table plus a `crosscheck: PASS|FAIL` line
-    comparing it with the enumeration-based distribution. Exits 0 on PASS,
-    1 on FAIL, 3 if the subset budget was exceeded (truncated result) or if
-    p(n) is over the partition cap (`crosscheck: skipped`, table still exact).
+    comparing it with the brute-force distribution (`distribution_bruteforce`,
+    a transfer DP over part sizes). Exits 0 on PASS, 1 on FAIL, 3 if the
+    subset budget was exceeded (truncated result) or if p(n) is over the
+    partition cap (`crosscheck: skipped`, table still exact).
     """
     if n < 0:
         raise click.UsageError("--n must be >= 0")

@@ -14,7 +14,12 @@ therefore be read only up to the members of weight <= n.
 
 A FamilyPair holds two families with aligned strands; the alignment
 realizes the per-index pairing F_i <-> G_i that the disjoint-family
-hypothesis checker relies on.
+hypothesis checker relies on. Every pair is assembled by `_pair`, which
+names its families `name.F` and `name.G`, from template strands built by
+`_strand`. The pairs that take no parameters (euler, squares, mod6,
+remmel_consecutive) and mod6's prose family are built once, at import, and
+shared by every caller. andrews, like a parsed pair file, keeps one strand
+object wherever its F and G members coincide.
 """
 
 from __future__ import annotations
@@ -268,93 +273,26 @@ class FamilyPair:
                 )
 
 
-def _template_strand(
-    entries: Iterable[tuple[tuple[int, int, int], tuple[int, int]]], tmin: int = 1
-) -> Strand:
-    return Strand(
-        entries=tuple(StrandEntry(size, mult) for size, mult in entries), tmin=tmin
-    )
+def _strand(*entries: tuple[tuple[int, int, int], tuple[int, int]], tmin: int = 1) -> Strand:
+    """The template strand of the given (size, mult) coefficient entries."""
+    return Strand(entries=tuple(StrandEntry(size, mult) for size, mult in entries), tmin=tmin)
 
 
-def _single(size_poly: tuple[int, int, int], mult_poly: tuple[int, int], tmin: int = 1) -> Strand:
-    return _template_strand([(size_poly, mult_poly)], tmin=tmin)
-
-
-def _euler_pair() -> FamilyPair:
+def _pair(name: str, f: Sequence[Strand], g: Sequence[Strand]) -> FamilyPair:
+    """The pair `name` of the families `name.F` and `name.G` over the given
+    aligned strands."""
     return FamilyPair(
-        "euler",
-        MultisetFamily("euler.F", (_single((0, 2, 0), (0, 1)),)),  # {2t}
-        MultisetFamily("euler.G", (_single((0, 1, 0), (0, 2)),)),  # {t,t}
-    )
-
-
-def _squares_pair() -> FamilyPair:
-    return FamilyPair(
-        "squares",
-        MultisetFamily("squares.F", (_single((1, 0, 0), (0, 1)),)),  # {t^2}
-        MultisetFamily("squares.G", (_single((0, 1, 0), (1, 0)),)),  # t copies of t
-    )
-
-
-def _mod6_pair() -> FamilyPair:
-    # Weight-matched form: F lists the sizes = 2,3,4 (mod 6) as singletons;
-    # G pairs them with {r,r} for r = 1 (mod 3), the odd multiples of 3 as
-    # singletons, and {r,r} for r = 2 (mod 3). Weights match strandwise:
-    # 6t+2 = 2(3t+1), 6t+3 = 6t+3, 6t+4 = 2(3t+2).
-    F = MultisetFamily(
-        "mod6.F",
-        (
-            _single((0, 6, 2), (0, 1), tmin=0),
-            _single((0, 6, 3), (0, 1), tmin=0),
-            _single((0, 6, 4), (0, 1), tmin=0),
-        ),
-    )
-    G = MultisetFamily(
-        "mod6.G",
-        (
-            _single((0, 3, 1), (0, 2), tmin=0),
-            _single((0, 6, 3), (0, 1), tmin=0),
-            _single((0, 3, 2), (0, 2), tmin=0),
-        ),
-    )
-    return FamilyPair("mod6", F, G)
-
-
-def mod6_prose_family() -> MultisetFamily:
-    """The literal reading of mod6's Y as a family: every multiple of 3
-    present, plus every repeated size not divisible by 3. Unlike mod6.G it
-    also counts the even multiples of 3, so its distribution differs from
-    mod6.X's, first at n=6 (`compare --prose-y`)."""
-    return MultisetFamily(
-        "mod6_Y_prose",
-        (
-            _single((0, 3, 3), (0, 1), tmin=0),  # {3t+3}
-            _single((0, 3, 1), (0, 2), tmin=0),  # {3t+1, 3t+1}
-            _single((0, 3, 2), (0, 2), tmin=0),  # {3t+2, 3t+2}
-        ),
+        name, MultisetFamily(f"{name}.F", tuple(f)), MultisetFamily(f"{name}.G", tuple(g))
     )
 
 
 def _glaisher_pair(d: int) -> FamilyPair:
     if not isinstance(d, int) or d <= 1:
         raise FamilyError(f"glaisher requires an integer d > 1, got {d!r}")
-    return FamilyPair(
-        f"glaisher(d={d})",
-        MultisetFamily(f"glaisher(d={d}).F", (_single((0, d, 0), (0, 1)),)),  # {dt}
-        MultisetFamily(f"glaisher(d={d}).G", (_single((0, 1, 0), (0, d)),)),  # d copies of t
+    # {dt} against d copies of t.
+    return _pair(
+        f"glaisher(d={d})", [_strand(((0, d, 0), (0, 1)))], [_strand(((0, 1, 0), (0, d)))]
     )
-
-
-def _remmel_consecutive_pair() -> FamilyPair:
-    F = MultisetFamily(
-        "remmel_consecutive.F",
-        (_template_strand([((0, 2, 0), (0, 1)), ((0, 2, 2), (0, 1))]),),  # {2t, 2t+2}
-    )
-    G = MultisetFamily(
-        "remmel_consecutive.G",
-        (_template_strand([((0, 1, 0), (0, 2)), ((0, 1, 1), (0, 2))]),),  # {t,t,t+1,t+1}
-    )
-    return FamilyPair("remmel_consecutive", F, G)
 
 
 def doubling_complement(m1: Iterable[int]) -> set[int]:
@@ -388,18 +326,12 @@ def _andrews_pair(m1: Sequence[int], bound: int) -> FamilyPair:
     for s in range(1, working + 1):
         if s in m2:
             continue
-        f_strands.append(Strand(explicit=Multiset({s: 1})))
-        if s in m1set:
-            # s is a double of an M1 member; the partner swaps it for {s/2, s/2}.
-            g_strands.append(Strand(explicit=Multiset({s // 2: 2})))
-        else:
-            g_strands.append(Strand(explicit=Multiset({s: 1})))
-    name = f"andrews(bound={working})"
-    return FamilyPair(
-        name,
-        MultisetFamily(name + ".F", tuple(f_strands)),
-        MultisetFamily(name + ".G", tuple(g_strands)),
-    )
+        strand = Strand(explicit=Multiset({s: 1}))
+        f_strands.append(strand)
+        # A double of an M1 member is swapped for {s/2, s/2}; any other size
+        # is its own partner, and F and G share its strand.
+        g_strands.append(Strand(explicit=Multiset({s // 2: 2})) if s in m1set else strand)
+    return _pair(f"andrews(bound={working})", f_strands, g_strands)
 
 
 # name -> (parameter summary, what the pair verifies)
@@ -440,6 +372,58 @@ BUILTIN_PAIRS: dict[str, tuple[str, str]] = {
 }
 
 
+# The pairs that take no parameters, and mod6's prose family, built and
+# validated once at import and shared by every caller.
+_PARAMETERLESS: dict[str, FamilyPair] = {
+    pair.name: pair
+    for pair in (
+        # {2t} against {t, t}.
+        _pair("euler", [_strand(((0, 2, 0), (0, 1)))], [_strand(((0, 1, 0), (0, 2)))]),
+        # {t^2} against t copies of t.
+        _pair("squares", [_strand(((1, 0, 0), (0, 1)))], [_strand(((0, 1, 0), (1, 0)))]),
+        # Weight-matched form: F lists the sizes = 2,3,4 (mod 6) as
+        # singletons; G pairs them with {r,r} for r = 1 (mod 3), the odd
+        # multiples of 3 as singletons, and {r,r} for r = 2 (mod 3). Weights
+        # match strandwise: 6t+2 = 2(3t+1), 6t+3 = 6t+3, 6t+4 = 2(3t+2).
+        _pair(
+            "mod6",
+            [
+                _strand(((0, 6, 2), (0, 1)), tmin=0),
+                _strand(((0, 6, 3), (0, 1)), tmin=0),
+                _strand(((0, 6, 4), (0, 1)), tmin=0),
+            ],
+            [
+                _strand(((0, 3, 1), (0, 2)), tmin=0),
+                _strand(((0, 6, 3), (0, 1)), tmin=0),
+                _strand(((0, 3, 2), (0, 2)), tmin=0),
+            ],
+        ),
+        # {2t, 2t+2} against {t, t, t+1, t+1}.
+        _pair(
+            "remmel_consecutive",
+            [_strand(((0, 2, 0), (0, 1)), ((0, 2, 2), (0, 1)))],
+            [_strand(((0, 1, 0), (0, 2)), ((0, 1, 1), (0, 2)))],
+        ),
+    )
+}
+_MOD6_PROSE = MultisetFamily(
+    "mod6_Y_prose",
+    (
+        _strand(((0, 3, 3), (0, 1)), tmin=0),  # {3t+3}
+        _strand(((0, 3, 1), (0, 2)), tmin=0),  # {3t+1, 3t+1}
+        _strand(((0, 3, 2), (0, 2)), tmin=0),  # {3t+2, 3t+2}
+    ),
+)
+
+
+def mod6_prose_family() -> MultisetFamily:
+    """The literal reading of mod6's Y as a family: every multiple of 3
+    present, plus every repeated size not divisible by 3. Unlike mod6.G it
+    also counts the even multiples of 3, so its distribution differs from
+    mod6.X's, first at n=6 (`compare --prose-y`). Built once, at import."""
+    return _MOD6_PROSE
+
+
 def builtin_pair(
     name: str,
     *,
@@ -451,7 +435,8 @@ def builtin_pair(
 
     glaisher requires d > 1; andrews requires m1 (the explicit M1 list) and
     bound (the largest working n, which caps the generated strands). Other
-    pairs take no parameters.
+    pairs take no parameters; they are built once, at import, and every
+    call returns the same object.
     """
     if name not in BUILTIN_PAIRS:
         raise FamilyError(
@@ -461,12 +446,6 @@ def builtin_pair(
         raise FamilyError(f"pair {name!r} takes no d parameter")
     if name != "andrews" and (m1 is not None or bound is not None):
         raise FamilyError(f"pair {name!r} takes no m1/bound parameters")
-    if name == "euler":
-        return _euler_pair()
-    if name == "squares":
-        return _squares_pair()
-    if name == "mod6":
-        return _mod6_pair()
     if name == "glaisher":
         if d is None:
             raise FamilyError("glaisher requires d")
@@ -475,7 +454,7 @@ def builtin_pair(
         if m1 is None or bound is None:
             raise FamilyError("andrews requires m1 and bound")
         return _andrews_pair(m1, bound)
-    return _remmel_consecutive_pair()
+    return _PARAMETERLESS[name]
 
 
 # --- pair-file documents ---------------------------------------------------
@@ -557,9 +536,7 @@ def _parse_strand(
         strand = built.get(key)
         if strand is None:
             try:
-                strand = Strand(
-                    entries=tuple(StrandEntry(size, mult) for size, mult in key), tmin=tmin
-                )
+                strand = _strand(*key, tmin=tmin)
             except FamilyError as exc:
                 raise FamilyError(f"{side} strand {i}: {exc}") from None
             built[key] = strand
@@ -610,11 +587,10 @@ def parse_family_pair(document: str | bytes | dict) -> FamilyPair:
             raise FamilyError(f"'{side}' must be an array of strands")
         if not raw_strands:
             raise FamilyError(f"'{side}' must contain at least one strand")
-        strands = tuple(
-            [_parse_strand(raw, tmin, side, i, built) for i, raw in enumerate(raw_strands)]
-        )
-        sides[side] = MultisetFamily(f"{name}.{side}", strands)
-    return FamilyPair(name, sides["F"], sides["G"])
+        sides[side] = [
+            _parse_strand(raw, tmin, side, i, built) for i, raw in enumerate(raw_strands)
+        ]
+    return _pair(name, sides["F"], sides["G"])
 
 
 def render_family_pair(pair: FamilyPair) -> dict[str, Any]:

@@ -64,9 +64,10 @@ __all__ = [
 ]
 
 # Budget on the number of index subsets with union weight <= n (counted by
-# the sieve and by the theorem C check, which walks only their states), and
-# on the states the theorem C DP examines past it; exceeding it is a loud,
-# flagged condition, never a silent approximation.
+# the sieve, and by the theorem C check with `_agreeing_sets`, which walks
+# them only for a witness or past the cap), and on the states the theorem C
+# DP examines past it; exceeding it is a loud, flagged condition, never a
+# silent approximation.
 DEFAULT_SUBSET_CAP = 5_000_000
 
 

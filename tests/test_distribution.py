@@ -634,7 +634,7 @@ class TestTailPaths:
     ]
 
     @pytest.mark.parametrize("name,pair", PRODUCT_PAIRS, ids=[name for name, _ in PRODUCT_PAIRS])
-    def test_builtin_sides_skip_cover(self, name, pair):
+    def test_one_entry_builtin_sides_step_no_size(self, name, pair):
         x, y = pair_statistics(pair)
         for stat in (x, y):
             expected = tally_distribution(stat.counts_evaluator(39), 39)
@@ -643,7 +643,7 @@ class TestTailPaths:
             assert sweeps == [[39, 0, 1]]
         assert report_verdicts(compare(x, y, 28, 29)) == oracle_verdicts(x, y, 28, 29)
 
-    def test_mod6_prose_skips_cover(self):
+    def test_mod6_prose_steps_no_size(self):
         x, _ = pair_statistics(builtin_pair("mod6"))
         prose = FamilyStatistic(mod6_prose_family())
         with counting_sweeps() as sweeps:
@@ -651,7 +651,7 @@ class TestTailPaths:
         assert sweeps == [[29, 0, 1], [29, 0, 1]]
         assert report_verdicts(report) == oracle_verdicts(x, prose, 28, 29)
 
-    def test_remmel_couples_the_tail(self):
+    def test_remmel_sweeps_its_multi_entry_sizes(self):
         # {2: 1, 4: 1} and {1: 2, 2: 2} are members with two entries below 4,
         # so the sweep takes sizes 1 and 2 too: sizes 2, 4, ..., 10 for X at
         # n = 20, and 1, ..., 5 for Y.

@@ -18,6 +18,7 @@ from partition_sieve import (
     parse_family_pair,
     render_family_pair,
 )
+from partition_sieve.families import doubling_complement, mod6_prose_family
 
 EULER_DOC = {
     "name": "euler",
@@ -204,6 +205,33 @@ class TestBuiltinCatalog:
         assert sorted(euler_g, key=lambda m: m.weight) == sorted(
             andrews_g, key=lambda m: m.weight
         )
+
+    @pytest.mark.parametrize("name", ["euler", "squares", "mod6", "remmel_consecutive"])
+    def test_parameterless_pair_built_once(self, name):
+        pair = builtin_pair(name)
+        assert builtin_pair(name) is pair
+        assert parse_family_pair(render_family_pair(pair)) == pair
+
+    def test_mod6_prose_family_built_once(self):
+        assert mod6_prose_family() is mod6_prose_family()
+
+    @given(st.sets(st.integers(1, 40), min_size=1, max_size=6), st.integers(0, 40))
+    @example({1}, 40)
+    @example(set(range(1, 41)), 40)
+    @settings(max_examples=50, deadline=None)
+    def test_andrews_g_shares_f_strands_outside_m1(self, seeds, bound):
+        # Closed under doubling at every bound.
+        m1 = {m << k for m in seeds for k in range(7)}
+        pair = builtin_pair("andrews", m1=sorted(m1), bound=bound)
+        m2 = doubling_complement(m1)
+        sizes = [s for s in range(1, max(bound, 2) + 1) if s not in m2]
+        assert len(pair.F.strands) == len(pair.G.strands) == len(sizes)
+        for s, f, g in zip(sizes, pair.F.strands, pair.G.strands):
+            assert f.explicit == Multiset({s: 1})
+            if s in m1:  # in M1 - M2: a double of an M1 member
+                assert g.explicit == Multiset({s // 2: 2})
+            else:
+                assert g is f
 
     def test_andrews_rejects_unclosed_m1(self):
         with pytest.raises(FamilyError, match="doubling"):
