@@ -2,14 +2,18 @@
 identical-distribution verification over a range of n.
 
 A table holds the numerators |{pi in P(n) : X(pi) = j}|, counted by a
-transfer DP over the part sizes, not partition by partition. Comparison
-verdicts are computed from exact counts only, never from floating point.
+transfer DP over the part sizes, not partition by partition. The DP
+starts from P(q) = prod_s 1/(1 - q^s) to q^n packed into one integer, read
+from `count_partitions`, and splits its rows only at the sizes that members
+use, each by differences of shifted copies. Comparison verdicts are
+computed from exact counts only, never from floating point.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 from .families import Pattern
@@ -64,49 +68,39 @@ class DistributionTable:
         return f"DistributionTable(n={self.n}, counts={{{body}}}, total={self.total})"
 
 
-def _stride_sums(row: int, stride: int, mask: int) -> int:
-    """Digit u of the result sums the row's digits u - ks, k >= 0, for
-    stride = b s, to the digits of mask: each pass doubles the k summed.
-    It never falls along stride s, so (sums << b s a) - (sums << b s c),
-    the k in [a, c), never borrows.
-    """
-    width = mask.bit_length()
-    while stride < width:
-        row += row << stride & mask
-        stride <<= 1
-    return row
+@lru_cache(maxsize=1)
+def _partition_row(n: int) -> tuple[int, int]:
+    """(b, P(q) to q^n packed in base 2^b): digit u is p(u), and b is the
+    least multiple of 8 with p(n) < 2^b."""
+    width = (count_partitions(n).bit_length() + 7) // 8
+    digits = b"".join(count_partitions(u).to_bytes(width, "little") for u in range(n + 1))
+    return 8 * width, int.from_bytes(digits, "little")
 
 
 def _hit_rows(needs: Mapping[int, Sequence[int]], n: int) -> tuple[int, list[int]]:
-    """The product over the sizes s of `needs` of sum_k q^(sk) y^(h_s(k)),
-    h_s(k) the number of needs[s] that are <= k, to q^n, as (b, rows): row
-    h holds the coefficient of q^u y^h in digit u of base 2^b, for u <= n.
+    """P(q) = prod_s 1/(1 - q^s) with y^(h_s(k)) on the term q^(sk) of each
+    size s of `needs`, h_s(k) the number of needs[s] that are <= k, to q^n,
+    as (b, rows): row h holds the coefficient of q^u y^h in digit u of base
+    2^b, for u <= n.
 
-    A coefficient counts partitions of u, so it is at most p(u) <= p(n) <
-    2^(b - 1) and no carry reaches a digit <= n. The k in a range with the
-    same number of needs <= k are one difference of `_stride_sums`.
+    The rows start as one, packed P(q) (`_partition_row`), so every size
+    with no need is already counted. Each row holds 1/(1 - q^s) for every
+    size s not yet split: its partitions with at least k parts of size s
+    are the row shifted by s k, and the k in a range with the same number
+    of needs <= k are one difference of two such shifts. A coefficient
+    counts partitions of u, so it lies in [0, p(u)] and no borrow or carry
+    crosses a digit <= n.
     """
-    b = count_partitions(n).bit_length() + 1
+    b, row = _partition_row(n)
     mask = (1 << b * (n + 1)) - 1
-    # The sizes that no member needs first, while there is one row.
-    row = 1
-    for s, mults in needs.items():
-        if not mults:
-            row = _stride_sums(row, b * s, mask)
     rows = [row]
     for s, mults in needs.items():
-        if not mults:
-            continue
-        stride = b * s
-        mults = sorted(mults)
-        product = [0] * (len(rows) + len(mults))
+        shifts = [b * s * m for m in sorted(mults)]
+        product = [0] * (len(rows) + len(shifts))
         for h, row in enumerate(rows):
-            if not row:
-                continue
-            pre = _stride_sums(row, stride, mask)
-            low = pre
-            for m in mults:
-                high = pre << stride * m & mask
+            low = row
+            for shift in shifts:
+                high = row << shift & mask
                 product[h] += low - high
                 low = high
                 h += 1
@@ -128,29 +122,32 @@ def _sweep(
     with two or more entries use. A member is a class iff its smallest size
     is in W, one entry or more, and identical members are one class; every
     other member has one entry, at a size outside W. The start is one
-    state, no class pending, whose rows are `_hit_rows` over the sizes
-    outside W; then W is swept in increasing order. A state is the set of
-    pending classes (first size swept, last not, every swept entry met) and
-    maps each number of hits h to a row whose digit u counts partitions of
-    u into the swept sizes.
+    state, no class pending, whose rows are `_hit_rows` of those one-entry
+    members, so they start from packed P(q); then W is swept in increasing
+    order. A state is the set of pending classes (first size swept, last
+    not, every swept entry met) and maps each number of hits h to a row
+    whose digit u counts the partitions of u that reach it. A row still
+    holds 1/(1 - q^s) for each unswept size s.
 
     At size s the needs there of the classes that start at s and of the
     pending ones cut k into ranges, and each range sends the state to one
-    next state with the same added hits; a class hits at its last size. A
-    class whose unswept entries weigh more than n minus the lowest nonzero
-    digit of its state is met at no u <= n, so it leaves the pending set,
-    and equal states merge. No row is zero.
+    next state with the same added hits, by the difference of the row
+    shifted by s times the range's ends, as in `_hit_rows`; a class hits at
+    its last size. A state's lightest partition has no part of an unswept
+    size, so a class whose unswept entries weigh more than n minus the
+    lowest nonzero digit of its state is met at no u <= n: it leaves the
+    pending set, and equal states merge. No row is zero.
     """
     swept = sorted({s for items in patterns if len(items) > 1 for s, _ in items})
     # at[s]: (need at s, class, whether it starts at s, its copies if it
     # ends at s, else 0) per class entry at s; left[c]: c's unswept weight.
     at: dict[int, list[tuple[int, int, bool, int]]] = {s: [] for s in swept}
     classes = Counter(items for items in patterns if items[0][0] in at)
-    needs: dict[int, list[int]] = {s: [] for s in range(1, n + 1) if s not in at}
+    needs: dict[int, list[int]] = {}
     for items in patterns:
         if items[0][0] not in at:
             ((size, mult),) = items
-            needs[size].append(mult)
+            needs.setdefault(size, []).append(mult)
     b, rows = _hit_rows(needs, n)
     mask = (1 << b * (n + 1)) - 1
     left = []
@@ -174,8 +171,7 @@ def _sweep(
                 hits = sum(hit for m, _, hit in met if m <= k)
                 targets.append((target, hits))
             for h, row in hit_rows.items():
-                pre = _stride_sums(row, b * s, mask)
-                highs = [pre << b * s * k & mask for k in (0, *cuts)] + [0]
+                highs = [row << b * s * k & mask for k in (0, *cuts)] + [0]
                 for (target, hits), low, high in zip(targets, highs, highs[1:]):
                     if piece := low - high:
                         into = stepped.setdefault(target, {})
@@ -213,9 +209,8 @@ def _tally_sweep(patterns: Sequence[Pattern], n_from: int, n_to: int) -> list[di
 
 
 def distribution_bruteforce(stat: FamilyStatistic, n: int) -> DistributionTable:
-    """Tally the statistic over every partition of n: the sizes that only
-    one-entry members use in closed form, the others by the transfer DP
-    (`_tally_sweep`).
+    """Tally the statistic over every partition of n by the transfer DP
+    (`_tally_sweep`), started from packed P(q).
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -266,7 +261,8 @@ def compare(
     """Check Prob_n(X=j) = Prob_n(Y=j) for every n in [n_from, n_to].
 
     Each side is tallied at every n of the range by its own sweep to n_to,
-    as in `distribution_bruteforce`, so equal count maps mean
+    as in `distribution_bruteforce`, both from one packed P(q) to q^n_to
+    (`_partition_row` keeps the last one), so equal count maps mean
     equal distributions exactly. A divergent verdict carries the smallest j
     whose counts differ.
     """

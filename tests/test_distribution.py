@@ -739,13 +739,15 @@ class TestStraddlingMembers:
 
 
 class TestHitRows:
-    """The packed per-size product against a plain list DP of the same
-    coefficients."""
+    """The packed rows, P(q) split at the sizes of the needs, against a
+    plain list DP over every size of the same coefficients."""
 
     @staticmethod
     def plain_rows(needs, n):
+        # Sizes above n have no effect on q^0 .. q^n.
         rows = [[1] + [0] * n]
-        for s, mults in needs.items():
+        for s in range(1, n + 1):
+            mults = needs.get(s, [])
             product = [[0] * (n + 1) for _ in range(len(rows) + len(mults))]
             for h, row in enumerate(rows):
                 for u, ways in enumerate(row):
@@ -777,6 +779,9 @@ class TestHitRows:
         assert all(row >> b * (n + 1) == 0 for row in rows)
         unpacked = [[(u, w) for u in range(n + 1) if (w := row >> b * u & digit)] for row in rows]
         assert unpacked == self.plain_rows(needs, n)
+        # No digit borrows or carries: each lies in [0, p(u)].
+        assert all(row >= 0 for row in rows)
+        assert all(w <= count_partitions(u) for row in unpacked for u, w in row)
 
 
 # The largest n under the CLI's partition cap.
@@ -803,6 +808,28 @@ def test_bruteforce_matches_sieve_at_the_cap_edge(pair):
         table = distribution_bruteforce(FamilyStatistic(family), N_CAP_EDGE)
         assert table == sieved.table
         assert table.total == count_partitions(N_CAP_EDGE)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        builtin_pair("euler"),
+        builtin_pair("squares"),
+        builtin_pair("mod6"),
+        builtin_pair("glaisher", d=3),
+        builtin_pair("remmel_consecutive"),
+    ],
+    ids=["euler", "squares", "mod6", "glaisher3", "remmel"],
+)
+def test_bruteforce_matches_sieve_far_past_the_cap(pair):
+    # Each side's brute force, and the sieve on F, which shares no DP with it.
+    n = 300
+    table_x = distribution_bruteforce(FamilyStatistic(pair.F), n)
+    table_y = distribution_bruteforce(FamilyStatistic(pair.G), n)
+    sieved = sieve_distribution(pair.F, n, 10**40)
+    assert not sieved.truncated
+    assert table_x == table_y == sieved.table
+    assert table_x.total == count_partitions(n)
 
 
 def test_bruteforce_matches_sieve_on_a_coupled_tail():

@@ -57,5 +57,10 @@ def test_brute_force_imports_nothing_from_the_sieve():
     assert "sieve" not in module_imports("distribution")
 
 
+def test_brute_force_takes_only_the_partition_count():
+    # P(q) is read through count_partitions, not the sieve's accessors.
+    assert module_imports("distribution")["partitions"] == {"count_partitions"}
+
+
 def test_sieve_takes_only_the_table_from_brute_force():
     assert module_imports("sieve")["distribution"] == {"DistributionTable"}
