@@ -12,9 +12,8 @@ computed from exact counts only, never from floating point.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .families import Pattern
 from .partitions import count_partitions
@@ -29,19 +28,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class DistributionTable:
+class DistributionTable(
+    NamedTuple("DistributionTable", [("n", int), ("counts", dict[int, int]), ("total", int)])
+):
     """Exact counts {j: |{pi in P(n) : X(pi) = j}|} with their sum.
 
     Absent j means count 0; zero counts are never stored. For full
-    enumerations the total equals p(n).
+    enumerations the total equals p(n). The total is always worked out
+    from the counts, by the constructor and by `_replace` alike.
     """
 
-    n: int
-    counts: dict[int, int]
-    total: int
+    __slots__ = ()
 
-    def __init__(self, n: int, counts: Mapping[int, int]):
+    def __new__(cls, n: int, counts: Mapping[int, int]):
         clean = {}
         for j, c in counts.items():
             if j < 0:
@@ -50,18 +49,19 @@ class DistributionTable:
                 raise ValueError(f"count must be >= 0, got {c} at j={j}")
             if c:
                 clean[j] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "counts", clean)
-        object.__setattr__(self, "total", sum(clean.values()))
+        return super().__new__(cls, n, clean, sum(clean.values()))
+
+    @classmethod
+    def _make(cls, values) -> DistributionTable:
+        n, counts, _total = values
+        return cls(n, counts)
+
+    def __getnewargs__(self) -> tuple[int, dict[int, int]]:
+        return self.n, self.counts
 
     def marginal(self, j: int) -> int:
         """The count at j (0 if absent)."""
         return self.counts.get(j, 0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DistributionTable):
-            return NotImplemented
-        return self.n == other.n and self.counts == other.counts
 
     def __repr__(self) -> str:
         body = ", ".join(f"{j}: {c}" for j, c in sorted(self.counts.items()))
@@ -218,8 +218,7 @@ def distribution_bruteforce(stat: FamilyStatistic, n: int) -> DistributionTable:
     return DistributionTable(n, tally)
 
 
-@dataclass(frozen=True)
-class ComparisonVerdict:
+class ComparisonVerdict(NamedTuple):
     """Outcome at one n: identical count maps, or the smallest differing j."""
 
     n: int
@@ -229,8 +228,7 @@ class ComparisonVerdict:
     count_y: int | None = None
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     label_x: str
     label_y: str
     n_from: int

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import count
 from operator import itemgetter
 from typing import Any, NamedTuple
@@ -74,19 +73,40 @@ def _least_value(coeffs: tuple[int, int, int], tmin: int) -> tuple[int, int] | N
     return min((_poly_eval(coeffs, t), t) for t in candidates)
 
 
-@dataclass(frozen=True)
-class StrandEntry:
+def _checked_make(cls, values):
+    """`_make`, and so `_replace`, through the validating constructor."""
+    return cls(*values)
+
+
+def _tuple_of(kind: type, values: Any, where: str) -> tuple:
+    """`values` (a tuple or list) as a tuple, each element checked to be a `kind`."""
+    if not isinstance(values, (tuple, list)):
+        raise FamilyError(f"{where} must be a tuple of {kind.__name__}, got {values!r}")
+    for value in values:
+        if not isinstance(value, kind):
+            raise FamilyError(f"{where} must hold {kind.__name__} objects, got {value!r}")
+    return tuple(values)
+
+
+class StrandEntry(
+    NamedTuple("StrandEntry", [("size", tuple[int, int, int]), ("mult", tuple[int, int])])
+):
     """One template entry: size(t) = c2*t^2 + c1*t + c0, mult(t) = m1*t + m0."""
 
-    size: tuple[int, int, int]
-    mult: tuple[int, int]
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
-        for name, coeffs, arity in (("size", self.size, 3), ("mult", self.mult, 2)):
-            if len(coeffs) != arity or not all(type(c) is int for c in coeffs):
+    def __new__(cls, size: Sequence[int], mult: Sequence[int]):
+        for name, coeffs, arity in (("size", size, 3), ("mult", mult, 2)):
+            if (
+                not isinstance(coeffs, (tuple, list))
+                or len(coeffs) != arity
+                or not all(type(c) is int for c in coeffs)
+            ):
                 raise FamilyError(
                     f"{name} must be {arity} integer coefficients, got {coeffs!r}"
                 )
+        return super().__new__(cls, tuple(size), tuple(mult))
 
     def size_at(self, t: int) -> int:
         return _poly_eval(self.size, t)
@@ -101,28 +121,40 @@ class StrandEntry:
         return (c2 * m1, c2 * m0 + c1 * m1, c1 * m0 + c0 * m1, c0 * m0)
 
 
-@dataclass(frozen=True)
-class Strand:
+class Strand(
+    NamedTuple(
+        "Strand",
+        [("entries", tuple[StrandEntry, ...]), ("explicit", Multiset | None), ("tmin", int)],
+    )
+):
     """A strand of family members: a polynomial template over t >= tmin,
     or a single explicit multiset (whose only index is t = tmin)."""
 
-    entries: tuple[StrandEntry, ...] = ()
-    explicit: Multiset | None = None
-    tmin: int = 1
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
-        if type(self.tmin) is not int:
-            raise FamilyError(f"tmin must be an integer, got {self.tmin!r}")
-        if (self.explicit is None) == (not self.entries):
+    def __new__(
+        cls,
+        entries: Sequence[StrandEntry] = (),
+        explicit: Multiset | None = None,
+        tmin: int = 1,
+    ):
+        if type(tmin) is not int:
+            raise FamilyError(f"tmin must be an integer, got {tmin!r}")
+        entries = _tuple_of(StrandEntry, entries, "strand entries")
+        if explicit is not None and not isinstance(explicit, Multiset):
+            raise FamilyError(f"explicit strand must be a Multiset, got {explicit!r}")
+        if (explicit is None) == (not entries):
             raise FamilyError("strand needs either template entries or an explicit multiset")
-        if self.explicit is not None:
-            if not self.explicit:
+        self = super().__new__(cls, entries, explicit, tmin)
+        if explicit is not None:
+            if not explicit:
                 raise FamilyError("explicit strand multiset must be nonempty")
-            return
+            return self
         # Weight must grow without bound along the strand, otherwise the
         # finite-truncation contract (relevant indices <= n) breaks down.
         wpoly = [0, 0, 0, 0]
-        for entry in self.entries:
+        for entry in entries:
             for i, c in enumerate(entry.weight_poly()):
                 wpoly[i] += c
         degree = next((3 - i for i, c in enumerate(wpoly) if c != 0), -1)
@@ -131,9 +163,9 @@ class Strand:
                 "strand weight must tend to infinity (needs a positive leading "
                 f"size or multiplicity coefficient), weight poly {wpoly}"
             )
-        for k, entry in enumerate(self.entries):
+        for k, entry in enumerate(entries):
             for name, coeffs in (("size", entry.size), ("multiplicity", (0, *entry.mult))):
-                least = _least_value(coeffs, self.tmin)
+                least = _least_value(coeffs, tmin)
                 if least is None:
                     raise FamilyError(f"entry {k}: {name} falls without bound as t grows")
                 if least[0] < 1:
@@ -141,12 +173,13 @@ class Strand:
         # w(t+1) - w(t) for w = c3*t^3 + c2*t^2 + c1*t + c0. The weight tends
         # to infinity, so this difference has a least value.
         c3, c2, c1, _ = wpoly
-        step, t = _least_value((3 * c3, 3 * c3 + 2 * c2, c3 + c2 + c1), self.tmin)
+        step, t = _least_value((3 * c3, 3 * c3 + 2 * c2, c3 + c2 + c1), tmin)
         if step < 0:
             raise FamilyError(
                 f"strand weight decreases from t={t} ({self.weight_at(t)}) "
                 f"to t={t + 1} ({self.weight_at(t + 1)})"
             )
+        return self
 
     def is_explicit(self) -> bool:
         return self.explicit is not None
@@ -173,16 +206,19 @@ class FamilyIndex(NamedTuple):
     t: int
 
 
-@dataclass(frozen=True)
-class MultisetFamily:
+class MultisetFamily(
+    NamedTuple("MultisetFamily", [("name", str), ("strands", tuple[Strand, ...])])
+):
     """An indexed family of nonempty multisets of positive integers."""
 
-    name: str
-    strands: tuple[Strand, ...]
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
-        if not self.strands:
-            raise FamilyError(f"family {self.name!r} has no strands")
+    def __new__(cls, name: str, strands: Sequence[Strand]):
+        strands = _tuple_of(Strand, strands, f"family {name!r} strands")
+        if not strands:
+            raise FamilyError(f"family {name!r} has no strands")
+        return super().__new__(cls, name, strands)
 
     def member(self, idx: FamilyIndex) -> Multiset:
         if not 0 <= idx.strand < len(self.strands):
@@ -220,13 +256,14 @@ class MultisetFamily:
             raise ValueError(f"n must be >= 0, got {n}")
         found: list[tuple[int, Pattern]] = []
         for strand in self.strands:
-            if strand.explicit is None:
+            explicit = strand.explicit
+            if explicit is None:
                 for member in template_patterns(strand):
                     if member[0] > n:
                         break
                     found.append(member)
-            elif strand.explicit.weight <= n:
-                found.append((strand.explicit.weight, strand.explicit.items()))
+            elif explicit.weight <= n:
+                found.append((explicit.weight, explicit.items()))
         # Found in (strand, t) order, so a stable sort by weight alone gives
         # the (weight, strand, t) order.
         found.sort(key=itemgetter(0))
@@ -247,8 +284,9 @@ def template_patterns(strand: Strand) -> Iterator[tuple[int, Pattern]]:
         yield sum([s * m for s, m in items]), tuple(items)
 
 
-@dataclass(frozen=True)
-class FamilyPair:
+class FamilyPair(
+    NamedTuple("FamilyPair", [("name", str), ("F", MultisetFamily), ("G", MultisetFamily)])
+):
     """Two families with aligned strands (same count, same domains).
 
     The alignment pairs member F_(s,t) with G_(s,t); it is what the
@@ -256,21 +294,27 @@ class FamilyPair:
     checking uses the same shared index positions.
     """
 
-    name: str
-    F: MultisetFamily
-    G: MultisetFamily
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
-        fs, gs = self.F.strands, self.G.strands
+    def __new__(cls, name: str, F: MultisetFamily, G: MultisetFamily):
+        for side, family in (("F", F), ("G", G)):
+            if not isinstance(family, MultisetFamily):
+                raise FamilyError(
+                    f"pair {name!r}: {side} must be a MultisetFamily, got {family!r}"
+                )
+        fs, gs = F.strands, G.strands
         if len(fs) != len(gs):
             raise FamilyError(
-                f"pair {self.name!r}: F has {len(fs)} strands but G has {len(gs)}"
+                f"pair {name!r}: F has {len(fs)} strands but G has {len(gs)}"
             )
         for si, (a, b) in enumerate(zip(fs, gs)):
-            if a.is_explicit() != b.is_explicit() or a.tmin != b.tmin:
+            # A strand that F and G share is aligned with itself.
+            if a is not b and (a.is_explicit() != b.is_explicit() or a.tmin != b.tmin):
                 raise FamilyError(
-                    f"pair {self.name!r}: strand {si} domains differ between F and G"
+                    f"pair {name!r}: strand {si} domains differ between F and G"
                 )
+        return super().__new__(cls, name, F, G)
 
 
 def _strand(*entries: tuple[tuple[int, int, int], tuple[int, int]], tmin: int = 1) -> Strand:

@@ -44,8 +44,8 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .families import FamilyIndex, FamilyPair, MultisetFamily, Pattern, template_patterns
 from .partitions import Multiset, partition_counts_down
@@ -71,8 +71,7 @@ __all__ = [
 DEFAULT_SUBSET_CAP = 5_000_000
 
 
-@dataclass(frozen=True)
-class SieveResult:
+class SieveResult(NamedTuple):
     """An inclusion-exclusion run: exact table unless truncated.
 
     A truncated run (subset cap exceeded) carries an empty table; partial
@@ -84,8 +83,7 @@ class SieveResult:
     truncated: bool
 
 
-@dataclass(frozen=True)
-class DisjointnessWitness:
+class DisjointnessWitness(NamedTuple):
     """Two same-side members sharing a support element."""
 
     side: str  # "F" or "G"
@@ -96,8 +94,7 @@ class DisjointnessWitness:
     multiset_b: Multiset
 
 
-@dataclass(frozen=True)
-class WeightWitness:
+class WeightWitness(NamedTuple):
     """An aligned index whose two members have different weights."""
 
     idx: FamilyIndex
@@ -107,8 +104,7 @@ class WeightWitness:
     multiset_g: Multiset
 
 
-@dataclass(frozen=True)
-class UnionWeightWitness:
+class UnionWeightWitness(NamedTuple):
     """An index set S whose two unions have different weights."""
 
     positions: tuple[FamilyIndex, ...]
@@ -121,8 +117,7 @@ class UnionWeightWitness:
 Witness = DisjointnessWitness | WeightWitness | UnionWeightWitness
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     """Outcome of checking a hypothesis on the finite truncation for n_max.
 
     holds=False always comes with a witness that has been re-validated by

@@ -480,6 +480,72 @@ class TestStrandInvariants:
             FamilyPair("bad", euler.F, MultisetFamily("bad.G", (shifted,)))
 
 
+class TestConstructorContainers:
+    """Constructors store their sequences as tuples and refuse elements of
+    the wrong type when the record is built, not at a later use."""
+
+    def test_lists_are_stored_as_tuples(self):
+        strand = Strand(entries=[StrandEntry([0, 1, 0], [0, 1])])
+        assert strand == Strand(entries=(StrandEntry((0, 1, 0), (0, 1)),))
+        assert type(strand.entries) is tuple
+        assert type(strand.entries[0].size) is tuple and type(strand.entries[0].mult) is tuple
+        assert hash(strand) == hash(Strand(entries=(StrandEntry((0, 1, 0), (0, 1)),)))
+        family = MultisetFamily("a", [strand])
+        assert family == MultisetFamily("a", (strand,))
+        assert type(family.strands) is tuple
+        hash(family)
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            pytest.param(
+                lambda: Strand(explicit={1: 1}),
+                "explicit strand must be a Multiset, got {1: 1}",
+                id="dict-explicit",
+            ),
+            pytest.param(
+                lambda: Strand(entries=((0, 1, 0), (0, 1))),
+                "strand entries must hold StrandEntry objects, got (0, 1, 0)",
+                id="coefficient-entries",
+            ),
+            pytest.param(
+                lambda: Strand(entries=StrandEntry((0, 1, 0), (0, 1))),
+                "strand entries must hold StrandEntry objects, got (0, 1, 0)",
+                id="bare-entry",
+            ),
+            pytest.param(
+                lambda: Strand(entries=None, explicit=Multiset({1: 1})),
+                "strand entries must be a tuple of StrandEntry, got None",
+                id="none-entries",
+            ),
+            pytest.param(
+                lambda: MultisetFamily("x", ("junk",)),
+                "family 'x' strands must hold Strand objects, got 'junk'",
+                id="string-strand",
+            ),
+            pytest.param(
+                lambda: MultisetFamily("x", "junk"),
+                "family 'x' strands must be a tuple of Strand, got 'junk'",
+                id="string-strands",
+            ),
+            pytest.param(
+                lambda: FamilyPair("p", builtin_pair("euler").F, "euler.G"),
+                "pair 'p': G must be a MultisetFamily, got 'euler.G'",
+                id="string-family",
+            ),
+            pytest.param(
+                lambda: StrandEntry(range(3), (0, 1)),
+                "size must be 3 integer coefficients, got range(0, 3)",
+                id="range-size",
+            ),
+        ],
+    )
+    def test_wrong_elements_are_refused(self, build, message):
+        with pytest.raises(FamilyError) as info:
+            build()
+        assert str(info.value) == message
+
+
 def strand_doc(f_strands, g_strands):
     return {"name": "located", "tmin": 1, "F": f_strands, "G": g_strands}
 

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import fields
 
 import pytest
 from click.testing import CliRunner
@@ -605,7 +604,7 @@ class TestCheckTheoremB:
         expected = theorem_b_scan(pair, n_max)
         assert report.holds == (expected is None)
         w = report.witness
-        found = None if w is None else (type(w).__name__, *(getattr(w, f.name) for f in fields(w)))
+        found = None if w is None else (type(w).__name__, *(getattr(w, f) for f in w._fields))
         assert found == expected
 
 
