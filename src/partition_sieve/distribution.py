@@ -41,6 +41,8 @@ class DistributionTable(
     __slots__ = ()
 
     def __new__(cls, n: int, counts: Mapping[int, int]):
+        if type(n) is not int or n < 0:
+            raise ValueError(f"n must be an integer >= 0, got {n!r}")
         clean = {}
         for j, c in counts.items():
             if j < 0:

@@ -10,7 +10,10 @@ multiplicity t).
 A template strand is valid for every t >= tmin or not at all: sizes and
 multiplicities are at least 1 and the weight never decreases, decided
 exactly from the coefficients when the strand is built. A family can
-therefore be read only up to the members of weight <= n.
+therefore be read only up to the members of weight <= n. No other module
+reads a strand: `MultisetFamily.member_patterns` gives one family's
+members by (weight, strand, t), for brute force and the sieve, and
+`FamilyPair.positions` both sides' by (min weight, strand, t), for checkers.
 
 A FamilyPair holds two families with aligned strands; the alignment
 realizes the per-index pairing F_i <-> G_i that the disjoint-family
@@ -251,14 +254,14 @@ class MultisetFamily(
 
     def member_patterns(self, n: int) -> tuple[Pattern, ...]:
         """`member(idx).items()` for every idx of `relevant_indices(n)`, in
-        that order, worked out from the coefficients (`template_patterns`)."""
+        that order, worked out from the coefficients (`_template_patterns`)."""
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         found: list[tuple[int, Pattern]] = []
         for strand in self.strands:
             explicit = strand.explicit
             if explicit is None:
-                for member in template_patterns(strand):
+                for member in _template_patterns(strand):
                     if member[0] > n:
                         break
                     found.append(member)
@@ -270,7 +273,7 @@ class MultisetFamily(
         return tuple(pattern for _, pattern in found)
 
 
-def template_patterns(strand: Strand) -> Iterator[tuple[int, Pattern]]:
+def _template_patterns(strand: Strand) -> Iterator[tuple[int, Pattern]]:
     """(weight, `multiset_at(t).items()`) for t = tmin, tmin + 1, ... of a
     template strand, without end, worked out from the coefficients. Entries
     whose sizes coincide add their multiplicities, through `Multiset`."""
@@ -315,6 +318,33 @@ class FamilyPair(
                     f"pair {name!r}: strand {si} domains differ between F and G"
                 )
         return super().__new__(cls, name, F, G)
+
+    def positions(self, n_max: int) -> list[tuple]:
+        """The positions whose lighter member weighs <= n_max, as rows (idx, F
+        pattern, F weight, G pattern, G weight), a pattern being a member's
+        `items()`, sorted by (min weight, strand, t) for deterministic
+        witnesses. Strand weights never decrease, so a template strand pair
+        is read from the coefficients (`_template_patterns`) up to the first t
+        whose two members are both too heavy; an explicit strand directly."""
+        keyed = []
+        for si, (strand_f, strand_g) in enumerate(zip(self.F.strands, self.G.strands)):
+            explicit_f, explicit_g = strand_f.explicit, strand_g.explicit
+            if explicit_f is None:
+                members = zip(_template_patterns(strand_f), _template_patterns(strand_g))
+                for t, ((w_f, p_f), (w_g, p_g)) in enumerate(members, strand_f.tmin):
+                    lightest = w_f if w_f < w_g else w_g
+                    if lightest > n_max:
+                        break
+                    keyed.append((lightest, si, t, p_f, w_f, p_g, w_g))
+            else:
+                w_f, w_g = explicit_f.weight, explicit_g.weight
+                lightest = w_f if w_f < w_g else w_g
+                if lightest <= n_max:
+                    p_f, p_g = explicit_f.items(), explicit_g.items()
+                    keyed.append((lightest, si, strand_f.tmin, p_f, w_f, p_g, w_g))
+        # (min weight, strand, t) is unique, so no two patterns are compared.
+        keyed.sort()
+        return [(FamilyIndex(si, t), p_f, w_f, p_g, w_g) for _, si, t, p_f, w_f, p_g, w_g in keyed]
 
 
 def _strand(*entries: tuple[tuple[int, int, int], tuple[int, int]], tmin: int = 1) -> Strand:

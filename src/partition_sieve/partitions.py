@@ -43,6 +43,10 @@ class Multiset:
     def __setattr__(self, name, value):
         raise AttributeError("Multiset is immutable")
 
+    def __reduce__(self):
+        # Pickle and copy rebuild through __init__, not through __setattr__.
+        return Multiset, (self._items,)
+
     @property
     def weight(self) -> int:
         """Sum of elements counted with multiplicity (0 for the empty multiset)."""

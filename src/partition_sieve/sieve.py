@@ -26,8 +26,8 @@ the sizes that later members still use, counts them by (|S|, union weight)
 in packed rows, one big integer per state and |S| with one digit per union
 weight, which it reads against p(n - w) with no loop per digit.
 
-Both checkers read one table of positions, each member as its pattern
-(`Multiset.items()`) and weight. The theorem C check runs the sieve's DP on
+Both checkers read one table of positions (`FamilyPair.positions`), each
+member as its pattern and weight. The theorem C check runs the sieve's DP on
 F and G at once, over twin classes (equal F and G patterns), with one packed
 row per state of both frontiers, whose digits count the sets by the union
 weight, the same on both sides for every set still agreeing. A state whose
@@ -47,7 +47,7 @@ from collections.abc import Iterable, Sequence
 from operator import mul
 from typing import NamedTuple
 
-from .families import FamilyIndex, FamilyPair, MultisetFamily, Pattern, template_patterns
+from .families import FamilyIndex, FamilyPair, MultisetFamily, Pattern
 from .partitions import Multiset, partition_counts_down
 from .distribution import DistributionTable
 
@@ -249,8 +249,8 @@ def sieve_distribution(
     prod_i (1 + y q^w_i).
 
     subsets_explored is the number of index subsets with union weight <= n:
-    counted, not visited. Independent of partition enumeration, which is the
-    whole point: it cross-checks the brute-force path.
+    counted, not visited. It shares no DP with brute force, which sweeps the
+    part sizes, only the counts p(m): it cross-checks the brute-force path.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -272,36 +272,6 @@ def sieve_distribution(
             e[0] += sum(map(mul, digits[k::limbs], weighed[base : base + len(digits)])) << 32 * k
     counts = {j: e_j for j, e_j in enumerate(e) if e_j}
     return SieveResult(DistributionTable(n, counts), explored, False)
-
-
-def _annotated_positions(pair: FamilyPair, n_max: int) -> list[tuple]:
-    """Positions relevant to n_max on either side, as rows (idx, F pattern,
-    F weight, G pattern, G weight), a pattern being a member's `items()`,
-    sorted by (min weight, strand, t) for deterministic witnesses.
-
-    A position is relevant when its lighter member weighs <= n_max. Strand
-    weights never decrease, so `template_patterns` works out a template
-    strand pair's patterns from the coefficients up to the first t whose
-    two members are both too heavy; an explicit strand is read directly."""
-    keyed = []
-    for si, (strand_f, strand_g) in enumerate(zip(pair.F.strands, pair.G.strands)):
-        explicit_f, explicit_g = strand_f.explicit, strand_g.explicit
-        if explicit_f is None:
-            members = zip(template_patterns(strand_f), template_patterns(strand_g))
-            for t, ((w_f, p_f), (w_g, p_g)) in enumerate(members, strand_f.tmin):
-                lightest = w_f if w_f < w_g else w_g
-                if lightest > n_max:
-                    break
-                keyed.append((lightest, si, t, p_f, w_f, p_g, w_g))
-        else:
-            w_f, w_g = explicit_f.weight, explicit_g.weight
-            lightest = w_f if w_f < w_g else w_g
-            if lightest <= n_max:
-                p_f, p_g = explicit_f.items(), explicit_g.items()
-                keyed.append((lightest, si, strand_f.tmin, p_f, w_f, p_g, w_g))
-    # (min weight, strand, t) is unique, so no two patterns are compared.
-    keyed.sort()
-    return [(FamilyIndex(si, t), p_f, w_f, p_g, w_g) for _, si, t, p_f, w_f, p_g, w_g in keyed]
 
 
 def _revalidate_disjointness(family: MultisetFamily, w: DisjointnessWitness) -> None:
@@ -349,7 +319,7 @@ def check_theorem_b(pair: FamilyPair, n_max: int) -> HypothesisReport:
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    table = _annotated_positions(pair, n_max)
+    table = pair.positions(n_max)
     for side, family, col in (("F", pair.F, 1), ("G", pair.G, 3)):
         # a is the first owner of every size it shares with b (an earlier
         # owner would clash with a first), so min() also gives the element.
@@ -468,7 +438,7 @@ def check_theorem_c(
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if subset_cap <= 0:
         raise ValueError(f"subset_cap must be > 0, got {subset_cap}")
-    table = _annotated_positions(pair, n_max)
+    table = pair.positions(n_max)
     explored = _agreeing_sets(table, n_max, subset_cap)
     if explored is None:
         return _walk_sets(pair, table, n_max, subset_cap)

@@ -267,6 +267,13 @@ class TestDistributionTable:
         with pytest.raises(ValueError):
             DistributionTable(4, {0: -2})
 
+    @pytest.mark.parametrize("n", [-3, -1, 2.5, 4.0, "4", None, True, False])
+    def test_rejects_bad_n(self, n):
+        with pytest.raises(ValueError, match="n must be an integer >= 0"):
+            DistributionTable(n, {0: 1})
+        with pytest.raises(ValueError, match="n must be an integer >= 0"):
+            DistributionTable(4, {0: 1})._replace(n=n)
+
 
 class TestBruteForce:
     # euler's X counts the even part sizes, its Y the repeated part sizes.

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import Counter
 
 import pytest
@@ -47,6 +49,30 @@ class TestMultiset:
 
     def test_hashable(self):
         assert len({Multiset({2: 1}), Multiset({2: 1}), Multiset({2: 2})}) == 2
+
+    def test_refuses_assignment(self):
+        ms = Multiset({2: 1})
+        for name in ("_items", "_weight", "extra"):
+            with pytest.raises(AttributeError, match="Multiset is immutable"):
+                setattr(ms, name, ())
+        assert ms.items() == ((2, 1),) and ms.weight == 2
+
+    def test_never_equals_another_type(self):
+        # __eq__ returns NotImplemented, so the items tuple is not a Multiset.
+        assert Multiset({1: 1}).__eq__(((1, 1),)) is NotImplemented
+        assert (Multiset({1: 1}) == ((1, 1),)) is False
+        assert (((1, 1),) == Multiset({1: 1})) is False
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda ms: pickle.loads(pickle.dumps(ms))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_keep_items_weight_and_hash(self, clone):
+        ms = Multiset({3: 2, 1: 1})
+        twin = clone(ms)
+        assert type(twin) is Multiset and twin == ms and hash(twin) == hash(ms)
+        assert (twin.items(), twin.weight) == (((1, 1), (3, 2)), 7)
 
     @given(multisets, multisets)
     def test_union_commutative(self, a, b):

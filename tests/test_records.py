@@ -1,7 +1,9 @@
 """The result and family records are named tuples: their reprs, immutability,
-validation through `_replace` and pickling, and the import they keep cheap."""
+validation through `_replace`, pickling and copying, and the import they
+keep cheap."""
 
 import ast
+import copy
 import os
 import pickle
 import subprocess
@@ -134,26 +136,29 @@ def test_fields_cannot_be_assigned(name):
         record.extra = None
 
 
-# The records that hold no Multiset, which does not unpickle: its __init__
-# state is set through object.__setattr__, but pickle restores it through
-# the __setattr__ that refuses every write.
-@pytest.mark.parametrize(
-    "name",
-    [
-        "ComparisonReport",
-        "ComparisonVerdict",
-        "DistributionTable",
-        "FamilyPair",
-        "SieveResult",
-        "Strand",
-        "StrandEntry",
-    ],
-)
+# andrews' strands are explicit multisets, where RECORDS' strand and pair
+# are euler's templates. Its G's strand 0, {1: 2}, is G's own; F's is {2: 1}.
+ANDREWS = builtin_pair("andrews", m1=[1, 2, 4, 8], bound=8)
+EXPLICIT = {
+    "explicit Strand": lambda: ANDREWS.G.strands[0],
+    "explicit MultisetFamily": lambda: ANDREWS.G,
+    "explicit FamilyPair": lambda: ANDREWS,
+}
+CLONED = {**RECORDS, **EXPLICIT}
+
+
+@pytest.mark.parametrize("name", sorted(CLONED))
 def test_pickle_round_trip(name):
-    record = RECORDS[name]()
-    copy = pickle.loads(pickle.dumps(record))
-    assert type(copy) is type(record)
-    assert copy == record
+    record = CLONED[name]()
+    restored = pickle.loads(pickle.dumps(record))
+    assert type(restored) is type(record)
+    assert restored == record
+
+
+@pytest.mark.parametrize("name", sorted(CLONED))
+def test_deepcopy_equals_the_record(name):
+    record = CLONED[name]()
+    assert copy.deepcopy(record) == record
 
 
 def test_distribution_table_stays_unhashable():

@@ -634,12 +634,12 @@ class TestAnnotatedPositions:
     )
     def test_one_pass_equals_set_union(self, drawn):
         pair, n_max = drawn
-        assert sieve_module._annotated_positions(pair, n_max) == annotated_positions(pair, n_max)
+        assert pair.positions(n_max) == annotated_positions(pair, n_max)
 
     @pytest.mark.parametrize("label,pair", builtin_pairs())
     @pytest.mark.parametrize("n_max", [1, 2, 7, 40])
     def test_builtins_equal_set_union(self, label, pair, n_max):
-        assert sieve_module._annotated_positions(pair, n_max) == annotated_positions(pair, n_max)
+        assert pair.positions(n_max) == annotated_positions(pair, n_max)
 
 
 class TestCheckTheoremC:
@@ -801,7 +801,7 @@ class TestCheckTheoremC:
         pair = EULER_LATE_PAIR
         expected = theorem_c_dfs(pair, 100, DEFAULT_SUBSET_CAP)
         assert expected[2] > 10_000
-        positions = len(sieve_module._annotated_positions(pair, 100))
+        positions = len(pair.positions(100))
         bound_added_weight_calls(monkeypatch, 2 * (positions + 1) * 101)
         assert c_fields(pair, 100, DEFAULT_SUBSET_CAP) == expected
         assert expected[3][0] == (FamilyIndex(0, 1), FamilyIndex(1, 1))
@@ -844,7 +844,7 @@ class TestCheckTheoremC:
     )
     def test_joint_dp_agrees_iff_walk_finds_no_witness(self, drawn):
         pair, n_max = drawn
-        table = sieve_module._annotated_positions(pair, n_max)
+        table = pair.positions(n_max)
         expected = theorem_c_dfs(pair, n_max, UNCAPPED)
         explored = sieve_module._agreeing_sets(table, n_max, UNCAPPED)
         assert (explored is None) == (expected[3] is not None)
@@ -1051,14 +1051,14 @@ def corrupt_row(change):
     """Corruption: row 1 of the checkers' table becomes change(table)."""
 
     def install(monkeypatch):
-        annotated = sieve_module._annotated_positions
+        positions = FamilyPair.positions
 
         def corrupted(pair, n_max):
-            table = annotated(pair, n_max)
+            table = positions(pair, n_max)
             table[1] = change(table)
             return table
 
-        monkeypatch.setattr(sieve_module, "_annotated_positions", corrupted)
+        monkeypatch.setattr(FamilyPair, "positions", corrupted)
 
     return install
 

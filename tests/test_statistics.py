@@ -72,6 +72,11 @@ class TestEvaluate:
             for parts in partitions_recursive(n):
                 assert 0 <= rule(Counter(parts)) <= cap
 
+    def test_repr_names_the_label(self):
+        x, _ = pair_statistics(builtin_pair("euler"))
+        assert repr(x) == "FamilyStatistic('euler.X')"
+        assert repr(FamilyStatistic(mod6_prose_family())) == "FamilyStatistic('mod6_Y_prose')"
+
 
 class TestNatives:
     def test_mult_ge(self):
