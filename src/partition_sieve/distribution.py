@@ -45,6 +45,8 @@ class DistributionTable(
             raise ValueError(f"n must be an integer >= 0, got {n!r}")
         clean = {}
         for j, c in counts.items():
+            if type(j) is not int or type(c) is not int:
+                raise ValueError(f"counts must map integers to integers, got {j!r}: {c!r}")
             if j < 0:
                 raise ValueError(f"statistic value must be >= 0, got {j}")
             if c < 0:
@@ -214,8 +216,8 @@ def distribution_bruteforce(stat: FamilyStatistic, n: int) -> DistributionTable:
     """Tally the statistic over every partition of n by the transfer DP
     (`_tally_sweep`), started from packed P(q).
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be an integer >= 0, got {n!r}")
     (tally,) = _tally_sweep(stat.family.member_patterns(n), n, n)
     return DistributionTable(n, tally)
 
@@ -266,8 +268,8 @@ def compare(
     equal distributions exactly. A divergent verdict carries the smallest j
     whose counts differ.
     """
-    if not 0 <= n_from <= n_to:
-        raise ValueError(f"need 0 <= n_from <= n_to, got [{n_from}, {n_to}]")
+    if type(n_from) is not int or type(n_to) is not int or not 0 <= n_from <= n_to:
+        raise ValueError(f"need integers 0 <= n_from <= n_to, got [{n_from!r}, {n_to!r}]")
     verdicts = []
     tally_x = _tally_sweep(stat_x.family.member_patterns(n_to), n_from, n_to)
     tally_y = _tally_sweep(stat_y.family.member_patterns(n_to), n_from, n_to)

@@ -275,9 +275,16 @@ class MultisetFamily(
 
 def _template_patterns(strand: Strand) -> Iterator[tuple[int, Pattern]]:
     """(weight, `multiset_at(t).items()`) for t = tmin, tmin + 1, ... of a
-    template strand, without end, worked out from the coefficients. Entries
-    whose sizes coincide add their multiplicities, through `Multiset`."""
+    template strand, without end, worked out from the coefficients. A
+    one-entry strand's member is its size and multiplicity at t, read from
+    the five coefficients alone; entries whose sizes coincide add their
+    multiplicities, through `Multiset`."""
     coeffs = [(*e.size, *e.mult) for e in strand.entries]
+    if len(coeffs) == 1:
+        ((a, b, c, m1, m0),) = coeffs
+        for t in count(strand.tmin):
+            size, mult = (a * t + b) * t + c, m1 * t + m0
+            yield size * mult, ((size, mult),)
     for t in count(strand.tmin):
         items = [((a * t + b) * t + c, m1 * t + m0) for a, b, c, m1, m0 in coeffs]
         if len(items) > 1:

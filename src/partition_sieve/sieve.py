@@ -37,6 +37,12 @@ the subset cap, does the check walk the (member index, frontier) states
 depth-first, each once, include before exclude, for the first failing S in
 preorder, counting the sets below a state it meets again. The DPs and the
 walk restrict a frontier with the same rule (`_restrict`).
+
+A member's weight and the sizes it opens (the frontier that it grows an
+empty one to) are worked out once per member, or twin class, not once per
+state. A state whose frontier is empty, as on support-disjoint sides, adds
+that weight and grows to those sizes; only a non-empty frontier is weighed
+(`_added_weight`) and grown (`_grow`).
 """
 
 from __future__ import annotations
@@ -133,9 +139,21 @@ class HypothesisReport(NamedTuple):
     inconclusive: bool = False
 
 
+def _require_int(name: str, value: int, least: int) -> None:
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _added_weight(pattern: Pattern, union: dict[int, int]) -> int:
     get = union.get
     return sum((m - get(s, 0)) * s for s, m in pattern if m > get(s, 0))
+
+
+def _added_at(frontier: Pattern, pattern: Pattern, weight: int) -> int:
+    """The weight that a member, `pattern` of weight `weight`, adds to a
+    union with this frontier: all of it when the frontier is empty, with no
+    `_added_weight` call. Each state-step weighs its member here, per side."""
+    return _added_weight(pattern, dict(frontier)) if frontier else weight
 
 
 def _weight(frontier: Iterable[tuple[int, int]]) -> int:
@@ -148,10 +166,10 @@ def _restrict(frontier: Iterable[tuple[int, int]], last: dict[int, int], i: int)
 
 
 def _grow(frontier: Pattern, pattern: Pattern, last: dict[int, int], i: int) -> Pattern:
-    """The frontier once member i joins the union: the union of frontier and
-    pattern, restricted to the sizes that a member after i still uses."""
-    if not frontier:
-        return _restrict(pattern, last, i)
+    """The non-empty frontier once member i joins the union: the union of
+    frontier and pattern, restricted to the sizes that a member after i
+    still uses. An empty one grows to the sizes the member opens,
+    `_restrict(pattern, last, i)`, worked out once per member."""
     merged = dict(frontier)
     for s, m in pattern:
         if m > merged.get(s, 0):
@@ -193,6 +211,9 @@ def _count_subsets(
     explored = bound = 1
     fresh = 0
     for i, pattern in enumerate(patterns):
+        # The member's weight, and the sizes it opens: the frontier that it
+        # grows an empty one to.
+        weight, opened = _weight(pattern), _restrict(pattern, last, i)
         grown_states: dict[Pattern, list[tuple[int, int]]] = {}
         for frontier, rows in states.items():
             # Excluding the member shares the rows, which a state met later,
@@ -203,20 +224,24 @@ def _count_subsets(
                 target.extend([empty] * (len(rows) - len(target)))
                 for t, (base, row) in enumerate(rows):
                     target[t] = _add_row(target[t], base, row, b)
-            added = _added_weight(pattern, dict(frontier))
+            added = _added_at(frontier, pattern, weight)
             target = None
             # Walked down, so that an include into these rows reads each first.
             for t in range(len(rows) - 1, -1, -1):
                 base, row = rows[t]
+                if base + added > n:  # not even the lightest set takes the member
+                    continue
                 keep = b * (n + 1 - base - added)  # the digits that stay <= n
                 if row.bit_length() > keep:
-                    row = row & (1 << keep) - 1 if keep > 0 else 0
-                if row:
-                    if target is None:  # no state is empty: never more states than sets
-                        target = grown_states.setdefault(_grow(frontier, pattern, last, i), [])
-                        target.extend([empty] * (t + 2 - len(target)))
-                    target[t + 1] = _add_row(target[t + 1], base + added, row, b)
-                    fresh += row
+                    row &= (1 << keep) - 1
+                # The digit at base counts the lightest set, so the row holds
+                # a set: no state is empty, never more states than sets.
+                if target is None:
+                    grown = _grow(frontier, pattern, last, i) if frontier else opened
+                    target = grown_states.setdefault(grown, [])
+                    target.extend([empty] * (t + 2 - len(target)))
+                target[t + 1] = _add_row(target[t + 1], base + added, row, b)
+                fresh += row
         bound *= 2
         if bound > subset_cap:
             explored += fresh % ((1 << b) - 1)
@@ -252,10 +277,8 @@ def sieve_distribution(
     counted, not visited. It shares no DP with brute force, which sweeps the
     part sizes, only the counts p(m): it cross-checks the brute-force path.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if subset_cap <= 0:
-        raise ValueError(f"subset_cap must be > 0, got {subset_cap}")
+    _require_int("n", n, 0)
+    _require_int("subset_cap", subset_cap, 1)
     limbs, rows, explored = _count_subsets(family.member_patterns(n), n, subset_cap)
     if explored > subset_cap:
         return SieveResult(DistributionTable(n, {}), explored, True)
@@ -317,8 +340,7 @@ def check_theorem_b(pair: FamilyPair, n_max: int) -> HypothesisReport:
     (min weight, strand, t) position order wins, with the smallest size the
     two share as its element; then the first position whose weights differ.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _require_int("n_max", n_max, 1)
     table = pair.positions(n_max)
     for side, family, col in (("F", pair.F, 1), ("G", pair.G, 3)):
         # a is the first owner of every size it shares with b (an earlier
@@ -362,11 +384,10 @@ def _agreeing_sets(table: list[tuple], n_max: int, subset_cap: int) -> int | Non
     (subset_cap + 1)(subset_cap + 2) < 2^b. Past the cap a state keeps only
     its lightest set, base: the extensions of any set in it add the same
     weights, so one fits within n_max, and differs, only if base's does."""
-    classes = Counter((pattern_f, pattern_g) for _, pattern_f, _, pattern_g, _ in table)
-    pats_f = [pattern_f for pattern_f, _ in classes]
-    pats_g = [pattern_g for _, pattern_g in classes]
-    last_f = {size: i for i, pattern in enumerate(pats_f) for size, _ in pattern}
-    last_g = {size: i for i, pattern in enumerate(pats_g) for size, _ in pattern}
+    # Keyed by (F pattern, F weight, G pattern, G weight): a row less its idx.
+    classes = Counter(row[1:] for row in table)
+    last_f = {size: i for i, key in enumerate(classes) for size, _ in key[0]}
+    last_g = {size: i for i, key in enumerate(classes) for size, _ in key[2]}
     b = ((subset_cap + 1) * (subset_cap + 2)).bit_length()
     saturated = (subset_cap + 1).bit_length()  # 2^c - 1 > subset_cap from c on
     empty = (n_max + 1, 0)  # above every base a row can have
@@ -374,12 +395,13 @@ def _agreeing_sets(table: list[tuple], n_max: int, subset_cap: int) -> int | Non
     states: dict[tuple, tuple[int, int]] = {((), ()): (0, 1)}
     explored = bound = 1
     fresh = examined = 0
-    for i, twins in enumerate(classes.values()):
+    for i, ((pat_f, weight_f, pat_g, weight_g), twins) in enumerate(classes.items()):
         if explored > subset_cap:
             examined += len(states)
             if examined > subset_cap:
                 return None
-        pat_f, pat_g = pats_f[i], pats_g[i]
+        # The sizes the class opens: the frontiers it grows empty ones to.
+        opened = (_restrict(pat_f, last_f, i), _restrict(pat_g, last_g, i))
         ways = min((1 << min(twins, saturated)) - 1, subset_cap + 1)
         grown_states: dict[tuple, tuple[int, int]] = {}
         for (front_f, front_g), (base, row) in states.items():
@@ -387,8 +409,8 @@ def _agreeing_sets(table: list[tuple], n_max: int, subset_cap: int) -> int | Non
             kept = (front_f and _restrict(front_f, last_f, i),
                     front_g and _restrict(front_g, last_g, i))
             grown_states[kept] = _add_row(grown_states.get(kept, empty), base, row, b)
-            added_f = _added_weight(pat_f, dict(front_f))
-            added_g = _added_weight(pat_g, dict(front_g))
+            added_f = _added_at(front_f, pat_f, weight_f)
+            added_g = _added_at(front_g, pat_g, weight_g)
             if base + min(added_f, added_g) > n_max:
                 continue
             if added_f != added_g:
@@ -398,7 +420,10 @@ def _agreeing_sets(table: list[tuple], n_max: int, subset_cap: int) -> int | Non
                 row &= (1 << keep) - 1
             row *= ways
             fresh += row
-            grown = (_grow(front_f, pat_f, last_f, i), _grow(front_g, pat_g, last_g, i))
+            grown = (
+                _grow(front_f, pat_f, last_f, i) if front_f else opened[0],
+                _grow(front_g, pat_g, last_g, i) if front_g else opened[1],
+            )
             grown_states[grown] = _add_row(grown_states.get(grown, empty), base + added_f, row, b)
         states = grown_states
         if explored <= subset_cap:
@@ -434,10 +459,8 @@ def check_theorem_c(
     more than subset_cap sets, so the walk ends with a witness or past the
     cap; it raises RuntimeError if it ever ends otherwise.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if subset_cap <= 0:
-        raise ValueError(f"subset_cap must be > 0, got {subset_cap}")
+    _require_int("n_max", n_max, 1)
+    _require_int("subset_cap", subset_cap, 1)
     table = pair.positions(n_max)
     explored = _agreeing_sets(table, n_max, subset_cap)
     if explored is None:
@@ -472,6 +495,9 @@ def _walk_sets(
     last_f = {size: i for i, pattern in enumerate(pats_f) for size, _ in pattern}
     last_g = {size: i for i, pattern in enumerate(pats_g) for size, _ in pattern}
     lightest = [min(row[2], row[4]) for row in table]
+    # The sizes each member opens: the frontier it grows an empty one to.
+    opened_f = [_restrict(pattern, last_f, i) for i, pattern in enumerate(pats_f)]
+    opened_g = [_restrict(pattern, last_g, i) for i, pattern in enumerate(pats_g)]
     k = len(table)
     # Sets strictly below each state whose walk has ended.
     below: dict[tuple, int] = {}
@@ -485,8 +511,8 @@ def _walk_sets(
         i, front_f, front_g, weight = state
         if frame[1] == 0:
             frame[1] = 1
-            weight_f = weight + _added_weight(pats_f[i], dict(front_f))
-            weight_g = weight + _added_weight(pats_g[i], dict(front_g))
+            weight_f = weight + _added_at(front_f, pats_f[i], table[i][2])
+            weight_g = weight + _added_at(front_g, pats_g[i], table[i][4])
             if min(weight_f, weight_g) > n_max:
                 continue
             explored += 1
@@ -505,8 +531,8 @@ def _walk_sets(
                 )
                 _revalidate_union_weights(pair, found)
                 return HypothesisReport("C", n_max, False, found, explored)
-            front_f = _grow(front_f, pats_f[i], last_f, i)
-            front_g = _grow(front_g, pats_g[i], last_g, i)
+            front_f = _grow(front_f, pats_f[i], last_f, i) if front_f else opened_f[i]
+            front_g = _grow(front_g, pats_g[i], last_g, i) if front_g else opened_g[i]
             weight = weight_f
         elif frame[1] == 1:
             frame[1] = 2

@@ -267,6 +267,15 @@ class TestDistributionTable:
         with pytest.raises(ValueError):
             DistributionTable(4, {0: -2})
 
+    @pytest.mark.parametrize(
+        "counts", [{1: 1.5}, {True: 2}, {0: False}, {"a": 1}, {None: 1}, {2.0: 1}]
+    )
+    def test_rejects_keys_and_counts_that_are_not_integers(self, counts):
+        # {1: 1.5} was once a table of total 1.5, {True: 2} kept a bool key,
+        # and {"a": 1} raised TypeError from the comparison with 0.
+        with pytest.raises(ValueError, match="counts must map integers to integers"):
+            DistributionTable(3, counts)
+
     @pytest.mark.parametrize("n", [-3, -1, 2.5, 4.0, "4", None, True, False])
     def test_rejects_bad_n(self, n):
         with pytest.raises(ValueError, match="n must be an integer >= 0"):

@@ -230,12 +230,14 @@ def test_no_module_imports_dataclasses(path):
     assert "dataclasses" not in module_roots(path.read_text(encoding="utf-8"))
 
 
-def test_package_import_loads_neither_dataclasses_nor_inspect():
-    # -S leaves out `site` and whatever its hooks would import.
+def test_package_import_loads_no_dataclasses_inspect_or_click():
+    # -S leaves out `site` and whatever its hooks would import. The library
+    # never starts the CLI framework: loading click would cost every run
+    # that only calls the library tens of milliseconds.
     env = dict(os.environ, PYTHONPATH=str(SRC))
     probe = (
         "import partition_sieve, sys; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'click', 'dataclasses', 'inspect'} & set(sys.modules)))"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe],

@@ -148,18 +148,19 @@ EULER_LATE_PAIR = FamilyPair(
 )
 
 
-def bound_added_weight_calls(monkeypatch, bound):
-    """Fail once sieve._added_weight runs more than bound times."""
+def bound_state_steps(monkeypatch, bound):
+    """Fail once sieve._added_at, which every state-step calls once per
+    side, runs more than bound times."""
     calls = 0
-    added_weight = sieve_module._added_weight
+    added_at = sieve_module._added_at
 
-    def counted(pattern, union):
+    def counted(frontier, pattern, weight):
         nonlocal calls
         calls += 1
         assert calls <= bound, "calls grow with the sets, not the states"
-        return added_weight(pattern, union)
+        return added_at(frontier, pattern, weight)
 
-    monkeypatch.setattr(sieve_module, "_added_weight", counted)
+    monkeypatch.setattr(sieve_module, "_added_at", counted)
 
 
 def drawn_members(draw, k):
@@ -309,6 +310,66 @@ def overlapping_families(draw):
     return MultisetFamily("drawn", tuple(Strand(explicit=Multiset(m)) for m in members))
 
 
+@st.composite
+def opening_template(draw, tmin):
+    """A template strand whose one entry has a quadratic size and a linear
+    multiplicity, or whose two entries' sizes coincide at some t from tmin
+    (at every t when their size polynomials agree). Sizes grow with t: a
+    strand of one size at growing multiplicities would fit every set of its
+    members under n, too many for the walks."""
+    a, b, m1 = draw(st.integers(0, 1)), draw(st.integers(0, 2)), draw(st.integers(0, 1))
+    if not (a or b):
+        b = 1
+    c = draw(st.integers(1, 4))
+    entries = [StrandEntry((a, b, c), (m1, draw(st.integers(1, 2))))]
+    if draw(st.booleans()):
+        # The second size is the first plus d * (t - meet): they coincide at
+        # t = meet, and both stay >= 1 from tmin on.
+        d, meet = draw(st.integers(0, 2)), draw(st.integers(tmin, tmin + 2))
+        c += d * (meet - tmin)
+        entries = [
+            StrandEntry((a, b, c), entries[0].mult),
+            StrandEntry((a, b + d, c - d * meet), (0, draw(st.integers(1, 2)))),
+        ]
+    return Strand(entries=tuple(entries), tmin=tmin)
+
+
+@st.composite
+def interleaved_pairs(draw):
+    """Explicit members over private sizes, which open no frontier, mixed in
+    weight order with members over the shared sizes 1-3, which open one
+    until the last member that shares their sizes: empty and non-empty
+    frontiers alternate within one DP. G copies F or halves it, as in
+    `theorem_c_pairs`, or copies it with one member redrawn. Up to two
+    `opening_template` strands, at tmin 0-2, are shared by F and G."""
+    g_members = []
+    for private in range(10, 10 + draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            g_members.append({private: draw(st.integers(1, 2))})
+        else:
+            g_members.append(
+                draw(st.dictionaries(st.integers(1, 3), st.integers(1, 2), min_size=1, max_size=2))
+            )
+    g_side = draw(st.sampled_from(["copy", "halved", "redrawn"]))
+    if g_side == "halved":
+        f_members = [{2 * s: m for s, m in member.items()} for member in g_members]
+        g_members = [{s: 2 * m for s, m in member.items()} for member in g_members]
+    else:
+        f_members = [dict(member) for member in g_members]
+    if g_side == "redrawn":
+        g_members[draw(st.integers(0, len(g_members) - 1))] = drawn_members(draw, 1)[0]
+    templates = tuple(
+        draw(opening_template(draw(st.integers(0, 2)))) for _ in range(draw(st.integers(0, 2)))
+    )
+    f_strands = tuple(Strand(explicit=Multiset(m)) for m in f_members) + templates
+    g_strands = tuple(Strand(explicit=Multiset(m)) for m in g_members) + templates
+    return FamilyPair(
+        "interleaved",
+        MultisetFamily("interleaved.F", f_strands),
+        MultisetFamily("interleaved.G", g_strands),
+    )
+
+
 def sieve_fields(family, n, cap):
     result = sieve_distribution(family, n, subset_cap=cap)
     return result.table.counts, result.subsets_explored, result.truncated
@@ -390,7 +451,7 @@ class TestSieveDistribution:
         # Light {s:1}, s = 26..50, then heavier {s:1, 1:m} reusing each s: the
         # frontier could hold any of 2^25 unions of the light sizes, but at
         # most three fit under n = 100. Every state the DP steps from costs
-        # one _added_weight call and holds at least one counted subset, so the
+        # one _added_at call and holds at least one counted subset, so the
         # calls stay within members x subsets_explored.
         members = [{s: 1} for s in range(26, 51)]
         members += [{s: 1, 1: m} for m, s in enumerate(range(26, 51), 1)]
@@ -398,15 +459,15 @@ class TestSieveDistribution:
         expected = dfs_fields(family, 100, DEFAULT_SUBSET_CAP)
         bound = len(members) * expected[1]
         calls = 0
-        added_weight = sieve_module._added_weight
+        added_at = sieve_module._added_at
 
-        def counted(pattern, union):
+        def counted(frontier, pattern, weight):
             nonlocal calls
             calls += 1
             assert calls <= bound, "more frontier states than counted subsets"
-            return added_weight(pattern, union)
+            return added_at(frontier, pattern, weight)
 
-        monkeypatch.setattr(sieve_module, "_added_weight", counted)
+        monkeypatch.setattr(sieve_module, "_added_at", counted)
         assert sieve_fields(family, 100, DEFAULT_SUBSET_CAP) == expected
         assert expected[1] == 4746
 
@@ -441,6 +502,40 @@ class TestSieveDistribution:
             sieve_distribution(family, -1)
         with pytest.raises(ValueError):
             sieve_distribution(family, 4, subset_cap=0)
+
+
+EULER_X, EULER_Y = pair_statistics(EULER)
+# An entry point, its arguments, and the non-integer ones of them.
+BAD_INTEGER_CALLS = [
+    (sieve_distribution, (EULER.F, 5.0), "n=5.0"),
+    (sieve_distribution, (EULER.F, True), "n=True"),
+    (sieve_distribution, (EULER.F, "5"), "n='5'"),
+    (sieve_distribution, (EULER.F, 5, 2.5), "subset_cap=2.5"),
+    (sieve_distribution, (EULER.F, 5, True), "subset_cap=True"),
+    (check_theorem_c, (EULER, 5.0), "n_max=5.0"),
+    (check_theorem_c, (EULER, True), "n_max=True"),
+    (check_theorem_c, (EULER, 5, 2.5), "subset_cap=2.5"),
+    (check_theorem_c, (EULER, 5, None), "subset_cap=None"),
+    (check_theorem_b, (EULER, 5.0), "n_max=5.0"),
+    (check_theorem_b, (EULER, True), "n_max=True"),
+    (distribution_bruteforce, (EULER_X, 5.0), "n=5.0"),
+    (distribution_bruteforce, (EULER_X, False), "n=False"),
+    (compare, (EULER_X, EULER_Y, False, True), "n_from=False,n_to=True"),
+    (compare, (EULER_X, EULER_Y, 1.0, 3), "n_from=1.0"),
+    (compare, (EULER_X, EULER_Y, 0, 5.0), "n_to=5.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "entry,args",
+    [call[:2] for call in BAD_INTEGER_CALLS],
+    ids=[f"{entry.__name__}({bad})" for entry, _, bad in BAD_INTEGER_CALLS],
+)
+def test_entry_points_take_only_integers(entry, args):
+    # A float or bool once reached the DP (TypeError, AttributeError) or
+    # the report (verified_up_to=5.0, n_from=False).
+    with pytest.raises(ValueError, match="integer"):
+        entry(*args)
 
 
 class TestPackedRows:
@@ -480,16 +575,17 @@ class TestPackedRows:
     def test_stops_after_the_member_that_passes_the_cap(self, monkeypatch):
         # 1500 copies of {1: 1}: after member k there are 2^k subsets, so a
         # cap of 2000 is passed at member 11 (2^11 = 2048). Member 1 steps
-        # from one state, every later one from two (frontier empty or {1: 1}).
+        # from one state, every later one from two (frontier empty or {1: 1}),
+        # and each state-step calls _added_at once.
         calls = 0
-        added_weight = sieve_module._added_weight
+        added_at = sieve_module._added_at
 
-        def counted(pattern, union):
+        def counted(frontier, pattern, weight):
             nonlocal calls
             calls += 1
-            return added_weight(pattern, union)
+            return added_at(frontier, pattern, weight)
 
-        monkeypatch.setattr(sieve_module, "_added_weight", counted)
+        monkeypatch.setattr(sieve_module, "_added_at", counted)
         assert sieve_fields(DEEP_PAIR.F, 10, 2000) == ({}, 2001, True)
         assert calls == 1 + 2 * 10
 
@@ -787,13 +883,13 @@ class TestCheckTheoremC:
     def test_each_state_walked_once(self, monkeypatch):
         # euler's sides are support-disjoint, so both frontiers stay empty
         # and a walk state is (next position, union weight): at most
-        # (positions + 1) x (n_max + 1) of them, at two _added_weight calls
+        # (positions + 1) x (n_max + 1) of them, at two _added_at calls
         # each, far fewer than the 502,822 sets a one-by-one walk would step
         # through. euler holds, so the joint DP answers without walking; the
         # late-violation test below walks.
         pair = builtin_pair("euler")
         positions = len(pair.F.relevant_indices(150))
-        bound_added_weight_calls(monkeypatch, 2 * (positions + 1) * 151)
+        bound_state_steps(monkeypatch, 2 * (positions + 1) * 151)
         assert check_theorem_c(pair, 150).subsets_explored == 502_822
 
     def test_each_state_walked_once_before_a_late_violation(self, monkeypatch):
@@ -802,7 +898,7 @@ class TestCheckTheoremC:
         expected = theorem_c_dfs(pair, 100, DEFAULT_SUBSET_CAP)
         assert expected[2] > 10_000
         positions = len(pair.positions(100))
-        bound_added_weight_calls(monkeypatch, 2 * (positions + 1) * 101)
+        bound_state_steps(monkeypatch, 2 * (positions + 1) * 101)
         assert c_fields(pair, 100, DEFAULT_SUBSET_CAP) == expected
         assert expected[3][0] == (FamilyIndex(0, 1), FamilyIndex(1, 1))
         assert expected[3][1:3] == (99, 101)
@@ -1013,6 +1109,34 @@ class TestJointPackedRows:
         assert peak < 3 * 2**20
 
 
+class TestEmptyAndOpenFrontiers:
+    """The DPs and the walk add a member's weight, and grow to the sizes it
+    opens, without weighing the frontier when it is empty; a non-empty one
+    still goes through the frontier rule. Members are read from the strand
+    coefficients, one-entry strands in closed form."""
+
+    # A wrong frontier fails many checks at once; shrinking each kind of
+    # failure apart takes minutes, and one shrunk example shows the fault.
+    @settings(max_examples=200, deadline=None, report_multiple_bugs=False)
+    @given(interleaved_pairs(), st.integers(0, 30))
+    def test_match_the_walks_and_the_members(self, pair, n):
+        # Each walk runs once, uncapped: below the count it reaches, a capped
+        # walk stops past the cap, truncated or inconclusive.
+        for family in (pair.F, pair.G):
+            by_index = tuple(family.member(idx).items() for idx in family.relevant_indices(n))
+            assert family.member_patterns(n) == by_index
+            walked = sieve_dfs(by_index, n, UNCAPPED)
+            for cap in range(max(walked[1] - 1, 1), walked[1] + 2):
+                expected = walked if cap >= walked[1] else ({}, cap + 1, True)
+                assert sieve_fields(family, n, cap) == expected, cap
+        if n:
+            assert pair.positions(n) == annotated_positions(pair, n)
+            walked = theorem_c_dfs(pair, n, UNCAPPED)
+            for cap in range(max(walked[2] - 1, 1), walked[2] + 2):
+                expected = walked if cap >= walked[2] else (True, True, cap + 1, None)
+                assert c_fields(pair, n, cap) == expected, cap
+
+
 class TestWitnessRevalidation:
     """Negative reports must carry witnesses that survive independent
     recomputation; the checkers re-validate before returning, so a witness
@@ -1066,12 +1190,12 @@ def corrupt_row(change):
 def skew_added_weight(monkeypatch):
     """Corruption: every added weight of an euler G member {t: 2} is one
     too high, so the walk weighs a set's G union wrong."""
-    added = sieve_module._added_weight
+    added = sieve_module._added_at
 
-    def skewed(pattern, union):
-        return added(pattern, union) + (pattern[0][1] == 2)
+    def skewed(frontier, pattern, weight):
+        return added(frontier, pattern, weight) + (pattern[0][1] == 2)
 
-    monkeypatch.setattr(sieve_module, "_added_weight", skewed)
+    monkeypatch.setattr(sieve_module, "_added_at", skewed)
 
 
 # (theorem, corruption, the start of the RuntimeError's message). Each one
